@@ -14,11 +14,12 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from . import fisher, markov, scenewalk
 from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
@@ -40,12 +41,24 @@ FAMILIES = (
 
 
 @dataclass(frozen=True)
+class SolverReport:
+    """How the dual solve of ``train`` ended: L-BFGS-B iterations summed
+    over restarts, the largest projected-gradient entry at the returned
+    point, and whether that entry met the tolerance stated in ``train``."""
+
+    iterations: int
+    max_projected_gradient: float
+    converged: bool
+
+
+@dataclass(frozen=True)
 class LinearModel:
     """One weight vector per class; the last weight is the bias term."""
 
     weights: np.ndarray
     classes: tuple[str, ...]
     C: float
+    report: SolverReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -56,25 +69,26 @@ class LinearModel:
             raise ValueError("weights must be finite")
 
 
-def train(
-    features: np.ndarray,
-    labels: Sequence[str],
-    C: float = 1.0,
-    seed: int = 0,
-    max_epochs: int = 1000,
-    tol: float = 1e-6,
-) -> LinearModel:
-    """One-vs-rest L2-regularized hinge-loss training by dual coordinate
-    descent on explicit feature vectors.
+def train(features: np.ndarray, labels: Sequence[str], C: float = 1.0) -> LinearModel:
+    """One-vs-rest L2-regularized hinge-loss training on explicit feature
+    vectors, by one exact solve of the joint dual.
 
-    All one-vs-rest subproblems share the per-epoch visiting order (a
-    permutation drawn from ``seed``) and are updated in lockstep, which
-    keeps the solver deterministic and lets the inner step be vectorized
-    over classes. Stops when every subproblem's largest projected-gradient
-    violation falls below ``tol``, when the dual objective improves by
-    less than ``tol`` (relative) over an epoch, or after ``max_epochs``.
+    With the bias folded into the features as a constant last column, the
+    dual of each one-vs-rest problem is a box QP with no equality
+    constraint: minimize f = sum_k (0.5 |w_k|^2 - sum_i alpha_ki) over
+    0 <= alpha <= C, where w_k = sum_i alpha_ki y_ki x_i. All classes are
+    solved together by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
+
+    The solve has converged when the largest projected-gradient entry is at
+    most sqrt(2 eps |f| max_i |x_i|^2), with eps the float64 machine
+    epsilon and x_i including its bias entry: a step along one coordinate
+    whose projected gradient is below that lowers f by less than f's
+    rounding error, so no line search can resolve it. One L-BFGS-B call
+    can stop short of that, so the solve restarts from the returned point
+    while the entry is above the tolerance and still falling.
+    ``LinearModel.report`` records the outcome.
     """
-    X = np.ascontiguousarray(np.asarray(features, dtype=float))
+    X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     labels = list(labels)
@@ -85,55 +99,47 @@ def train(
         raise ValueError("training requires at least 2 classes")
 
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    n, d = Xb.shape
-    sq = np.einsum("ij,ij->i", Xb, Xb)
     label_idx = np.array([classes.index(lbl) for lbl in labels])
     Y = np.where(label_idx[None, :] == np.arange(len(classes))[:, None], 1.0, -1.0)
 
-    rng = np.random.default_rng(seed)
-    W = np.zeros((len(classes), d))
-    alpha = np.zeros((len(classes), n))
-    objective_prev = 0.0
-    for epoch in range(max_epochs):
-        max_violation = 0.0
-        for i in rng.permutation(n):
-            xi = Xb[i]
-            yi = Y[:, i]
-            g = yi * (W @ xi) - 1.0
-            a = alpha[:, i]
-            pg = np.where(a <= 0.0, np.minimum(g, 0.0), g)
-            pg = np.where(a >= C, np.maximum(g, 0.0), pg)
-            violation = float(np.max(np.abs(pg)))
-            if violation > max_violation:
-                max_violation = violation
-            if sq[i] > 0 and violation > 1e-14:
-                new = np.clip(a - g / sq[i], 0.0, C)
-                delta = np.where(np.abs(pg) > 1e-14, new - a, 0.0)
-                if np.any(delta != 0.0):
-                    alpha[:, i] += delta
-                    W += np.outer(delta * yi, xi)
-        if max_violation < tol:
-            break
-        objective = float(alpha.sum() - 0.5 * np.sum(W * W))
-        if epoch > 0 and abs(objective - objective_prev) < tol * (1.0 + abs(objective)):
-            break
-        objective_prev = objective
-    return LinearModel(weights=W, classes=classes, C=C)
+    def dual(a):
+        W = (a.reshape(Y.shape) * Y) @ Xb
+        return 0.5 * float(np.sum(W * W)) - float(a.sum()), (Y * (W @ Xb.T) - 1.0).ravel()
 
-
-def decision_scores(model: LinearModel, feature: np.ndarray) -> np.ndarray:
-    """Per-class decision values for one feature vector."""
-    x = np.asarray(feature, dtype=float)
-    if x.size != model.weights.shape[1] - 1:
-        raise ValueError(
-            f"feature dimension {x.size} does not match model ({model.weights.shape[1] - 1})"
+    curvature = float(np.max(np.einsum("ij,ij->i", Xb, Xb)))
+    alpha = np.zeros(Y.size)
+    iterations = 0
+    previous = math.inf
+    while True:
+        res = minimize(
+            dual,
+            alpha,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, C)] * alpha.size,
+            options={"ftol": 0.0, "gtol": 0.0},
         )
-    return model.weights @ np.append(x, 1.0)
+        alpha, iterations = res.x, iterations + int(res.nit)
+        pg = float(np.max(np.abs(np.clip(alpha - res.jac, 0.0, C) - alpha)))
+        converged = pg <= math.sqrt(2.0 * np.finfo(float).eps * abs(res.fun) * curvature)
+        if converged or pg >= previous:
+            break
+        previous = pg
+    return LinearModel(
+        weights=(alpha.reshape(Y.shape) * Y) @ Xb,
+        classes=classes,
+        C=C,
+        report=SolverReport(iterations=iterations, max_projected_gradient=pg, converged=converged),
+    )
 
 
 def decision_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
     """(n_items, n_classes) decision values for a feature matrix."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
+    if X.shape[1] != model.weights.shape[1] - 1:
+        raise ValueError(
+            f"feature dimension {X.shape[1]} does not match model ({model.weights.shape[1] - 1})"
+        )
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
     return Xb @ model.weights.T
 
@@ -162,7 +168,6 @@ class EvalProtocol:
     normalize_grid: tuple[bool, ...] = (True, False)
     max_k: int = 10
     seed: int = 0
-    svm_max_epochs: int = 1000
     scenewalk_rho: float = 1.0
     scenewalk_max_iter: int = 100
 
@@ -350,7 +355,7 @@ def _cv_folds_of(train_images: Sequence[str], n_folds: int) -> list[tuple[list[s
     return folds
 
 
-def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int], svm_seed: int):
+def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     protocol = ops.protocol
     subjects = ops.data.subjects
     train_keys = [(s, img) for s in subjects for img in split.train[s]]
@@ -384,9 +389,7 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int], svm_seed
         for C in sorted(protocol.c_grid):
             accs = []
             for X_fit, fit_labels, X_val, val_labels in fold_data:
-                model = train(
-                    X_fit, fit_labels, C=C, seed=svm_seed, max_epochs=protocol.svm_max_epochs
-                )
+                model = train(X_fit, fit_labels, C=C)
                 pred_idx = np.argmax(decision_matrix(model, X_val), axis=1)
                 accs.append(
                     float(np.mean([model.classes[p] == lbl for p, lbl in zip(pred_idx, val_labels)]))
@@ -398,13 +401,7 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int], svm_seed
 
     info = fisher.estimate_information([train_scores[k_] for k_ in train_keys], eps)
     X_train = np.array([fisher.feature_map(raw[k_], info, norm) for k_ in train_keys])
-    model = train(
-        X_train,
-        [s for s, _ in train_keys],
-        C=C,
-        seed=svm_seed,
-        max_epochs=protocol.svm_max_epochs,
-    )
+    model = train(X_train, [s for s, _ in train_keys], C=C)
     X_test = np.array([fisher.feature_map(raw[k_], info, norm) for k_ in test_keys])
     decisions = decision_matrix(model, X_test)
     class_order = [model.classes.index(s) for s in subjects]
@@ -446,11 +443,6 @@ def run_protocol(
     min_test = min(len(images) for split in splits for images in split.test.values())
     ks = [k for k in range(1, protocol.max_k + 1) if k <= min_test]
 
-    svm_seeds = [
-        int(seq.generate_state(1)[0] % (2**31))
-        for seq in np.random.SeedSequence(protocol.seed + 1).spawn(protocol.n_splits)
-    ]
-
     def run_one(idx: int):
         split = splits[idx]
         if family.startswith("bayes"):
@@ -462,7 +454,7 @@ def run_protocol(
                 }
                 return _accuracy_from_rows(data.subjects, split, ks, rows), None
             return _run_bayes_split(ops, split, ks)
-        return _run_fisher_split(ops, split, ks, svm_seeds[idx])
+        return _run_fisher_split(ops, split, ks)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

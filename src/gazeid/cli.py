@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classify, fisher, markov, scenewalk, simulate
-from .core import detect_saccades, extract_features, load_recording_csv, save_scanpath_csv
-from .dataset import GazeDataset, load_dataset, save_dataset
+from .core import detect_saccades, extract_features, load_recording_csv
+from .dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 
 
 def _effective_config(
@@ -96,24 +96,10 @@ def cmd_detect(args) -> int:
     csv_files = sorted(p for p in raw_dir.glob("*.csv"))
     if not csv_files:
         raise ValueError(f"no recording CSVs found in {raw_dir}")
-    (out_dir / "scanpaths").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for path in csv_files:
-        rec = load_recording_csv(path)
-        sp = detect_saccades(rec, multiplier, min_dur)
-        stem = f"{rec.subject_id}__{rec.image_id}"
-        save_scanpath_csv(sp, out_dir / "scanpaths" / f"{stem}.csv")
-        entries.append({"subject_id": rec.subject_id, "image_id": rec.image_id})
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "items": entries,
-            "has_features": False,
-            "saliency_images": [],
-            "meta": {"provenance": _provenance(config)},
-        },
-    )
-    print(f"detected {len(entries)} scanpaths -> {out_dir}")
+    scanpaths = [detect_saccades(load_recording_csv(p), multiplier, min_dur) for p in csv_files]
+    items = tuple(DatasetItem(sp.subject_id, sp.image_id, sp) for sp in scanpaths)
+    save_dataset(GazeDataset(items=items, meta={"provenance": _provenance(config)}), out_dir)
+    print(f"detected {len(items)} scanpaths -> {out_dir}")
     return 0
 
 
@@ -202,13 +188,8 @@ def cmd_scores(args) -> int:
     if config["info_in"]:
         with open(config["info_in"]) as fh:
             info_doc = json.load(fh)
-        matrix = np.asarray(info_doc["matrix"], dtype=float)
-        ridge = info_doc["eps_reg"] * float(np.trace(matrix)) / matrix.shape[0]
         info = fisher.FisherInformation(
-            matrix=matrix,
-            eps_reg=info_doc["eps_reg"],
-            n_scores=info_doc["n_scores"],
-            factor=np.linalg.cholesky(matrix + ridge * np.eye(matrix.shape[0])),
+            matrix=info_doc["matrix"], eps_reg=info_doc["eps_reg"], n_scores=info_doc["n_scores"]
         )
     else:
         info = fisher.estimate_information(scores, eps)
@@ -238,12 +219,10 @@ def cmd_scores(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _effective_config(args, ["features", "out", "C", "seed", "max_epochs"], required=("features", "out"))
+    config = _effective_config(args, ["features", "out", "C", "seed"], required=("features", "out"))
     subjects, _, X = fisher.load_features_csv(config["features"])
     C = config["C"] if config["C"] is not None else 1.0
-    seed = config["seed"] if config["seed"] is not None else 0
-    max_epochs = config["max_epochs"] if config["max_epochs"] is not None else 1000
-    model = classify.train(X, subjects, C=C, seed=seed, max_epochs=max_epochs)
+    model = classify.train(X, subjects, C=C)
     _write_json(
         Path(config["out"]),
         {
@@ -338,7 +317,6 @@ def cmd_eval(args) -> int:
             "cv_folds",
             "train_fraction",
             "max_k",
-            "svm_max_epochs",
             "scenewalk_rho",
             "scenewalk_max_iter",
         ],
@@ -358,7 +336,6 @@ def cmd_eval(args) -> int:
         cv_folds=config["cv_folds"] if config["cv_folds"] is not None else defaults.cv_folds,
         max_k=config["max_k"] if config["max_k"] is not None else defaults.max_k,
         seed=config["seed"] if config["seed"] is not None else defaults.seed,
-        svm_max_epochs=config["svm_max_epochs"] if config["svm_max_epochs"] is not None else defaults.svm_max_epochs,
         scenewalk_rho=config["scenewalk_rho"] if config["scenewalk_rho"] is not None else defaults.scenewalk_rho,
         scenewalk_max_iter=config["scenewalk_max_iter"] if config["scenewalk_max_iter"] is not None else defaults.scenewalk_max_iter,
     )
@@ -428,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--C", type=float, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("identify", help="predict viewers for feature groups")
@@ -459,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=None)
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     p.add_argument("--max-k", dest="max_k", type=int, default=None)
-    p.add_argument("--svm-max-epochs", dest="svm_max_epochs", type=int, default=None)
     p.add_argument("--scenewalk-rho", dest="scenewalk_rho", type=float, default=None)
     p.add_argument("--scenewalk-max-iter", dest="scenewalk_max_iter", type=int, default=None)
     p.set_defaults(func=cmd_eval)

@@ -60,7 +60,28 @@ class GazeDataset:
         raise KeyError(f"no item for subject {subject_id!r} image {image_id!r}")
 
 
+def _checked_id(kind: str, value: str) -> str:
+    """``value``, if it can name a dataset file. ``__`` separates the two
+    ids of a stem, so an id that contains it, or begins or ends with ``_``,
+    could give two items one file: (``a__b``, ``c``) and (``a``, ``b__c``),
+    or (``a_``, ``b``) and (``a``, ``_b``). An empty id, ``.``, ``..`` or an
+    id with a path separator would not name a file inside its directory."""
+    if value in ("", ".", "..") or value.strip("_") != value or any(
+        part in value for part in ("__", "/", "\\")
+    ):
+        raise ValueError(f"{kind} id {value!r} cannot name a dataset file")
+    return value
+
+
+def _item_stem(subject_id: str, image_id: str) -> str:
+    """File stem ``<subject>__<image>`` of one item."""
+    return f"{_checked_id('subject', subject_id)}__{_checked_id('image', image_id)}"
+
+
 def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
+    stems = [_item_stem(it.subject_id, it.image_id) for it in data.items]
+    for image_id in data.saliency or {}:
+        _checked_id("image", image_id)
     out = Path(out_dir)
     (out / "scanpaths").mkdir(parents=True, exist_ok=True)
     has_features = any(item.features is not None for item in data.items)
@@ -80,8 +101,7 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
-    for it in data.items:
-        stem = f"{it.subject_id}__{it.image_id}"
+    for it, stem in zip(data.items, stems):
         save_scanpath_csv(it.scanpath, out / "scanpaths" / f"{stem}.csv")
         if it.features is not None:
             save_features_csv(it.features, out / "features" / f"{stem}.csv")
@@ -101,7 +121,7 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     items = []
     for entry in manifest["items"]:
         subject_id, image_id = entry["subject_id"], entry["image_id"]
-        stem = f"{subject_id}__{image_id}"
+        stem = _item_stem(subject_id, image_id)
         path = load_scanpath_csv(
             root / "scanpaths" / f"{stem}.csv", subject_id=subject_id, image_id=image_id
         )
@@ -116,7 +136,7 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     saliency = None
     if manifest.get("saliency_images"):
         saliency = {
-            image_id: load_saliency(root / "saliency" / image_id)
+            image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
             for image_id in manifest["saliency_images"]
         }
     return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {})

@@ -9,7 +9,7 @@ feature space whose inner product is the kernel used by the classifier.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -41,14 +41,26 @@ class FisherScore:
 class FisherInformation:
     """Empirical information (1/N) sum g g^T with a scaled ridge.
 
-    ``factor`` is the lower Cholesky factor of matrix + ridge * Id where
-    ridge = eps_reg * trace / dim; whitening solves factor @ phi = g.
+    Construction validates the matrix and computes ``factor``, the lower
+    Cholesky factor of matrix + ridge * Id where ridge = eps_reg * trace /
+    dim; whitening solves factor @ phi = g.
     """
 
     matrix: np.ndarray
     eps_reg: float
     n_scores: int
-    factor: np.ndarray
+    factor: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        matrix = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", matrix)
+        if not self.eps_reg > 0:
+            raise ValueError("eps_reg must be positive")
+        if not self.ridge > 0:
+            raise ValueError("information trace is zero; all scores vanish")
+        object.__setattr__(
+            self, "factor", np.linalg.cholesky(matrix + self.ridge * np.eye(self.dim))
+        )
 
     @property
     def dim(self) -> int:
@@ -66,8 +78,6 @@ def estimate_information(scores: Sequence[FisherScore], eps_reg: float = DEFAULT
     """
     if not scores:
         raise ValueError("need at least one score")
-    if not eps_reg > 0:
-        raise ValueError("eps_reg must be positive")
     dim = scores[0].g.size
     info = np.zeros((dim, dim))
     for s in scores:
@@ -75,11 +85,7 @@ def estimate_information(scores: Sequence[FisherScore], eps_reg: float = DEFAULT
             raise ValueError(f"score dimension {s.g.size} does not match {dim}")
         info += np.outer(s.g, s.g)
     info /= len(scores)
-    ridge = eps_reg * float(np.trace(info)) / dim
-    if not ridge > 0:
-        raise ValueError("information trace is zero; all scores vanish")
-    factor = np.linalg.cholesky(info + ridge * np.eye(dim))
-    return FisherInformation(matrix=info, eps_reg=eps_reg, n_scores=len(scores), factor=factor)
+    return FisherInformation(matrix=info, eps_reg=eps_reg, n_scores=len(scores))
 
 
 def compute_scores(

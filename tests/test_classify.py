@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from gazeid import classify, markov, simulate
 from gazeid.classify import EvalProtocol
@@ -20,7 +21,7 @@ def separable_blobs(rng, n_per_class=20, gap=6.0):
 class TestTrain:
     def test_separable_data_perfectly_classified(self, rng):
         X, y = separable_blobs(rng)
-        model = classify.train(X, y, C=1.0, seed=0)
+        model = classify.train(X, y, C=1.0)
         pred = np.argmax(classify.decision_matrix(model, X), axis=1)
         assert all(model.classes[p] == label for p, label in zip(pred, y))
 
@@ -30,8 +31,8 @@ class TestTrain:
         centers = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 1.0], [0.0, 4.0, -1.0]])
         X = np.vstack([c + 0.6 * rng.standard_normal((15, 3)) for c in centers])
         y = [f"c{i // 15}" for i in range(45)]
-        m1 = classify.train(X, y, C=1.0, seed=0)
-        m2 = classify.train(np.vstack([X, X]), y + y, C=1.0, seed=0)
+        m1 = classify.train(X, y, C=1.0)
+        m2 = classify.train(np.vstack([X, X]), y + y, C=1.0)
         p1 = np.argmax(classify.decision_matrix(m1, X), axis=1)
         p2 = np.argmax(classify.decision_matrix(m2, X), axis=1)
         np.testing.assert_array_equal(p1, p2)
@@ -39,9 +40,49 @@ class TestTrain:
     def test_deterministic(self, rng):
         X = rng.standard_normal((30, 4))
         y = [f"c{i % 3}" for i in range(30)]
-        m1 = classify.train(X, y, C=10.0, seed=42)
-        m2 = classify.train(X, y, C=10.0, seed=42)
+        m1 = classify.train(X, y, C=10.0)
+        m2 = classify.train(X, y, C=10.0)
         np.testing.assert_array_equal(m1.weights, m2.weights)
+
+    def test_overlapping_classes_reach_primal_optimum(self):
+        # Overlapping classes at large C: many multipliers sit at the bound,
+        # and the dual is ill-conditioned. The reference solves each
+        # one-vs-rest primal with explicit slack variables by SLSQP.
+        rng = np.random.default_rng(0)
+        X = 3.0 * rng.standard_normal((60, 4))
+        X[:, 0] += np.arange(60) % 3
+        y = [f"c{i % 3}" for i in range(60)]
+        C = 100.0
+        model = classify.train(X, y, C=C)
+        assert model.report.converged
+
+        Xb = np.hstack([X, np.ones((60, 1))])
+        n, d = Xb.shape
+
+        def primal(w, yk):
+            return 0.5 * w @ w + C * np.maximum(0.0, 1.0 - yk * (Xb @ w)).sum()
+
+        got = reference = 0.0
+        for w, cls in zip(model.weights, model.classes):
+            yk = np.where(np.array(y) == cls, 1.0, -1.0)
+            # z = (w, slack); the objective is divided by C for conditioning.
+            res = minimize(
+                lambda z: (0.5 * z[:d] @ z[:d] + C * z[d:].sum()) / C,
+                np.concatenate([np.zeros(d), np.ones(n)]),
+                jac=lambda z: np.concatenate([z[:d] / C, np.ones(n)]),
+                method="SLSQP",
+                bounds=[(None, None)] * d + [(0.0, None)] * n,
+                constraints=[{
+                    "type": "ineq",
+                    "fun": lambda z: yk * (Xb @ z[:d]) - 1.0 + z[d:],
+                    "jac": lambda z: np.hstack([yk[:, None] * Xb, np.eye(n)]),
+                }],
+                options={"ftol": 1e-10, "maxiter": 1000},
+            )
+            assert res.success
+            got += primal(w, yk)
+            reference += primal(res.x[:d], yk)
+        assert got == pytest.approx(reference, rel=1e-6)
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -78,8 +119,8 @@ class TestIdentify:
         assert classify.identify(scaled, feats) == base
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            classify.decision_scores(self.model(), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="feature dimension 3 does not match model"):
+            classify.decision_matrix(self.model(), np.array([1.0, 2.0, 3.0]))
 
 
 def small_cohort(n_users=4, n_images=8, T=15, jitter=0.4, seed=0, family="markov"):

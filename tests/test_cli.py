@@ -124,6 +124,32 @@ class TestFitScoresTrainIdentify:
         assert rows[0] == "subject_id,group_first_image,predicted,correct"
         assert len(rows) == 16  # 3 users x 5 images + header
 
+    def test_scores_info_in_reproduces_features(self, tmp_path):
+        data = self.make_data(tmp_path)
+        main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])
+        scores = ["scores", "--data", data, "--model-json", str(tmp_path / "m.json"), "--normalize"]
+        assert main(scores + ["--out", str(tmp_path / "phi.csv")]) == 0
+        assert main(scores + [
+            "--out", str(tmp_path / "again.csv"), "--info-in", str(tmp_path / "phi.info.json"),
+        ]) == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "phi.csv").read_bytes()
+
+    def test_identify_rejects_classifier_of_other_width(self, tmp_path, capsys):
+        data = self.make_data(tmp_path)
+        main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])
+        main(["scores", "--data", data, "--model-json", str(tmp_path / "m.json"),
+              "--out", str(tmp_path / "phi.csv")])
+        width = len((tmp_path / "phi.csv").read_text().splitlines()[0].split(",")) - 2
+        (tmp_path / "clf.json").write_text(json.dumps(
+            {"classes": ["a", "b"], "weights": [[0.0] * (width + 2)] * 2, "C": 1.0}
+        ))
+        code = main([
+            "identify", "--features", str(tmp_path / "phi.csv"),
+            "--classifier", str(tmp_path / "clf.json"), "--out", str(tmp_path / "pred.csv"),
+        ])
+        assert code != 0
+        assert f"feature dimension {width} does not match model ({width + 1})" in capsys.readouterr().err
+
     def test_fit_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -150,32 +176,46 @@ class TestFitScoresTrainIdentify:
         assert "bogus_key" in capsys.readouterr().err
 
 
+def write_recordings(raw, ids):
+    """One 1000 Hz recording with a single 5-degree saccade per (subject, image)."""
+    raw.mkdir()
+    rng = np.random.default_rng(0)
+    for k, (subject, image) in enumerate(ids):
+        n_still = 200
+        xs = [0.0] * n_still
+        for i in range(1, 21):
+            xs.append(5.0 * i / 20)
+        xs += [5.0] * n_still
+        xs = np.asarray(xs) + 0.01 * rng.standard_normal(len(xs))
+        ys = 0.01 * rng.standard_normal(len(xs))
+        rec = GazeRecording(
+            t_ms=np.arange(len(xs), dtype=float),
+            x_deg=xs,
+            y_deg=ys,
+            sampling_rate=1000.0,
+            subject_id=subject,
+            image_id=image,
+        )
+        save_recording_csv(rec, raw / f"rec{k}.csv")
+
+
 class TestDetect:
     def test_detect_to_dataset(self, tmp_path):
         raw = tmp_path / "raw"
-        raw.mkdir()
-        rng = np.random.default_rng(0)
-        for k in range(2):
-            n_still = 200
-            xs = [0.0] * n_still
-            for i in range(1, 21):
-                xs.append(5.0 * i / 20)
-            xs += [5.0] * n_still
-            xs = np.asarray(xs) + 0.01 * rng.standard_normal(len(xs))
-            ys = 0.01 * rng.standard_normal(len(xs))
-            rec = GazeRecording(
-                t_ms=np.arange(len(xs), dtype=float),
-                x_deg=xs,
-                y_deg=ys,
-                sampling_rate=1000.0,
-                subject_id=f"s{k}",
-                image_id="img0",
-            )
-            save_recording_csv(rec, raw / f"rec{k}.csv")
+        write_recordings(raw, [("s0", "img0"), ("s1", "img0")])
         assert main(["detect", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 0
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert len(manifest["items"]) == 2
         assert (tmp_path / "ds" / "scanpaths" / "s0__img0.csv").exists()
+
+    @pytest.mark.parametrize(
+        "ids", [[("a__b", "c"), ("a", "b__c")], [("s0", "../escaped")]]
+    )
+    def test_ids_that_collide_or_escape_are_rejected(self, tmp_path, capsys, ids):
+        raw = tmp_path / "raw"
+        write_recordings(raw, ids)
+        assert main(["detect", "--raw", str(raw), "--out", str(tmp_path / "ds")]) != 0
+        assert "cannot name a dataset file" in capsys.readouterr().err
 
     def test_detect_no_files(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -1,11 +1,13 @@
 """Synthetic cohort generation and dataset persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gazeid import markov, simulate
 from gazeid.core import extract_features
-from gazeid.dataset import load_dataset, save_dataset
+from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 
 
@@ -113,6 +115,39 @@ class TestDatasetRoundTrip:
         if family == "scenewalk":
             for image_id, sal in data.saliency.items():
                 np.testing.assert_array_equal(loaded.saliency[image_id].grid, sal.grid)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [("a__b", "c"), ("a", "b__c")],
+            [("a_", "b"), ("a", "_b")],
+            [("s0", "../x")],
+            [("s0", "")],
+        ],
+    )
+    def test_ids_that_collide_or_escape_are_rejected(self, tmp_path, ids):
+        spec = SyntheticCohortSpec(
+            n_users=1, n_images=1, fixations_per_path=4, family="scenewalk",
+            jitter=0.3, seed=5, grid_shape=(8, 8), extent=(8.0, 8.0),
+        )
+        cohort = generate_cohort(spec).data
+        path, saliency = cohort.items[0].scanpath, next(iter(cohort.saliency.values()))
+        items = tuple(DatasetItem(subject, image, path) for subject, image in ids)
+        with pytest.raises(ValueError, match="cannot name a dataset file"):
+            save_dataset(GazeDataset(items=items), tmp_path / "d")
+        # the same ids as saliency keys, and in a manifest written by hand
+        with pytest.raises(ValueError, match="cannot name a dataset file"):
+            save_dataset(
+                GazeDataset(items=cohort.items, saliency={image: saliency for _, image in ids}),
+                tmp_path / "sal",
+            )
+        (tmp_path / "m").mkdir()
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps({
+            "items": [{"subject_id": s, "image_id": i} for s, i in ids],
+            "has_features": False, "saliency_images": [],
+        }))
+        with pytest.raises(ValueError, match="cannot name a dataset file"):
+            load_dataset(tmp_path / "m")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
