@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from . import fisher, markov, scenewalk
 from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
-from .dataset import DatasetItem, GazeDataset
+from .dataset import GazeDataset
 
 FAMILIES = (
     "bayes-markov",
@@ -254,13 +254,14 @@ def _test_groups(test_images: Sequence[str], k: int) -> list[tuple[str, ...]]:
 
 
 class _FamilyOps:
-    """Per-family generative-model hooks plus item/feature caching."""
+    """Per-family generative-model hooks. Markov families reduce every item
+    once to its ``markov.statistics`` row; fits, likelihoods and scores are
+    then sums and matrix products of those rows."""
 
     def __init__(self, data: GazeDataset, family: str, protocol: EvalProtocol):
         self.data = data
         self.family = family
         self.index = {(it.subject_id, it.image_id): it for it in data.items}
-        self._feature_cache: dict[tuple[str, str], list] = {}
         if family in ("bayes-markov", "fisher-svm-markov"):
             self.kind, self.channels = "markov", BASE_CHANNELS
         elif family in ("bayes-markov-dyn", "fisher-svm-markov-dyn"):
@@ -272,22 +273,21 @@ class _FamilyOps:
         else:
             raise ValueError(f"unknown model family {family!r}; choose one of {FAMILIES}")
         self.protocol = protocol
+        if self.kind == "markov":
+            self.rows = {
+                key: markov.statistics(
+                    item.features if item.features is not None else extract_features(item.scanpath),
+                    self.channels,
+                )
+                for key, item in self.index.items()
+            }
 
-    def item(self, subject: str, image: str) -> DatasetItem:
-        return self.index[(subject, image)]
-
-    def features(self, subject: str, image: str) -> list:
-        key = (subject, image)
-        if key not in self._feature_cache:
-            item = self.index[key]
-            self._feature_cache[key] = (
-                list(item.features) if item.features is not None else extract_features(item.scanpath)
-            )
-        return self._feature_cache[key]
+    def _stack(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
+        return np.array([self.rows[key] for key in keys])
 
     def fit(self, keys: Sequence[tuple[str, str]]):
         if self.kind == "markov":
-            return markov.fit([self.features(*key) for key in keys], self.channels)
+            return markov.fit_from_statistics(self._stack(keys).sum(axis=0), self.channels)
         pairs = [
             (self.index[key].scanpath, self.data.saliency[key[1]]) for key in keys
         ]
@@ -297,17 +297,23 @@ class _FamilyOps:
             max_iter=self.protocol.scenewalk_max_iter,
         ).params
 
-    def loglik(self, key: tuple[str, str], params) -> float:
+    def loglik_table(self, keys: Sequence[tuple[str, str]], models: Sequence) -> np.ndarray:
+        """(items, models) log-likelihood of each item under each model."""
         if self.kind == "markov":
-            return markov.loglik(self.features(*key), params)
-        item = self.index[key]
-        return scenewalk.loglik(item.scanpath, self.data.saliency[key[1]], params)
+            return self._stack(keys) @ np.array([markov.coef(m) for m in models]).T
+        return np.array([
+            [scenewalk.loglik(self.index[key].scanpath, self.data.saliency[key[1]], m) for m in models]
+            for key in keys
+        ])
 
-    def grad(self, key: tuple[str, str], params) -> np.ndarray:
+    def grads(self, keys: Sequence[tuple[str, str]], params) -> np.ndarray:
+        """(items, parameters) log-likelihood gradient of each item."""
         if self.kind == "markov":
-            return markov.grad_loglik(self.features(*key), params)
-        item = self.index[key]
-        return scenewalk.grad_loglik(item.scanpath, self.data.saliency[key[1]], params)
+            return markov.grad_from_statistics(self._stack(keys), params)
+        return np.array([
+            scenewalk.grad_loglik(self.index[key].scanpath, self.data.saliency[key[1]], params)
+            for key in keys
+        ])
 
 
 def _accuracy_from_rows(
@@ -336,13 +342,8 @@ def _run_bayes_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     ]
     # Per-item log-likelihood under every user model; group identification
     # then sums rows, exactly matching bayes_identify's aggregation.
-    rows = {
-        (subject, image): np.array(
-            [ops.loglik((subject, image), m) for m in user_models]
-        )
-        for subject in subjects
-        for image in split.test[subject]
-    }
+    test_keys = [(s, img) for s in subjects for img in split.test[s]]
+    rows = dict(zip(test_keys, ops.loglik_table(test_keys, user_models)))
     return _accuracy_from_rows(subjects, split, ks, rows), None
 
 
@@ -362,7 +363,7 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     test_keys = [(s, img) for s in subjects for img in split.test[s]]
     pooled = ops.fit(train_keys)
 
-    raw = {key: ops.grad(key, pooled) for key in train_keys + test_keys}
+    raw = dict(zip(train_keys + test_keys, ops.grads(train_keys + test_keys, pooled)))
     train_scores = {key: fisher.FisherScore(g=raw[key], model_tag=ops.family) for key in train_keys}
 
     if len(subjects) < 2:

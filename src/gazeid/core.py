@@ -134,9 +134,6 @@ class SaccadeFeatures:
     vigor_x: float = math.nan
     vigor_y: float = math.nan
 
-    def channel_value(self, channel: str) -> float:
-        return getattr(self, CHANNEL_ATTRS[channel])
-
 
 @dataclass(frozen=True)
 class VigorFit:

@@ -73,13 +73,20 @@ def _checked_id(kind: str, value: str) -> str:
     return value
 
 
-def _item_stem(subject_id: str, image_id: str) -> str:
-    """File stem ``<subject>__<image>`` of one item."""
-    return f"{_checked_id('subject', subject_id)}__{_checked_id('image', image_id)}"
+def _item_stems(pairs: list[tuple[str, str]]) -> list[str]:
+    """File stems ``<subject>__<image>`` of the items. A (subject, image)
+    pair that appears twice would give two items one file."""
+    stems = [f"{_checked_id('subject', s)}__{_checked_id('image', i)}" for s, i in pairs]
+    seen = set()
+    for (subject_id, image_id), stem in zip(pairs, stems):
+        if stem in seen:
+            raise ValueError(f"subject {subject_id!r} image {image_id!r} appears twice")
+        seen.add(stem)
+    return stems
 
 
 def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
-    stems = [_item_stem(it.subject_id, it.image_id) for it in data.items]
+    stems = _item_stems([(it.subject_id, it.image_id) for it in data.items])
     for image_id in data.saliency or {}:
         _checked_id("image", image_id)
     out = Path(out_dir)
@@ -118,10 +125,9 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
 
+    pairs = [(entry["subject_id"], entry["image_id"]) for entry in manifest["items"]]
     items = []
-    for entry in manifest["items"]:
-        subject_id, image_id = entry["subject_id"], entry["image_id"]
-        stem = _item_stem(subject_id, image_id)
+    for (subject_id, image_id), stem in zip(pairs, _item_stems(pairs)):
         path = load_scanpath_csv(
             root / "scanpaths" / f"{stem}.csv", subject_id=subject_id, image_id=image_id
         )

@@ -92,18 +92,29 @@ def gamma_score(x, params: GammaParams):
 
 
 def gamma_mle(xs, tol: float = 1e-10, max_iter: int = 100) -> GammaParams:
-    """Maximum-likelihood Gamma fit by Newton iteration on the shape.
-
-    Solves ln(a) - psi(a) = ln(mean(x)) - mean(ln x), then sets
-    scale = mean(x) / a. Requires at least two distinct positive samples.
-    """
+    """Maximum-likelihood Gamma fit of a sample; see ``gamma_mle_from_sums``.
+    Requires at least two distinct positive samples."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise DegenerateSampleError("need at least 2 samples for a Gamma fit")
     if np.any(xs <= 0) or not np.all(np.isfinite(xs)):
         raise DegenerateSampleError("Gamma samples must be strictly positive and finite")
-    mean = xs.mean()
-    s = np.log(mean) - np.mean(np.log(xs))
+    return gamma_mle_from_sums(xs.size, xs.sum(), np.log(xs).sum(), tol, max_iter)
+
+
+def gamma_mle_from_sums(
+    n: float, sum_x: float, sum_log_x: float, tol: float = 1e-10, max_iter: int = 100
+) -> GammaParams:
+    """Maximum-likelihood Gamma fit from the sufficient statistics of a
+    positive sample: its size n, sum of x and sum of ln x.
+
+    Newton iteration on the shape solves ln(a) - psi(a) = ln(mean(x)) -
+    mean(ln x), then scale = mean(x) / a.
+    """
+    if n < 2:
+        raise DegenerateSampleError("need at least 2 samples for a Gamma fit")
+    mean = sum_x / n
+    s = np.log(mean) - sum_log_x / n
     # s -> 0 as the sample spread vanishes; the shape then diverges.
     if not np.isfinite(s) or s <= 1e-12:
         raise DegenerateSampleError("samples are (numerically) all identical; shape is unidentifiable")

@@ -14,14 +14,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from .core import (
     BASE_CHANNELS,
+    CHANNEL_ATTRS,
     DYNAMICS_CHANNELS,
     SaccadeFeatures,
     Scanpath,
@@ -32,8 +34,8 @@ from .distributions import (
     GammaParams,
     N_SACCADE_TYPES,
     as_rng,
-    gamma_logpdf,
-    gamma_mle,
+    gamma_logpdf,  # noqa: F401  (unused; the benchmark's tracer test patches it through markov)
+    gamma_mle_from_sums,
     multinomial_mle,
 )
 
@@ -113,41 +115,108 @@ class MarkovModelParams:
 
 def params_to_vector(params: MarkovModelParams) -> np.ndarray:
     """Flatten to per-type blocks [pi_u, (alpha, beta) per channel]."""
-    out = []
-    for u in range(N_SACCADE_TYPES):
-        out.append(params.pi[u])
-        for cells in params.channels.values():
-            out.extend((cells[u].shape, cells[u].scale))
-    return np.array(out)
+    return _per_type_blocks(params.pi, *_cell_arrays(params))
 
 
 def vector_to_params(
     vec: np.ndarray, channel_names: Sequence[str], b_star: float | None = None
 ) -> MarkovModelParams:
     names = canonical_channels(channel_names)
-    block = 1 + 2 * len(names)
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (N_SACCADE_TYPES * block,):
-        raise ValueError(f"expected vector of length {N_SACCADE_TYPES * block}, got {vec.shape}")
-    pi = np.empty(N_SACCADE_TYPES)
-    cells: dict[str, list[GammaParams]] = {ch: [] for ch in names}
-    for u in range(N_SACCADE_TYPES):
-        b = vec[u * block : (u + 1) * block]
-        pi[u] = b[0]
-        for i, ch in enumerate(names):
-            cells[ch].append(GammaParams(shape=float(b[1 + 2 * i]), scale=float(b[2 + 2 * i])))
+    size = N_SACCADE_TYPES * (1 + 2 * len(names))
+    if vec.shape != (size,):
+        raise ValueError(f"expected vector of length {size}, got {vec.shape}")
+    blocks = vec.reshape(N_SACCADE_TYPES, -1)
+    cells = blocks[:, 1:].reshape(N_SACCADE_TYPES, len(names), 2)
     return MarkovModelParams(
-        pi=pi,
-        channels={ch: tuple(v) for ch, v in cells.items()},
+        pi=blocks[:, 0].copy(),
+        channels={
+            ch: tuple(GammaParams(shape=float(a), scale=float(b)) for a, b in cells[:, i])
+            for i, ch in enumerate(names)
+        },
         b_star=b_star,
     )
 
 
-def _channel_matrix(features: Sequence[SaccadeFeatures], names: Sequence[str]) -> np.ndarray:
-    """(n_channels, n_saccades) value matrix; invalid entries are NaN."""
-    return np.array(
-        [[f.channel_value(ch) for f in features] for ch in names], dtype=float
-    ).reshape(len(names), len(features))
+def _per_type_blocks(first: np.ndarray, shapes: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Interleave into the ``params_to_vector`` layout; (..., channels, types) shapes and scales."""
+    out = np.empty(first.shape + (1 + 2 * shapes.shape[-2],))
+    out[..., 0] = first
+    out[..., 1::2] = np.swapaxes(shapes, -1, -2)
+    out[..., 2::2] = np.swapaxes(scales, -1, -2)
+    return out.reshape(first.shape[:-1] + (-1,))
+
+
+def statistics(features: Sequence[SaccadeFeatures], channels: Sequence[str]) -> np.ndarray:
+    """Sufficient-statistics row of one scanpath's saccades, on which alone
+    ``loglik``, ``grad_loglik`` and ``fit`` depend: ``[K_1..K_4 | for each
+    channel, for each type: n, sum x, sum ln x]``. K_u counts type-u
+    saccades; the channel sums skip values that are not finite and
+    positive. The row of a concatenation is the sum of the rows."""
+    if not features:
+        raise ValueError("features must be non-empty")
+    names = canonical_channels(channels)
+    get = attrgetter("saccade_type", *(CHANNEL_ATTRS[ch] for ch in names))
+    table = np.array([get(f) for f in features], dtype=float).reshape(len(features), -1)
+    onehot = (table[:, 0] == np.arange(1, N_SACCADE_TYPES + 1)[:, None]).astype(float)
+    if onehot.sum() != len(features):
+        raise ValueError(f"saccade types must lie in 1..{N_SACCADE_TYPES}")
+    values = table[:, 1:].T
+    valid = np.isfinite(values) & (values > 0)
+    x = np.where(valid, values, 1.0)
+    sums = np.stack([valid, valid * x, np.log(x)]) @ onehot.T
+    return np.concatenate([onehot.sum(axis=1), sums.transpose(1, 2, 0).ravel()])
+
+
+def _unpack(rows: np.ndarray, n_channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Type counts K and cell statistics, shaped (..., channels, types,
+    [n, sum x, sum ln x]), of one row or a stack of rows."""
+    rows = np.asarray(rows, dtype=float)
+    shape = rows.shape[:-1] + (n_channels, N_SACCADE_TYPES, 3)
+    return rows[..., :N_SACCADE_TYPES], rows[..., N_SACCADE_TYPES:].reshape(shape)
+
+
+def _cell_arrays(params: MarkovModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(channels, types) arrays of the Gamma shapes and scales."""
+    cells = [[(g.shape, g.scale) for g in per_type] for per_type in params.channels.values()]
+    cells = np.array(cells, dtype=float).reshape(len(params.channels), N_SACCADE_TYPES, 2)
+    return cells[..., 0], cells[..., 1]
+
+
+def coef(params: MarkovModelParams) -> np.ndarray:
+    """Vector c with ``loglik(features, params) == statistics(features,
+    params.channel_names) @ c``: ``[ln pi_u | for each channel, for each
+    type: -(ln Gamma(a) + a ln b), -1/b, a - 1]``."""
+    a, b = _cell_arrays(params)
+    cells = np.stack([-(gammaln(a) + a * np.log(b)), -1.0 / b, a - 1.0], axis=-1)
+    return np.concatenate([np.log(params.pi), cells.ravel()])
+
+
+def fit_from_statistics(
+    row: np.ndarray, channels: Sequence[str], b_star: float | None = None
+) -> MarkovModelParams:
+    """``fit`` from the summed ``statistics`` rows of the training scanpaths."""
+    names = canonical_channels(channels)
+    counts, stats = _unpack(row, len(names))
+    cells, fallbacks = {}, []
+    for ch, channel_stats in zip(names, stats):
+        per_type = []
+        for u, cell in enumerate(channel_stats, start=1):
+            try:
+                per_type.append(gamma_mle_from_sums(*cell))
+            except (DegenerateSampleError, ConvergenceError):
+                per_type.append(gamma_mle_from_sums(*channel_stats.sum(axis=0)))
+                fallbacks.append((ch, u))
+        cells[ch] = tuple(per_type)
+    return MarkovModelParams(
+        pi=multinomial_mle(counts).pi,
+        channels=cells,
+        b_star=b_star,
+        fit_report=MarkovFitReport(
+            fallback_cells=tuple(fallbacks),
+            skipped_values=int(counts.sum() * len(names) - stats[..., 0].sum()),
+        ),
+    )
 
 
 def fit(
@@ -162,44 +231,10 @@ def fit(
     (or a degenerate one) falls back to the channel's pooled-across-types
     fit, recorded in the fit report.
     """
-    names = canonical_channels(channels)
     pooled = [f for path in data for f in path]
     if not pooled:
         raise ValueError("no saccades in training data")
-    types = np.array([f.saccade_type for f in pooled], dtype=int)
-    counts = np.bincount(types - 1, minlength=N_SACCADE_TYPES).astype(float)
-    pi = multinomial_mle(counts).pi
-
-    values = _channel_matrix(pooled, names)
-    valid = np.isfinite(values) & (values > 0)
-    skipped = int(np.size(values) - valid.sum()) if values.size else 0
-
-    cells: dict[str, tuple[GammaParams, ...]] = {}
-    fallbacks: list[tuple[str, int]] = []
-    for i, ch in enumerate(names):
-        ch_valid = valid[i]
-        pooled_vals = values[i][ch_valid]
-        pooled_fit: GammaParams | None = None
-        per_type = []
-        for u in range(1, N_SACCADE_TYPES + 1):
-            cell_vals = values[i][ch_valid & (types == u)]
-            try:
-                if cell_vals.size < 2:
-                    raise DegenerateSampleError(f"{cell_vals.size} samples")
-                per_type.append(gamma_mle(cell_vals))
-            except (DegenerateSampleError, ConvergenceError):
-                if pooled_fit is None:
-                    pooled_fit = gamma_mle(pooled_vals)
-                per_type.append(pooled_fit)
-                fallbacks.append((ch, u))
-        cells[ch] = tuple(per_type)
-
-    return MarkovModelParams(
-        pi=pi,
-        channels=cells,
-        b_star=b_star,
-        fit_report=MarkovFitReport(fallback_cells=tuple(fallbacks), skipped_values=skipped),
-    )
+    return fit_from_statistics(statistics(pooled, channels), channels, b_star)
 
 
 @dataclass
@@ -223,56 +258,34 @@ def loglik(
     multinomial coefficient is omitted, so values are comparable across
     parameter settings but are not normalized counts-likelihoods.
     """
-    if not features:
-        raise ValueError("features must be non-empty")
-    types = np.array([f.saccade_type for f in features], dtype=int)
-    total = float(np.sum(np.log(params.pi[types - 1])))
-    names = params.channel_names
-    values = _channel_matrix(features, names)
-    valid = np.isfinite(values) & (values > 0)
-    for i, ch in enumerate(names):
-        n_skip = int(values.shape[1] - valid[i].sum())
-        if n_skip and diagnostics is not None:
-            diagnostics.add(ch, n_skip)
-        for u in range(1, N_SACCADE_TYPES + 1):
-            mask = valid[i] & (types == u)
-            if mask.any():
-                total += float(np.sum(gamma_logpdf(values[i][mask], params.channels[ch][u - 1])))
-    return total
+    row = statistics(features, params.channel_names)
+    if diagnostics is not None:
+        kept_per_channel = _unpack(row, len(params.channels))[1][..., 0].sum(axis=1)
+        for ch, kept in zip(params.channel_names, kept_per_channel):
+            if kept < len(features):
+                diagnostics.add(ch, len(features) - int(kept))
+    return float(row @ coef(params))
+
+
+def grad_from_statistics(rows: np.ndarray, params: MarkovModelParams) -> np.ndarray:
+    """``grad_loglik`` as a linear map of one ``statistics`` row, or of
+    each row of a stack (one gradient per row)."""
+    counts, stats = _unpack(rows, len(params.channels))
+    n, sum_x, sum_log_x = np.moveaxis(stats, -1, 0)
+    a, b = _cell_arrays(params)
+    d_shape = sum_log_x - n * (digamma(a) + np.log(b))
+    return _per_type_blocks(counts / params.pi, d_shape, (sum_x / b - n * a) / b)
 
 
 def grad_loglik(features: Sequence[SaccadeFeatures], params: MarkovModelParams) -> np.ndarray:
     """Gradient of ``loglik`` with respect to the flattened parameter vector.
 
-    Layout matches ``params_to_vector``: per-type blocks of
-    [K_u / pi_u, then per channel (d/d shape, d/d scale) sums]. The pi
-    coordinates are the unconstrained categorical derivatives K_u / pi_u.
-    Values skipped by ``loglik`` are excluded here symmetrically.
+    Layout matches ``params_to_vector``: per-type blocks of [K_u / pi_u, then
+    per channel d/d shape = sum ln x - n (psi(a) + ln b) and d/d scale =
+    (sum x / b - n a) / b]. The pi coordinates are the unconstrained
+    categorical derivatives. Values skipped by ``loglik`` are excluded.
     """
-    if not features:
-        raise ValueError("features must be non-empty")
-    types = np.array([f.saccade_type for f in features], dtype=int)
-    names = params.channel_names
-    values = _channel_matrix(features, names)
-    valid = np.isfinite(values) & (values > 0)
-
-    block = 1 + 2 * len(names)
-    grad = np.zeros(N_SACCADE_TYPES * block)
-    for u in range(1, N_SACCADE_TYPES + 1):
-        type_mask = types == u
-        base = (u - 1) * block
-        grad[base] = type_mask.sum() / params.pi[u - 1]
-        for i, ch in enumerate(names):
-            mask = valid[i] & type_mask
-            if not mask.any():
-                continue
-            x = values[i][mask]
-            g = params.channels[ch][u - 1]
-            grad[base + 1 + 2 * i] = float(
-                np.sum(np.log(x)) - x.size * (digamma(g.shape) + math.log(g.scale))
-            )
-            grad[base + 2 + 2 * i] = float(np.sum(x / g.scale - g.shape) / g.scale)
-    return grad
+    return grad_from_statistics(statistics(features, params.channel_names), params)
 
 
 def sample_scanpath(
@@ -302,11 +315,10 @@ def sample_scanpath(
     n_sacc = n_fixations - 1
 
     pi = params.pi
-    first_type = int(rng.choice(N_SACCADE_TYPES, p=pi / pi.sum())) + 1
-    dur_cells = params.channels["duration"]
-    first_duration = float(
-        rng.gamma(dur_cells[first_type - 1].shape, dur_cells[first_type - 1].scale)
-    )
+    shapes, scales = _cell_arrays(params)
+    first = int(rng.choice(N_SACCADE_TYPES, p=pi / pi.sum()))
+    d = names.index("duration")
+    first_duration = float(rng.gamma(shapes[d, first], scales[d, first]))
 
     types = rng.choice(N_SACCADE_TYPES, size=n_sacc, p=pi / pi.sum()) + 1
     deltas = np.empty(n_sacc)
@@ -314,12 +326,7 @@ def sample_scanpath(
         lo, hi = _TYPE_BINS[int(u)]
         deltas[t] = rng.uniform(lo + _BIN_INSET, hi - _BIN_INSET)
 
-    drawn: dict[str, np.ndarray] = {}
-    for ch in names:
-        cells = params.channels[ch]
-        shapes = np.array([cells[u - 1].shape for u in types])
-        scales = np.array([cells[u - 1].scale for u in types])
-        drawn[ch] = rng.gamma(shapes, scales)
+    drawn = {ch: rng.gamma(shapes[i, types - 1], scales[i, types - 1]) for i, ch in enumerate(names)}
 
     positions = np.empty((n_fixations, 2))
     positions[0] = start
@@ -336,16 +343,7 @@ def sample_scanpath(
         positions[t + 1] = positions[t] + amp * np.array([math.cos(rad), math.sin(rad)])
         durations[t + 1] = drawn["duration"][t]
         extras = {
-            attr: float(drawn[ch][t])
-            for ch, attr in (
-                ("velocity", "mean_velocity"),
-                ("acceleration", "mean_abs_acceleration"),
-                ("ratio_x", "accel_ratio_x"),
-                ("ratio_y", "accel_ratio_y"),
-                ("vigor_x", "vigor_x"),
-                ("vigor_y", "vigor_y"),
-            )
-            if ch in drawn
+            CHANNEL_ATTRS[ch]: float(drawn[ch][t]) for ch in names if ch not in BASE_CHANNELS
         }
         features.append(
             SaccadeFeatures(
@@ -368,14 +366,16 @@ def bayes_identify(
 ) -> int:
     """Index of the user whose model maximizes the summed log-likelihood.
 
-    Ties break toward the lowest user index.
+    All user models must share one channel set. Ties break toward the
+    lowest user index.
     """
-    if not user_params:
-        raise ValueError("need at least one user model")
-    totals = np.array(
-        [sum(loglik(feats, m) for feats in per_image_features) for m in user_params]
-    )
-    return int(np.argmax(totals))
+    if not user_params or not per_image_features:
+        raise ValueError("need at least one user model and one scanpath")
+    names = user_params[0].channel_names
+    if any(m.channel_names != names for m in user_params):
+        raise ValueError("user models must share one channel set")
+    rows = np.array([statistics(feats, names) for feats in per_image_features])
+    return int(np.argmax((rows @ np.array([coef(m) for m in user_params]).T).sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -603,9 +603,10 @@ def estimate_saliency(
 
 
 def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
-    """Write ``<base>.csv`` (row-major grid) and ``<base>.json`` header."""
+    """Write ``<base>.csv`` (row-major grid) and ``<base>.json`` header.
+    The suffixes are appended, so a base name may contain dots."""
     base = Path(base_path)
-    with open(base.with_suffix(".json"), "w") as fh:
+    with open(base.with_name(base.name + ".json"), "w") as fh:
         json.dump(
             {
                 "rows": saliency.shape[0],
@@ -615,7 +616,7 @@ def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
             fh,
             indent=2,
         )
-    with open(base.with_suffix(".csv"), "w", newline="") as fh:
+    with open(base.with_name(base.name + ".csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in saliency.grid:
             writer.writerow([repr(float(v)) for v in row])
@@ -623,10 +624,10 @@ def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
 
 def load_saliency(base_path: str | Path) -> SaliencyMap:
     base = Path(base_path)
-    with open(base.with_suffix(".json")) as fh:
+    with open(base.with_name(base.name + ".json")) as fh:
         meta = json.load(fh)
     grid = []
-    with open(base.with_suffix(".csv"), newline="") as fh:
+    with open(base.with_name(base.name + ".csv"), newline="") as fh:
         for row in csv.reader(fh):
             grid.append([float(v) for v in row])
     grid = np.asarray(grid)

@@ -1,14 +1,25 @@
 """Markov scanpath model: fit recovery, likelihood, gradient, sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
+from test_acceptance import random_markov_params
+
 from gazeid import markov
-from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
-from gazeid.distributions import PROB_FLOOR, GammaParams, multinomial_mle
+from gazeid.core import BASE_CHANNELS, CHANNEL_ATTRS, DYNAMICS_CHANNELS, extract_features
+from gazeid.distributions import (
+    PROB_FLOOR,
+    ConvergenceError,
+    DegenerateSampleError,
+    GammaParams,
+    gamma_logpdf,
+    gamma_mle,
+    multinomial_mle,
+)
 
 
 def gamma_entropy(p: GammaParams) -> float:
@@ -37,6 +48,134 @@ def sample_features(params, n_paths, n_fixations, seed):
     return [
         markov.sample_scanpath(params, n_fixations, seed_or_rng=rng)[1] for _ in range(n_paths)
     ]
+
+
+def corrupt(features, rng, fraction=0.2):
+    """Copies of the features with about ``fraction`` of the channel values
+    replaced by NaN, inf, zero or a negative number."""
+    out = []
+    for f in features:
+        bad = {
+            attr: float(rng.choice([math.nan, math.inf, 0.0, -1.5]))
+            for attr in CHANNEL_ATTRS.values()
+            if rng.random() < fraction
+        }
+        out.append(dataclasses.replace(f, **bad))
+    return out
+
+
+# Per-type mask loops over raw channel values: the likelihood, gradient and
+# fit that the statistics row replaced, kept as oracles.
+
+
+def oracle_values(features, names):
+    types = np.array([f.saccade_type for f in features])
+    values = np.array([[getattr(f, CHANNEL_ATTRS[ch]) for f in features] for ch in names], dtype=float)
+    return types, values, np.isfinite(values) & (values > 0)
+
+
+def oracle_loglik(features, params):
+    names = params.channel_names
+    types, values, valid = oracle_values(features, names)
+    total = float(np.sum(np.log(params.pi[types - 1])))
+    skipped = {}
+    for i, ch in enumerate(names):
+        if values.shape[1] - valid[i].sum():
+            skipped[ch] = int(values.shape[1] - valid[i].sum())
+        for u in range(1, 5):
+            mask = valid[i] & (types == u)
+            if mask.any():
+                total += float(np.sum(gamma_logpdf(values[i][mask], params.channels[ch][u - 1])))
+    return total, skipped
+
+
+def oracle_grad(features, params):
+    names = params.channel_names
+    types, values, valid = oracle_values(features, names)
+    block = 1 + 2 * len(names)
+    grad = np.zeros(4 * block)
+    for u in range(1, 5):
+        base = (u - 1) * block
+        grad[base] = (types == u).sum() / params.pi[u - 1]
+        for i, ch in enumerate(names):
+            x = values[i][valid[i] & (types == u)]
+            if x.size:
+                g = params.channels[ch][u - 1]
+                grad[base + 1 + 2 * i] = np.sum(np.log(x)) - x.size * (digamma(g.shape) + math.log(g.scale))
+                grad[base + 2 + 2 * i] = np.sum(x / g.scale - g.shape) / g.scale
+    return grad
+
+
+def oracle_fit(data, names):
+    pooled = [f for path in data for f in path]
+    types, values, valid = oracle_values(pooled, names)
+    cells, fallbacks = {}, []
+    for i, ch in enumerate(names):
+        per_type = []
+        for u in range(1, 5):
+            try:
+                per_type.append(gamma_mle(values[i][valid[i] & (types == u)]))
+            except (DegenerateSampleError, ConvergenceError):
+                per_type.append(gamma_mle(values[i][valid[i]]))
+                fallbacks.append((ch, u))
+        cells[ch] = per_type
+    return cells, fallbacks, int(values.size - valid.sum())
+
+
+class TestStatisticsParity:
+    @pytest.mark.parametrize("channels", [BASE_CHANNELS, DYNAMICS_CHANNELS])
+    @pytest.mark.parametrize("invalid", [False, True])
+    def test_loglik_grad_and_skips_match_mask_loop(self, channels, invalid):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            gen = random_markov_params(rng, DYNAMICS_CHANNELS)
+            feats = markov.sample_scanpath(gen, int(rng.integers(2, 40)), seed_or_rng=rng)[1]
+            if invalid:
+                feats = corrupt(feats, rng)
+            params = random_markov_params(rng, channels)
+            expected, expected_skipped = oracle_loglik(feats, params)
+            diag = markov.LikelihoodDiagnostics()
+            assert markov.loglik(feats, params, diagnostics=diag) == pytest.approx(expected, rel=1e-12)
+            assert diag.skipped == expected_skipped
+            g, want = markov.grad_loglik(feats, params), oracle_grad(feats, params)
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_rows_of_a_stack_give_each_gradient(self):
+        rng = np.random.default_rng(43)
+        params = random_markov_params(rng, DYNAMICS_CHANNELS)
+        paths = [corrupt(f, rng) for f in sample_features(params, 5, 20, 44)]
+        rows = np.array([markov.statistics(f, DYNAMICS_CHANNELS) for f in paths])
+        np.testing.assert_array_equal(
+            markov.grad_from_statistics(rows, params),
+            [markov.grad_loglik(f, params) for f in paths],
+        )
+        np.testing.assert_allclose(
+            rows @ markov.coef(params), [markov.loglik(f, params) for f in paths], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("channels", [BASE_CHANNELS, DYNAMICS_CHANNELS])
+    def test_fit_matches_raw_value_gamma_mle(self, channels):
+        rng = np.random.default_rng(47)
+        true = markov.MarkovModelParams(
+            pi=np.array([0.6, 0.3, 0.09, 0.01]), channels=markov.default_params(DYNAMICS_CHANNELS).channels
+        )
+        # short, partly corrupted paths leave the rare types with fewer
+        # than two usable values in some channels: pooled fallbacks
+        data = [corrupt(f, rng, fraction=0.3) for f in sample_features(true, 6, 12, 48)]
+        fit = markov.fit(data, channels)
+        cells, fallbacks, skipped = oracle_fit(data, channels)
+        assert fit.fit_report.fallback_cells == tuple(fallbacks)
+        assert fallbacks
+        assert fit.fit_report.skipped_values == skipped > 0
+        for ch in channels:
+            for got, want in zip(fit.channels[ch], cells[ch]):
+                assert got.shape == pytest.approx(want.shape, rel=1e-10)
+                assert got.scale == pytest.approx(want.scale, rel=1e-10)
+
+    def test_out_of_range_type_rejected(self):
+        f = markov.sample_scanpath(markov.default_params(), 3, seed_or_rng=1)[1]
+        with pytest.raises(ValueError, match="saccade types"):
+            markov.statistics([dataclasses.replace(f[0], saccade_type=5)] + f, BASE_CHANNELS)
 
 
 class TestFit:
@@ -283,6 +422,15 @@ class TestBayesIdentify:
         order = [2, 0, 1]
         permuted = [params[i] for i in order]
         assert order[markov.bayes_identify(feats, permuted)] == winner
+
+
+    def test_models_must_share_one_channel_set(self):
+        feats = sample_features(markov.default_params(DYNAMICS_CHANNELS), 1, 10, 3)
+        users = [markov.default_params(BASE_CHANNELS), markov.default_params(DYNAMICS_CHANNELS)]
+        with pytest.raises(ValueError, match="one channel set"):
+            markov.bayes_identify(feats, users)
+        with pytest.raises(ValueError, match="one user model and one scanpath"):
+            markov.bayes_identify([], users[:1])
 
 
 class TestPersistence:

@@ -1,5 +1,6 @@
 """Synthetic cohort generation and dataset persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -148,6 +149,40 @@ class TestDatasetRoundTrip:
         }))
         with pytest.raises(ValueError, match="cannot name a dataset file"):
             load_dataset(tmp_path / "m")
+
+    def test_repeated_item_is_rejected(self, tmp_path):
+        data = generate_cohort(SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, seed=5)).data
+        first, second = data.items
+        repeated = dataclasses.replace(second, image_id=first.image_id)
+        with pytest.raises(ValueError, match="subject 'user000' image 'img000' appears twice"):
+            save_dataset(GazeDataset(items=(first, repeated)), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+        save_dataset(data, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest["items"].append(manifest["items"][0])
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="subject 'user000' image 'img000' appears twice"):
+            load_dataset(tmp_path / "m")
+
+    def test_image_ids_with_a_dot_keep_their_own_saliency(self, tmp_path):
+        spec = SyntheticCohortSpec(
+            n_users=1, n_images=2, fixations_per_path=4, family="scenewalk",
+            jitter=0.3, seed=5, grid_shape=(8, 8), extent=(8.0, 8.0),
+        )
+        data = generate_cohort(spec).data
+        names = {image: f"img.{i}" for i, image in enumerate(data.saliency)}
+        dotted = GazeDataset(
+            items=tuple(dataclasses.replace(it, image_id=names[it.image_id]) for it in data.items),
+            saliency={names[image]: sal for image, sal in data.saliency.items()},
+        )
+        save_dataset(dotted, tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")
+        assert sorted(loaded.saliency) == ["img.0", "img.1"]
+        for image, sal in dotted.saliency.items():
+            np.testing.assert_array_equal(loaded.saliency[image].grid, sal.grid)
+        assert sorted(p.name for p in (tmp_path / "d" / "saliency").iterdir()) == [
+            "img.0.csv", "img.0.json", "img.1.csv", "img.1.json"
+        ]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
