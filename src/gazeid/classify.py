@@ -286,16 +286,19 @@ class _FamilyOps:
         return np.array([self.rows[key] for key in keys])
 
     def fit(self, keys: Sequence[tuple[str, str]]):
+        """The fitted model parameters and, for SceneWalk, the
+        ``SceneWalkFitResult`` (None for Markov)."""
         if self.kind == "markov":
-            return markov.fit_from_statistics(self._stack(keys).sum(axis=0), self.channels)
+            return markov.fit_from_statistics(self._stack(keys).sum(axis=0), self.channels), None
         pairs = [
             (self.index[key].scanpath, self.data.saliency[key[1]]) for key in keys
         ]
-        return scenewalk.fit(
+        result = scenewalk.fit(
             pairs,
             rho=self.protocol.scenewalk_rho,
             max_iter=self.protocol.scenewalk_max_iter,
-        ).params
+        )
+        return result.params, result
 
     def loglik_table(self, keys: Sequence[tuple[str, str]], models: Sequence) -> np.ndarray:
         """(items, models) log-likelihood of each item under each model."""
@@ -311,9 +314,20 @@ class _FamilyOps:
         if self.kind == "markov":
             return markov.grad_from_statistics(self._stack(keys), params)
         return np.array([
-            scenewalk.grad_loglik(self.index[key].scanpath, self.data.saliency[key[1]], params)
+            scenewalk.loglik_and_grad(self.index[key].scanpath, self.data.saliency[key[1]], params)[1]
             for key in keys
         ])
+
+
+def _unconverged(result, whose: str = "") -> list[str]:
+    """A warning for a SceneWalk fit that stopped short of convergence;
+    deterministic, so results stay byte-identical across runs."""
+    if result is None or result.converged:
+        return []
+    return [
+        f"scenewalk fit{whose} stopped after {result.iterations} iterations without "
+        f"converging (grad_norm {result.grad_norm:.1e})"
+    ]
 
 
 def _accuracy_from_rows(
@@ -337,14 +351,14 @@ def _accuracy_from_rows(
 
 def _run_bayes_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     subjects = ops.data.subjects
-    user_models = [
-        ops.fit([(s, img) for img in split.train[s]]) for s in subjects
-    ]
+    fits = [ops.fit([(s, img) for img in split.train[s]]) for s in subjects]
+    user_models = [model for model, _ in fits]
+    notes = [note for s, (_, result) in zip(subjects, fits) for note in _unconverged(result, f" of {s}")]
     # Per-item log-likelihood under every user model; group identification
     # then sums rows, exactly matching bayes_identify's aggregation.
     test_keys = [(s, img) for s in subjects for img in split.test[s]]
     rows = dict(zip(test_keys, ops.loglik_table(test_keys, user_models)))
-    return _accuracy_from_rows(subjects, split, ks, rows), None
+    return _accuracy_from_rows(subjects, split, ks, rows), None, notes
 
 
 def _cv_folds_of(train_images: Sequence[str], n_folds: int) -> list[tuple[list[str], list[str]]]:
@@ -361,14 +375,15 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     subjects = ops.data.subjects
     train_keys = [(s, img) for s in subjects for img in split.train[s]]
     test_keys = [(s, img) for s in subjects for img in split.test[s]]
-    pooled = ops.fit(train_keys)
+    pooled, result = ops.fit(train_keys)
+    notes = _unconverged(result)
 
     raw = dict(zip(train_keys + test_keys, ops.grads(train_keys + test_keys, pooled)))
     train_scores = {key: fisher.FisherScore(g=raw[key], model_tag=ops.family) for key in train_keys}
 
     if len(subjects) < 2:
         rows = {key: np.array([0.0]) for key in test_keys}
-        return _accuracy_from_rows(subjects, split, ks, rows), {"degenerate": True}
+        return _accuracy_from_rows(subjects, split, ks, rows), {"degenerate": True}, notes
 
     # Hyperparameter search: evaluated on single test images (k = 1) within
     # image-disjoint folds of the training portion. Candidates are ranked
@@ -410,7 +425,7 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
         key: decisions[i][class_order] for i, key in enumerate(test_keys)
     }
     chosen = {"C": C, "eps_reg": eps, "normalize": bool(norm)}
-    return _accuracy_from_rows(subjects, split, ks, rows), chosen
+    return _accuracy_from_rows(subjects, split, ks, rows), chosen, notes
 
 
 def run_protocol(
@@ -430,6 +445,8 @@ def run_protocol(
     averages over disjoint consecutive groups of k test images per
     subject; the curve reports mean and standard error across splits.
     Results depend only on (data, family, protocol), not on ``threads``.
+    Each SceneWalk fit that stops without converging adds one warning, in
+    split order (subject order within a Bayes split).
     """
     protocol = protocol or EvalProtocol()
     if family not in FAMILIES:
@@ -453,7 +470,7 @@ def run_protocol(
                     for s in data.subjects
                     for img in split.test[s]
                 }
-                return _accuracy_from_rows(data.subjects, split, ks, rows), None
+                return _accuracy_from_rows(data.subjects, split, ks, rows), None, []
             return _run_bayes_split(ops, split, ks)
         return _run_fisher_split(ops, split, ks)
 
@@ -463,7 +480,8 @@ def run_protocol(
     else:
         outcomes = [run_one(i) for i in range(len(splits))]
 
-    per_split = {k: tuple(acc[k] for acc, _ in outcomes) for k in ks}
+    warnings += [f"split {idx}: {note}" for idx, (_, _, notes) in enumerate(outcomes) for note in notes]
+    per_split = {k: tuple(acc[k] for acc, _, _ in outcomes) for k in ks}
     entries = []
     for k in ks:
         vals = np.array(per_split[k])
@@ -473,7 +491,7 @@ def run_protocol(
         family=family,
         curve=AccuracyCurve(entries=tuple(entries)),
         per_split=per_split,
-        hyperparams=tuple(chosen for _, chosen in outcomes),
+        hyperparams=tuple(chosen for _, chosen, _ in outcomes),
         warnings=tuple(warnings),
     )
 

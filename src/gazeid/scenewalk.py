@@ -179,6 +179,14 @@ def initial_state(saliency: SaliencyMap) -> SceneWalkState:
     )
 
 
+def _window(dx2: np.ndarray, dy2: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-r^2 / 2 sigma^2) on the grid, r^2 = dy2[:, None] + dx2[None, :],
+    as the outer product of a column and a row exponential: exp runs on
+    rows + cols values."""
+    two_var = 2.0 * sigma**2
+    return np.outer(np.exp(-dy2 / two_var), np.exp(-dx2 / two_var))
+
+
 def gaussian_window(center, sigma: float, shape: tuple[int, int], extent) -> np.ndarray:
     """Normalized 2-D Gaussian bump (value 1/(2 pi sigma^2) at the center),
     evaluated at cell centers in degree coordinates."""
@@ -189,50 +197,75 @@ def gaussian_window(center, sigma: float, shape: tuple[int, int], extent) -> np.
     ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
     dx2 = (xs - float(center[0])) ** 2
     dy2 = (ys - float(center[1])) ** 2
+    return _window(dx2, dy2, sigma) / (2.0 * math.pi * sigma**2)
+
+
+def _normalized_with_dsigma(w: np.ndarray, r2: np.ndarray, sigma: float):
+    """w / sum(w) and its derivative in sigma, for w = exp(-r2 / 2 sigma^2)
+    times a weight independent of sigma: dw/dsigma = w r2 / sigma^3, so
+    the derivative is (w / sum w) (r2 - E[r2]) / sigma^3 with E the mean
+    under w / sum w. Constant factors of w cancel."""
+    ratio = w / w.sum()
+    return ratio, ratio * ((r2 - np.vdot(ratio, r2)) / sigma**3)
+
+
+def _advance(state: SceneWalkState, cell, duration_ms: float, params: SceneWalkParams,
+             saliency: SaliencyMap) -> SceneWalkState:
+    """The field recursion past a fixation on ``cell``: both fields and
+    their four parameter partials."""
+    if not duration_ms > 0:
+        raise ValueError("duration must be positive")
+    d_s = duration_ms / 1000.0
+    xs, ys = saliency.cell_centers()
+    dx2 = (xs - xs[cell[1]]) ** 2
+    dy2 = (ys - ys[cell[0]]) ** 2
     r2 = dy2[:, None] + dx2[None, :]
-    return np.exp(-r2 / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2)
+    g_hat, dg_hat = _normalized_with_dsigma(
+        _window(dx2, dy2, params.sigma_a) * saliency.grid, r2, params.sigma_a
+    )
+    f_hat, df_hat = _normalized_with_dsigma(_window(dx2, dy2, params.sigma_f), r2, params.sigma_f)
 
-
-def _gaussian_window_with_dsigma(center, sigma, shape, extent):
-    """Window and its derivative with respect to the width."""
-    rows, cols = shape
-    xs = (np.arange(cols) + 0.5) * float(extent[0]) / cols
-    ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
-    dx2 = (xs - float(center[0])) ** 2
-    dy2 = (ys - float(center[1])) ** 2
-    r2 = dy2[:, None] + dx2[None, :]
-    e = np.exp(-r2 / (2.0 * sigma**2))
-    g = e / (2.0 * math.pi * sigma**2)
-    dg = e * (r2 / (2.0 * math.pi * sigma**5) - 1.0 / (math.pi * sigma**3))
-    return g, dg
-
-
-def _normalized_ratio_and_dsigma(w, dw):
-    """d/dsigma of w / sum(w), by the quotient rule."""
-    s = w.sum()
-    ratio = w / s
-    dratio = (dw * s - w * dw.sum()) / (s * s)
-    return ratio, dratio
+    decay_a = math.exp(-params.omega_a * d_s)
+    decay_f = math.exp(-params.omega_f * d_s)
+    att_gap = state.attention - g_hat
+    inh_gap = state.inhibition - f_hat
+    new = SceneWalkState(
+        attention=g_hat + decay_a * att_gap,
+        inhibition=f_hat + decay_f * inh_gap,
+        d_att_d_omega=decay_a * (state.d_att_d_omega - d_s * att_gap),
+        d_att_d_sigma=dg_hat * (1.0 - decay_a) + decay_a * state.d_att_d_sigma,
+        d_inh_d_omega=decay_f * (state.d_inh_d_omega - d_s * inh_gap),
+        d_inh_d_sigma=df_hat * (1.0 - decay_f) + decay_f * state.d_inh_d_sigma,
+        t=state.t + 1,
+    )
+    if not (np.all(np.isfinite(new.attention)) and np.all(np.isfinite(new.inhibition))):
+        raise FloatingPointError(f"non-finite field update for parameters {params}")
+    return new
 
 
 @dataclass(frozen=True)
 class _TargetDistribution:
-    """Potential, mixture distribution, and the pieces gradients reuse."""
+    """Potential, its positive part and normalization, and the pieces
+    gradients reuse. ``a`` and ``f`` are the fields floored at _TINY."""
 
-    potential: np.ndarray
-    prob: np.ndarray
-    a_pow: np.ndarray
-    a_sum: float
-    a_norm: np.ndarray
+    a: np.ndarray
+    f: np.ndarray
     log_a: np.ndarray
-    f_pow: np.ndarray
-    f_sum: float
-    f_norm: np.ndarray
     log_f: np.ndarray
+    a_pow: np.ndarray
+    f_pow: np.ndarray
+    a_sum: float
+    f_sum: float
+    a_norm: np.ndarray
+    f_norm: np.ndarray
+    potential: np.ndarray
     u_plus: np.ndarray
+    u_sum: float
     mix_sum: float
-    p_star: np.ndarray
-    positive_mask: np.ndarray
+
+    @property
+    def p_star(self) -> np.ndarray:
+        return (self.u_plus + POTENTIAL_EPS) / self.mix_sum
 
 
 def _target_distribution(state: SceneWalkState, params: SceneWalkParams) -> _TargetDistribution:
@@ -252,25 +285,10 @@ def _target_distribution(state: SceneWalkState, params: SceneWalkParams) -> _Tar
     f_norm = f_pow / f_sum
     potential = a_norm - params.c_f * f_norm
     u_plus = np.maximum(potential, 0.0)
-    n = potential.size
-    mix_sum = float(u_plus.sum()) + n * POTENTIAL_EPS
-    p_star = (u_plus + POTENTIAL_EPS) / mix_sum
-    prob = (1.0 - params.zeta) * p_star + params.zeta / n
+    u_sum = float(u_plus.sum())
     return _TargetDistribution(
-        potential=potential,
-        prob=prob,
-        a_pow=a_pow,
-        a_sum=a_sum,
-        a_norm=a_norm,
-        log_a=log_a,
-        f_pow=f_pow,
-        f_sum=f_sum,
-        f_norm=f_norm,
-        log_f=log_f,
-        u_plus=u_plus,
-        mix_sum=mix_sum,
-        p_star=p_star,
-        positive_mask=potential > 0.0,
+        a, f, log_a, log_f, a_pow, f_pow, a_sum, f_sum, a_norm, f_norm, potential, u_plus,
+        u_sum, mix_sum=u_sum + potential.size * POTENTIAL_EPS,
     )
 
 
@@ -287,32 +305,10 @@ def step(
     state carries the recursively updated parameter partials. The input
     state is not modified.
     """
-    if not duration_ms > 0:
-        raise ValueError("duration must be positive")
-    d_s = duration_ms / 1000.0
-    i, j, _ = saliency.position_to_cell(q)
-    center = saliency.cell_center(i, j)
-
-    ga, dga = _gaussian_window_with_dsigma(center, params.sigma_a, saliency.shape, saliency.extent)
-    gf, dgf = _gaussian_window_with_dsigma(center, params.sigma_f, saliency.shape, saliency.extent)
-    g_hat, dg_hat = _normalized_ratio_and_dsigma(ga * saliency.grid, dga * saliency.grid)
-    f_hat, df_hat = _normalized_ratio_and_dsigma(gf, dgf)
-
-    decay_a = math.exp(-params.omega_a * d_s)
-    decay_f = math.exp(-params.omega_f * d_s)
-    new = SceneWalkState(
-        attention=g_hat + decay_a * (state.attention - g_hat),
-        inhibition=f_hat + decay_f * (state.inhibition - f_hat),
-        d_att_d_omega=decay_a * (state.d_att_d_omega - d_s * (state.attention - g_hat)),
-        d_att_d_sigma=dg_hat * (1.0 - decay_a) + decay_a * state.d_att_d_sigma,
-        d_inh_d_omega=decay_f * (state.d_inh_d_omega - d_s * (state.inhibition - f_hat)),
-        d_inh_d_sigma=df_hat * (1.0 - decay_f) + decay_f * state.d_inh_d_sigma,
-        t=state.t + 1,
-    )
-    if not (np.all(np.isfinite(new.attention)) and np.all(np.isfinite(new.inhibition))):
-        raise FloatingPointError(f"non-finite field update for parameters {params}")
+    new = _advance(state, saliency.position_to_cell(q)[:2], duration_ms, params, saliency)
     target = _target_distribution(new, params)
-    return new, target.potential, target.prob
+    prob = (1.0 - params.zeta) * target.p_star + params.zeta / saliency.n_cells
+    return new, target.potential, prob
 
 
 @dataclass
@@ -320,6 +316,82 @@ class WalkDiagnostics:
     """Fixations that fell outside the grid extent and were clamped."""
 
     clamped: int = 0
+
+
+def _sweep(
+    path: Scanpath,
+    saliency: SaliencyMap,
+    params: SceneWalkParams,
+    with_grad: bool,
+    diagnostics: WalkDiagnostics | None = None,
+) -> tuple[float, np.ndarray]:
+    """Transition log-likelihood (first fixation excluded) and, if
+    ``with_grad``, its gradient in PARAM_NAMES order, from one field sweep.
+
+    Each partial of the potential is coef (X - norm sum X) / norm_sum for a
+    grid X (a^lam ln a, f^gamma ln f, or a field partial times a^(lam-1) or
+    f^(gamma-1); -f_norm for c_f). Through the positive part u (mask m, sum
+    M), d ln p(obs) = (1 - zeta) coef / (p(obs) M^2 norm_sum) (m[obs] M X[obs]
+    - u_obs sum_m X - (m[obs] M norm[obs] - u_obs sum_m norm) sum X), with
+    u_obs = u[obs] + POTENTIAL_EPS: one product of the stacked X with [1, m]
+    gives every sum.
+    """
+    T = len(path)
+    if T < 2:
+        raise ValueError("scanpath must contain at least 2 fixations")
+    cells = []
+    for q in path.positions:
+        i, j, clamped = saliency.position_to_cell(q)
+        if clamped and diagnostics is not None:
+            diagnostics.clamped += 1
+        cells.append((i, j))
+
+    n = saliency.n_cells
+    zeta, c_f = params.zeta, params.c_f
+    total = 0.0
+    grad = np.zeros(len(PARAM_NAMES))
+    if with_grad:
+        terms = np.empty((len(PARAM_NAMES) - 1,) + saliency.shape)
+        ones_and_mask = np.ones((2, n))
+        # Order of terms and of grad[1:]: c_f, lam, gamma, omega_a, omega_f, sigma_a, sigma_f.
+        coef = np.array([-1.0, 1.0, -c_f, params.lam, -c_f * params.gamma, params.lam, -c_f * params.gamma])
+    state = initial_state(saliency)
+    for t in range(T - 1):
+        state = _advance(state, cells[t], path.durations[t], params, saliency)
+        target = _target_distribution(state, params)
+        obs = cells[t + 1]
+        u_obs = target.u_plus[obs] + POTENTIAL_EPS
+        p_star_obs = u_obs / target.mix_sum
+        p_obs = (1.0 - zeta) * p_star_obs + zeta / n
+        total += math.log(p_obs)
+        if not with_grad:
+            continue
+
+        grad[0] += (-p_star_obs + 1.0 / n) / p_obs
+        a_ratio = target.a_pow / target.a
+        f_ratio = target.f_pow / target.f
+        terms[0] = target.f_norm
+        np.multiply(target.a_pow, target.log_a, out=terms[1])
+        np.multiply(target.f_pow, target.log_f, out=terms[2])
+        np.multiply(a_ratio, state.d_att_d_omega, out=terms[3])
+        np.multiply(f_ratio, state.d_inh_d_omega, out=terms[4])
+        np.multiply(a_ratio, state.d_att_d_sigma, out=terms[5])
+        np.multiply(f_ratio, state.d_inh_d_sigma, out=terms[6])
+        np.greater(target.potential.ravel(), 0.0, out=ones_and_mask[1])
+        full, masked = ones_and_mask @ terms.reshape(len(coef), n).T
+
+        # Where the potential is positive, a_norm = u_plus + c_f f_norm.
+        f_masked = masked[0]
+        a_masked = target.u_sum + c_f * f_masked
+        obs_mix = target.mix_sum if target.potential[obs] > 0.0 else 0.0
+        a_centre = obs_mix * target.a_norm[obs] - u_obs * a_masked
+        f_centre = obs_mix * target.f_norm[obs] - u_obs * f_masked
+        centre = np.array([0.0, a_centre, f_centre, a_centre, f_centre, a_centre, f_centre])
+        norm_sum = np.array([1.0] + [target.a_sum, target.f_sum] * 3)
+        grad[1:] += (1.0 - zeta) / (p_obs * target.mix_sum**2) * coef / norm_sum * (
+            obs_mix * terms[:, obs[0], obs[1]] - u_obs * masked - centre * full
+        )
+    return total, grad
 
 
 def loglik(
@@ -334,84 +406,27 @@ def loglik(
     The first-fixation term follows ``init``: excluded (default, matching
     the gradient which sums over transitions only), uniform, or saliency.
     """
-    T = len(path)
-    if T < 2:
-        raise ValueError("scanpath must contain at least 2 fixations")
-    cells = []
-    for t in range(T):
-        i, j, clamped = saliency.position_to_cell(path.positions[t])
-        if clamped and diagnostics is not None:
-            diagnostics.clamped += 1
-        cells.append((i, j))
-
-    total = 0.0
+    total, _ = _sweep(path, saliency, params, with_grad=False, diagnostics=diagnostics)
     if init is InitPolicy.UNIFORM:
-        total += -math.log(saliency.n_cells)
-    elif init is InitPolicy.SALIENCY:
-        total += math.log(saliency.grid[cells[0]])
-
-    state = initial_state(saliency)
-    for t in range(T - 1):
-        state, _, prob = step(
-            state, saliency.cell_center(*cells[t]), path.durations[t], params, saliency
-        )
-        total += math.log(prob[cells[t + 1]])
+        return -math.log(saliency.n_cells) + total
+    if init is InitPolicy.SALIENCY:
+        return math.log(saliency.grid[saliency.position_to_cell(path.positions[0])[:2]]) + total
     return total
-
-
-def _observation_gradient(
-    target: _TargetDistribution, params: SceneWalkParams, state: SceneWalkState, obs: tuple[int, int]
-) -> np.ndarray:
-    """d ln p(obs) / d theta for the current transition, PARAM_NAMES order."""
-    n = target.prob.size
-    p_obs = target.prob[obs]
-    grad = np.empty(len(PARAM_NAMES))
-    grad[0] = (-target.p_star[obs] + 1.0 / n) / p_obs
-
-    a = np.maximum(state.attention, _TINY)
-    f = np.maximum(state.inhibition, _TINY)
-    t1 = target.a_pow * target.log_a
-    t2 = target.f_pow * target.log_f
-    du = {
-        "c_f": -target.f_norm,
-        "lam": (t1 - target.a_norm * t1.sum()) / target.a_sum,
-        "gamma": -params.c_f * (t2 - target.f_norm * t2.sum()) / target.f_sum,
-    }
-    pa_omega = params.lam * target.a_pow / a * state.d_att_d_omega
-    pa_sigma = params.lam * target.a_pow / a * state.d_att_d_sigma
-    pf_omega = params.gamma * target.f_pow / f * state.d_inh_d_omega
-    pf_sigma = params.gamma * target.f_pow / f * state.d_inh_d_sigma
-    du["omega_a"] = (pa_omega - target.a_norm * pa_omega.sum()) / target.a_sum
-    du["sigma_a"] = (pa_sigma - target.a_norm * pa_sigma.sum()) / target.a_sum
-    du["omega_f"] = -params.c_f * (pf_omega - target.f_norm * pf_omega.sum()) / target.f_sum
-    du["sigma_f"] = -params.c_f * (pf_sigma - target.f_norm * pf_sigma.sum()) / target.f_sum
-
-    scale = (1.0 - params.zeta) / p_obs
-    mask = target.positive_mask
-    u_obs = target.u_plus[obs] + POTENTIAL_EPS
-    for k, name in enumerate(PARAM_NAMES[1:], start=1):
-        du_plus = np.where(mask, du[name], 0.0)
-        grad[k] = scale * (du_plus[obs] * target.mix_sum - u_obs * du_plus.sum()) / target.mix_sum**2
-    return grad
 
 
 def grad_loglik(path: Scanpath, saliency: SaliencyMap, params: SceneWalkParams) -> np.ndarray:
     """Analytic gradient of ``loglik`` (first fixation excluded), in
     PARAM_NAMES order (zeta, c_f, lam, gamma, omega_a, omega_f, sigma_a,
     sigma_f)."""
-    T = len(path)
-    if T < 2:
-        raise ValueError("scanpath must contain at least 2 fixations")
-    cells = [saliency.position_to_cell(path.positions[t])[:2] for t in range(T)]
-    grad = np.zeros(len(PARAM_NAMES))
-    state = initial_state(saliency)
-    for t in range(T - 1):
-        state, _, _ = step(
-            state, saliency.cell_center(*cells[t]), path.durations[t], params, saliency
-        )
-        target = _target_distribution(state, params)
-        grad += _observation_gradient(target, params, state, cells[t + 1])
-    return grad
+    return _sweep(path, saliency, params, with_grad=True)[1]
+
+
+def loglik_and_grad(
+    path: Scanpath, saliency: SaliencyMap, params: SceneWalkParams
+) -> tuple[float, np.ndarray]:
+    """``loglik`` (first fixation excluded) and ``grad_loglik`` from one
+    sweep over the transitions."""
+    return _sweep(path, saliency, params, with_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +453,7 @@ class SceneWalkFitResult:
 
 
 _LOGIT_CLIP = 1e-9
+_UNEVALUABLE = 1e30
 
 
 def _to_unconstrained(params: SceneWalkParams) -> np.ndarray:
@@ -472,6 +488,8 @@ def fit(
     positive parameters, logit for the mixture weight). Convergence is a
     projected-gradient infinity norm below ``gtol`` in the transformed
     space; otherwise the best iterate is returned flagged non-converged.
+    Raises FloatingPointError when the objective cannot be evaluated at
+    ``init``.
     """
     if not data:
         raise ValueError("need at least one scanpath")
@@ -486,15 +504,18 @@ def fit(
             total = 0.0
             grad = np.zeros(len(PARAM_NAMES))
             for path, saliency in data:
-                total += loglik(path, saliency, params)
-                grad += grad_loglik(path, saliency, params)
+                value, path_grad = loglik_and_grad(path, saliency, params)
+                total += value
+                grad += path_grad
             theta = params.to_vector()
             total -= rho * float(theta @ theta)
             grad -= 2.0 * rho * theta
         except FloatingPointError:
-            return 1e30, np.zeros(len(PARAM_NAMES))
+            total = math.nan
         if not np.isfinite(total):
-            return 1e30, np.zeros(len(PARAM_NAMES))
+            # A value no accepted iterate can have: the line search backs
+            # off from it, and only a start that fails ends on it.
+            return _UNEVALUABLE, np.zeros(len(PARAM_NAMES))
         return -total, -(grad * jac)
 
     res = minimize(
@@ -504,6 +525,8 @@ def fit(
         method="L-BFGS-B",
         options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-14},
     )
+    if not res.fun < _UNEVALUABLE:
+        raise FloatingPointError(f"SceneWalk objective cannot be evaluated at the initial parameters {init}")
     params, _ = _from_unconstrained(res.x)
     return SceneWalkFitResult(
         params=params,

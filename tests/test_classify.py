@@ -1,5 +1,8 @@
 """Linear classifier and the evaluation protocol harness."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -254,6 +257,29 @@ class TestRunProtocol:
         protocol = EvalProtocol(n_splits=1, seed=0, max_k=1, scenewalk_max_iter=15)
         result = classify.run_protocol(data, "bayes-scenewalk", protocol)
         assert 0.0 <= result.curve.mean_at(1) <= 1.0
+
+    def test_unconverged_scenewalk_fits_are_warned(self):
+        spec = simulate.SyntheticCohortSpec(
+            n_users=2, n_images=4, fixations_per_path=4, family="scenewalk",
+            seed=1, grid_shape=(8, 8), extent=(8.0, 8.0),
+        )
+        data = simulate.generate_cohort(spec).data
+        capped = EvalProtocol(
+            n_splits=2, seed=0, max_k=1, c_grid=(1.0,), normalize_grid=(True,), scenewalk_max_iter=1
+        )
+        stopped = r"scenewalk fit{} stopped after 1 iterations without converging \(grad_norm \d\.\de[+-]\d\d\)"
+        expected = {
+            "fisher-svm-scenewalk": [rf"split {i}: " + stopped.format("") for i in range(2)],
+            "bayes-scenewalk": [
+                rf"split {i}: " + stopped.format(f" of {s}") for i in range(2) for s in data.subjects
+            ],
+        }
+        converging = dataclasses.replace(capped, scenewalk_max_iter=200)
+        for family, patterns in expected.items():
+            warnings = classify.run_protocol(data, family, capped).warnings
+            assert len(warnings) == len(patterns)
+            assert all(re.fullmatch(p, w) for p, w in zip(patterns, warnings)), warnings
+            assert classify.run_protocol(data, family, converging).warnings == ()
 
     def test_results_files(self, tmp_path):
         data = small_cohort()

@@ -79,6 +79,134 @@ def naive_loglik(path, saliency, params):
     return total
 
 
+# The per-transition implementation the fused sweep replaced, kept as the
+# reference it is checked against: every transition runs the field update
+# and builds the target distribution twice, and each gradient term is a
+# masked full grid.
+
+
+def ref_window_with_dsigma(center, sigma, shape, extent):
+    rows, cols = shape
+    xs = (np.arange(cols) + 0.5) * float(extent[0]) / cols
+    ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
+    r2 = (ys - float(center[1]))[:, None] ** 2 + (xs - float(center[0]))[None, :] ** 2
+    e = np.exp(-r2 / (2.0 * sigma**2))
+    g = e / (2.0 * math.pi * sigma**2)
+    dg = e * (r2 / (2.0 * math.pi * sigma**5) - 1.0 / (math.pi * sigma**3))
+    return g, dg
+
+
+def ref_normalized_ratio_and_dsigma(w, dw):
+    s = w.sum()
+    return w / s, (dw * s - w * dw.sum()) / (s * s)
+
+
+def ref_target(state, params):
+    a = np.maximum(state.attention, 1e-300)
+    f = np.maximum(state.inhibition, 1e-300)
+    t = {"log_a": np.log(a), "log_f": np.log(f)}
+    t["a_pow"] = np.exp(params.lam * t["log_a"])
+    t["f_pow"] = np.exp(params.gamma * t["log_f"])
+    t["a_sum"], t["f_sum"] = float(t["a_pow"].sum()), float(t["f_pow"].sum())
+    t["a_norm"], t["f_norm"] = t["a_pow"] / t["a_sum"], t["f_pow"] / t["f_sum"]
+    t["potential"] = t["a_norm"] - params.c_f * t["f_norm"]
+    t["u_plus"] = np.maximum(t["potential"], 0.0)
+    n = a.size
+    t["mix_sum"] = float(t["u_plus"].sum()) + n * sw.POTENTIAL_EPS
+    t["p_star"] = (t["u_plus"] + sw.POTENTIAL_EPS) / t["mix_sum"]
+    t["prob"] = (1.0 - params.zeta) * t["p_star"] + params.zeta / n
+    t["positive_mask"] = t["potential"] > 0.0
+    return t
+
+
+def ref_step(state, q, duration_ms, params, saliency):
+    d_s = duration_ms / 1000.0
+    i, j, _ = saliency.position_to_cell(q)
+    center = saliency.cell_center(i, j)
+    ga, dga = ref_window_with_dsigma(center, params.sigma_a, saliency.shape, saliency.extent)
+    gf, dgf = ref_window_with_dsigma(center, params.sigma_f, saliency.shape, saliency.extent)
+    g_hat, dg_hat = ref_normalized_ratio_and_dsigma(ga * saliency.grid, dga * saliency.grid)
+    f_hat, df_hat = ref_normalized_ratio_and_dsigma(gf, dgf)
+    decay_a = math.exp(-params.omega_a * d_s)
+    decay_f = math.exp(-params.omega_f * d_s)
+    new = sw.SceneWalkState(
+        attention=g_hat + decay_a * (state.attention - g_hat),
+        inhibition=f_hat + decay_f * (state.inhibition - f_hat),
+        d_att_d_omega=decay_a * (state.d_att_d_omega - d_s * (state.attention - g_hat)),
+        d_att_d_sigma=dg_hat * (1.0 - decay_a) + decay_a * state.d_att_d_sigma,
+        d_inh_d_omega=decay_f * (state.d_inh_d_omega - d_s * (state.inhibition - f_hat)),
+        d_inh_d_sigma=df_hat * (1.0 - decay_f) + decay_f * state.d_inh_d_sigma,
+        t=state.t + 1,
+    )
+    target = ref_target(new, params)
+    return new, target["potential"], target["prob"]
+
+
+def ref_loglik(path, saliency, params, init=sw.InitPolicy.EXCLUDED, diagnostics=None):
+    cells = []
+    for t in range(len(path)):
+        i, j, clamped = saliency.position_to_cell(path.positions[t])
+        if clamped and diagnostics is not None:
+            diagnostics.clamped += 1
+        cells.append((i, j))
+    total = 0.0
+    if init is sw.InitPolicy.UNIFORM:
+        total += -math.log(saliency.n_cells)
+    elif init is sw.InitPolicy.SALIENCY:
+        total += math.log(saliency.grid[cells[0]])
+    state = sw.initial_state(saliency)
+    for t in range(len(path) - 1):
+        state, _, prob = ref_step(
+            state, saliency.cell_center(*cells[t]), path.durations[t], params, saliency
+        )
+        total += math.log(prob[cells[t + 1]])
+    return total
+
+
+def ref_observation_gradient(target, params, state, obs):
+    n = target["prob"].size
+    p_obs = target["prob"][obs]
+    grad = np.empty(len(sw.PARAM_NAMES))
+    grad[0] = (-target["p_star"][obs] + 1.0 / n) / p_obs
+    a = np.maximum(state.attention, 1e-300)
+    f = np.maximum(state.inhibition, 1e-300)
+    t1 = target["a_pow"] * target["log_a"]
+    t2 = target["f_pow"] * target["log_f"]
+    a_norm, f_norm, a_sum, f_sum = target["a_norm"], target["f_norm"], target["a_sum"], target["f_sum"]
+    du = {
+        "c_f": -f_norm,
+        "lam": (t1 - a_norm * t1.sum()) / a_sum,
+        "gamma": -params.c_f * (t2 - f_norm * t2.sum()) / f_sum,
+    }
+    pa_omega = params.lam * target["a_pow"] / a * state.d_att_d_omega
+    pa_sigma = params.lam * target["a_pow"] / a * state.d_att_d_sigma
+    pf_omega = params.gamma * target["f_pow"] / f * state.d_inh_d_omega
+    pf_sigma = params.gamma * target["f_pow"] / f * state.d_inh_d_sigma
+    du["omega_a"] = (pa_omega - a_norm * pa_omega.sum()) / a_sum
+    du["sigma_a"] = (pa_sigma - a_norm * pa_sigma.sum()) / a_sum
+    du["omega_f"] = -params.c_f * (pf_omega - f_norm * pf_omega.sum()) / f_sum
+    du["sigma_f"] = -params.c_f * (pf_sigma - f_norm * pf_sigma.sum()) / f_sum
+    scale = (1.0 - params.zeta) / p_obs
+    mix_sum = target["mix_sum"]
+    u_obs = target["u_plus"][obs] + sw.POTENTIAL_EPS
+    for k, name in enumerate(sw.PARAM_NAMES[1:], start=1):
+        du_plus = np.where(target["positive_mask"], du[name], 0.0)
+        grad[k] = scale * (du_plus[obs] * mix_sum - u_obs * du_plus.sum()) / mix_sum**2
+    return grad
+
+
+def ref_grad_loglik(path, saliency, params):
+    cells = [saliency.position_to_cell(path.positions[t])[:2] for t in range(len(path))]
+    grad = np.zeros(len(sw.PARAM_NAMES))
+    state = sw.initial_state(saliency)
+    for t in range(len(path) - 1):
+        state, _, _ = ref_step(
+            state, saliency.cell_center(*cells[t]), path.durations[t], params, saliency
+        )
+        grad += ref_observation_gradient(ref_target(state, params), params, state, cells[t + 1])
+    return grad
+
+
 class TestSaliencyEstimation:
     def test_cluster_at_center_peaks_at_center(self, rng):
         pts = np.full((50, 2), 8.0) + 0.3 * rng.standard_normal((50, 2))
@@ -339,6 +467,63 @@ class TestGradient:
         assert g[0] == pytest.approx(fd, rel=1e-3)
 
 
+def parity_cases(rng, shape, extent):
+    """(label, params, path) draws for the sweep-vs-reference checks."""
+    cases = []
+    for k in range(3):
+        cases.append((f"random{k}", make_walk_params(rng), make_path(rng, extent, n_fixations=7)))
+    base = make_walk_params(rng).to_vector()
+    for label, name, value in (("zeta0", "zeta", 0.0), ("zeta1", "zeta", 1.0), ("c_f0", "c_f", 0.0)):
+        vec = np.where(np.array(sw.PARAM_NAMES) == name, value, base)
+        cases.append((label, sw.SceneWalkParams.from_vector(vec), make_path(rng, extent, n_fixations=7)))
+    path = make_path(rng, extent, n_fixations=7)
+    positions = path.positions.copy()
+    positions[3] = (extent[0] + 3.0, -2.0)
+    cases.append(("clamped", make_walk_params(rng), Scanpath(positions=positions, durations=path.durations)))
+    return cases
+
+
+@pytest.mark.parametrize("shape, extent", [((16, 16), (16.0, 16.0)), ((64, 64), (32.0, 32.0))])
+class TestFusedSweepParity:
+    def test_loglik_and_grad_match_reference(self, rng, shape, extent):
+        sal = make_saliency(rng, shape=shape, extent=extent)
+        for label, params, path in parity_cases(rng, shape, extent):
+            ref_value = ref_loglik(path, sal, params)
+            ref_grad = ref_grad_loglik(path, sal, params)
+            value, grad = sw.loglik_and_grad(path, sal, params)
+            atol = 1e-12 * np.max(np.abs(ref_grad))
+            assert value == pytest.approx(ref_value, rel=1e-12), label
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=atol, err_msg=label)
+            np.testing.assert_allclose(
+                sw.grad_loglik(path, sal, params), ref_grad, rtol=1e-10, atol=atol, err_msg=label
+            )
+            for init in sw.InitPolicy:
+                diag, ref_diag = sw.WalkDiagnostics(), sw.WalkDiagnostics()
+                got = sw.loglik(path, sal, params, init=init, diagnostics=diag)
+                want = ref_loglik(path, sal, params, init=init, diagnostics=ref_diag)
+                assert got == pytest.approx(want, rel=1e-12), (label, init)
+                assert diag.clamped == ref_diag.clamped == (label == "clamped")
+
+    def test_step_matches_reference(self, rng, shape, extent):
+        sal = make_saliency(rng, shape=shape, extent=extent)
+        for label, params, path in parity_cases(rng, shape, extent):
+            state = ref_state = sw.initial_state(sal)
+            for t in range(len(path) - 1):
+                state, potential, prob = sw.step(state, path.positions[t], path.durations[t], params, sal)
+                ref_state, ref_potential, ref_prob = ref_step(
+                    ref_state, path.positions[t], path.durations[t], params, sal
+                )
+                pairs = [(getattr(state, name), getattr(ref_state, name), name) for name in (
+                    "attention", "inhibition", "d_att_d_omega", "d_att_d_sigma",
+                    "d_inh_d_omega", "d_inh_d_sigma",
+                )]
+                pairs += [(potential, ref_potential, "potential"), (prob, ref_prob, "prob")]
+                for got, want, name in pairs:
+                    np.testing.assert_allclose(
+                        got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)), err_msg=f"{label} {name}"
+                    )
+
+
 class TestFit:
     def make_training(self, rng, n_paths=6, n_fix=7):
         sal = make_saliency(rng, shape=(16, 16))
@@ -377,6 +562,17 @@ class TestFit:
         np.testing.assert_array_equal(r1.params.to_vector(), r2.params.to_vector())
         assert r1.objective == r2.objective
 
+
+    def test_unevaluable_start_raises(self, rng):
+        # a^500 underflows to zero on every cell, so the potential cannot be
+        # normalized at the start; L-BFGS-B would read the failure value's
+        # zero gradient as a stationary point.
+        sal, params, paths = self.make_training(rng, n_paths=2, n_fix=4)
+        start = sw.SceneWalkParams.from_vector(
+            np.where(np.array(sw.PARAM_NAMES) == "lam", 500.0, params.to_vector())
+        )
+        with pytest.raises(FloatingPointError, match="initial parameters"):
+            sw.fit([(p, sal) for p in paths], init=start)
 
 class TestSampling:
     def test_zeta_one_uniform_frequencies(self, rng):
