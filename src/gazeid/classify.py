@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import fisher, markov, scenewalk
 from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
@@ -42,12 +41,11 @@ FAMILIES = (
 
 @dataclass(frozen=True)
 class SolverReport:
-    """How the dual solve of ``train`` ended: L-BFGS-B iterations summed
-    over restarts, the largest projected-gradient entry at the returned
-    point, and whether that entry met the tolerance stated in ``train``."""
+    """How ``train``'s solve ended: interior-point iterations, the duality gap
+    P - D summed over classes, and whether every class met its tolerance."""
 
     iterations: int
-    max_projected_gradient: float
+    duality_gap: float
     converged: bool
 
 
@@ -73,21 +71,26 @@ def train(features: np.ndarray, labels: Sequence[str], C: float = 1.0) -> Linear
     """One-vs-rest L2-regularized hinge-loss training on explicit feature
     vectors, by one exact solve of the joint dual.
 
-    With the bias folded into the features as a constant last column, the
-    dual of each one-vs-rest problem is a box QP with no equality
-    constraint: minimize f = sum_k (0.5 |w_k|^2 - sum_i alpha_ki) over
-    0 <= alpha <= C, where w_k = sum_i alpha_ki y_ki x_i. All classes are
-    solved together by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
-
-    The solve has converged when the largest projected-gradient entry is at
-    most sqrt(2 eps |f| max_i |x_i|^2), with eps the float64 machine
-    epsilon and x_i including its bias entry: a step along one coordinate
-    whose projected gradient is below that lowers f by less than f's
-    rounding error, so no line search can resolve it. One L-BFGS-B call
-    can stop short of that, so the solve restarts from the returned point
-    while the entry is above the tolerance and still falling.
-    ``LinearModel.report`` records the outcome.
+    With the bias folded into the features as a last column x_i = 1, class
+    k's dual is a box QP: maximize D = sum alpha - |w|^2 / 2 over
+    0 <= alpha <= C, w = sum_i alpha_i y_i x_i; its primal is
+    P(w) = |w|^2 / 2 + C sum_i max(0, e_i), e_i = 1 - y_i x_i.w. All K duals
+    are solved together by a primal-dual interior-point method
+    (``_mehrotra_step``). A class stops when P - D, summed as sum_i h_i with
+    h_i = C max(0, e_i) - alpha_i e_i (terms that each vanish at the
+    optimum), is at most sqrt(n) sum_i [s_i d_i + u (C max(0, e_i) + alpha_i |e_i|)],
+    the rounding error of the terms. d_i = u (1 + |x_i|.(|w| + |X|^T alpha))
+    is that of e_i, from x_i.w and from w's own sum over alpha; s_i is the
+    slope |C [e_i > 0] - alpha_i| of h_i, or max(alpha_i, C - alpha_i) where
+    |e_i| <= d_i leaves the side of the kink open; u = eps / 2 is the float64
+    unit roundoff, |.| is entrywise, and sqrt(n) the usual growth of rounding
+    error over n-term sums. After ``_MAX_ITERATIONS`` steps it stops unconverged.
     """
+    return _train_grid(features, labels, (C,))[0]
+
+
+def _train_grid(features: np.ndarray, labels: Sequence[str], Cs: Sequence[float]) -> list[LinearModel]:
+    """``train`` at each C of ``Cs``; all K len(Cs) duals share one stack."""
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -99,38 +102,69 @@ def train(features: np.ndarray, labels: Sequence[str], C: float = 1.0) -> Linear
         raise ValueError("training requires at least 2 classes")
 
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    label_idx = np.array([classes.index(lbl) for lbl in labels])
-    Y = np.where(label_idx[None, :] == np.arange(len(classes))[:, None], 1.0, -1.0)
-
-    def dual(a):
-        W = (a.reshape(Y.shape) * Y) @ Xb
-        return 0.5 * float(np.sum(W * W)) - float(a.sum()), (Y * (W @ Xb.T) - 1.0).ravel()
-
-    curvature = float(np.max(np.einsum("ij,ij->i", Xb, Xb)))
-    alpha = np.zeros(Y.size)
-    iterations = 0
-    previous = math.inf
-    while True:
-        res = minimize(
-            dual,
-            alpha,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, C)] * alpha.size,
-            options={"ftol": 0.0, "gtol": 0.0},
-        )
-        alpha, iterations = res.x, iterations + int(res.nit)
-        pg = float(np.max(np.abs(np.clip(alpha - res.jac, 0.0, C) - alpha)))
-        converged = pg <= math.sqrt(2.0 * np.finfo(float).eps * abs(res.fun) * curvature)
-        if converged or pg >= previous:
+    Y = np.tile(np.where(np.array(labels)[None, :] == np.array(classes)[:, None], 1.0, -1.0), (len(Cs), 1))
+    C = np.repeat(np.asarray(Cs, dtype=float), len(classes))[:, None]  # one row per (C, class) dual
+    n, abs_Xb, u = Xb.shape[0], np.abs(Xb), np.finfo(float).eps / 2
+    # Iterate (alpha, z, s, v): upper slack s = C - alpha, z and v the multipliers of alpha, s >= 0.
+    alpha = np.full(Y.shape, 0.5) * C
+    grad = Y * ((alpha * Y) @ Xb @ Xb.T) - 1.0
+    state = np.stack([alpha, np.maximum(grad, 0.0) + 1.0, C - alpha, np.maximum(-grad, 0.0) + 1.0])
+    steps = np.zeros(len(C), dtype=int)
+    for iterations in itertools.count():
+        alpha = state[0]
+        W = (alpha * Y) @ Xb
+        e = 1.0 - Y * (W @ Xb.T)
+        hinge = C * np.maximum(0.0, e)
+        gap = (hinge - alpha * e).sum(axis=1)
+        delta = u * (1.0 + (np.abs(W) + alpha @ abs_Xb) @ abs_Xb.T)
+        near_kink = np.abs(e) <= delta
+        slope = np.where(near_kink, np.maximum(alpha, C - alpha), np.abs(np.where(e > 0.0, C, 0.0) - alpha))
+        active = gap > math.sqrt(n) * (slope * delta + u * (hinge + alpha * np.abs(e))).sum(axis=1)
+        if not active.any() or iterations == _MAX_ITERATIONS:
             break
-        previous = pg
-    return LinearModel(
-        weights=(alpha.reshape(Y.shape) * Y) @ Xb,
-        classes=classes,
-        C=C,
-        report=SolverReport(iterations=iterations, max_projected_gradient=pg, converged=converged),
-    )
+        state[:, active] = _mehrotra_step(Xb, Y[active], C[active], state[:, active], -e[active])
+        steps += active
+    blocks = [slice(j * len(classes), (j + 1) * len(classes)) for j in range(len(Cs))]
+    reports = [SolverReport(int(steps[b].max()), float(gap[b].sum()), not active[b].any()) for b in blocks]
+    return [LinearModel(W[b], classes, c, report) for c, b, report in zip(Cs, blocks, reports)]
+
+
+_MAX_ITERATIONS = 50
+# Primal regularization of the Newton matrix only; it bounds 1/D where z, v -> 0.
+_RHO = 1e-8
+
+
+def _mehrotra_step(Xb: np.ndarray, Y: np.ndarray, C: float, state: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """One Mehrotra (1992) predictor-corrector step on the (alpha, z, s, v)
+    iterate of the duals min alpha^T Q alpha / 2 - sum alpha, Q = Z Z^T,
+    Z = diag(y) Xb, given their gradient. A Newton direction solves
+    (Q + D + rho I) d = r, D = z/alpha + v/s, by Sherman-Morrison-Woodbury
+    (Ferris & Munson 2002) through the m x m matrix M = I + Xb^T diag(1/(D + rho)) Xb,
+    m = d + 1, which y^2 = 1 makes label-free: one ``np.linalg.solve``."""
+    alpha, z, s, v = state
+    inv_alpha, inv_s, r_slack = 1.0 / alpha, 1.0 / s, C - alpha - s
+    dinv = 1.0 / (z * inv_alpha + v * inv_s + _RHO)
+    M = (dinv[:, None, :] * Xb.T) @ Xb + np.eye(Xb.shape[1])
+    dinv_y, shared = dinv * Y, z - v - grad + v * r_slack * inv_s
+
+    def direction(r_z, r_v):
+        r = shared + r_v * inv_s - r_z * inv_alpha
+        t = np.linalg.solve(M, ((dinv_y * r) @ Xb)[..., None])[..., 0]
+        d_alpha = dinv * r - dinv_y * (t @ Xb.T)
+        d_s = r_slack - d_alpha
+        return np.stack([d_alpha, -(r_z + z * d_alpha) * inv_alpha, d_s, -(r_v + v * d_s) * inv_s])
+
+    def max_step(d):
+        ratio = np.where(d < 0, state / np.where(d < 0, -d, 1.0), np.inf)
+        return np.minimum(1.0, ratio.min(axis=(0, 2)))[:, None]
+
+    def mu(x):  # mean complementarity per class
+        return (x[0] * x[1] + x[2] * x[3]).sum(axis=1, keepdims=True) / (2 * x.shape[2])
+
+    affine = direction(alpha * z, s * v)
+    target = mu(state + max_step(affine) * affine) ** 3 / mu(state) ** 2
+    d = direction(alpha * z + affine[0] * affine[1] - target, s * v + affine[2] * affine[3] - target)
+    return state + 0.995 * max_step(d) * d
 
 
 def decision_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
@@ -260,7 +294,6 @@ class _FamilyOps:
 
     def __init__(self, data: GazeDataset, family: str, protocol: EvalProtocol):
         self.data = data
-        self.family = family
         self.index = {(it.subject_id, it.image_id): it for it in data.items}
         if family in ("bayes-markov", "fisher-svm-markov"):
             self.kind, self.channels = "markov", BASE_CHANNELS
@@ -378,8 +411,20 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     pooled, result = ops.fit(train_keys)
     notes = _unconverged(result)
 
-    raw = dict(zip(train_keys + test_keys, ops.grads(train_keys + test_keys, pooled)))
-    train_scores = {key: fisher.FisherScore(g=raw[key], model_tag=ops.family) for key in train_keys}
+    scores = ops.grads(train_keys + test_keys, pooled)
+    row = {key: i for i, key in enumerate(train_keys + test_keys)}
+
+    def whitened(fit_keys, other_keys, eps, norm):
+        """Features of both key lists, whitened by the information of the first."""
+        G, other = (scores[[row[key] for key in keys]] for keys in (fit_keys, other_keys))
+        info = fisher.estimate_information(G, eps)
+        return fisher.feature_map(G, info, norm), fisher.feature_map(other, info, norm)
+
+    def fitted(X, keys, Cs):
+        models = _train_grid(X, [s for s, _ in keys], Cs)
+        notes.extend(f"svm train at C={m.C:g} stopped after {m.report.iterations} iterations without converging "
+                     f"(duality gap {m.report.duality_gap:.1e})" for m in models if not m.report.converged)
+        return models
 
     if len(subjects) < 2:
         rows = {key: np.array([0.0]) for key in test_keys}
@@ -390,40 +435,31 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     # by CV accuracy with ties broken toward smaller C, then smaller ridge,
     # then normalization on.
     folds = {s: _cv_folds_of(split.train[s], protocol.cv_folds) for s in subjects}
+    c_grid = sorted(protocol.c_grid)
     candidates = []
     for eps, norm in itertools.product(sorted(protocol.eps_grid), protocol.normalize_grid):
-        fold_data = []
+        accs = []  # per fold, the validation accuracy at each C of c_grid
         for f in range(protocol.cv_folds):
             fit_keys = [(s, img) for s in subjects for img in folds[s][f][0]]
             val_keys = [(s, img) for s in subjects for img in folds[s][f][1]]
             if not fit_keys or not val_keys or len({s for s, _ in fit_keys}) < 2:
                 continue
-            info = fisher.estimate_information([train_scores[k_] for k_ in fit_keys], eps)
-            X_fit = np.array([fisher.feature_map(raw[k_], info, norm) for k_ in fit_keys])
-            X_val = np.array([fisher.feature_map(raw[k_], info, norm) for k_ in val_keys])
-            fold_data.append((X_fit, [s for s, _ in fit_keys], X_val, [s for s, _ in val_keys]))
-        for C in sorted(protocol.c_grid):
-            accs = []
-            for X_fit, fit_labels, X_val, val_labels in fold_data:
-                model = train(X_fit, fit_labels, C=C)
-                pred_idx = np.argmax(decision_matrix(model, X_val), axis=1)
-                accs.append(
-                    float(np.mean([model.classes[p] == lbl for p, lbl in zip(pred_idx, val_labels)]))
-                )
-            cv_acc = float(np.mean(accs)) if accs else -1.0
-            candidates.append((cv_acc, C, eps, norm))
+            X_fit, X_val = whitened(fit_keys, val_keys, eps, norm)
+            val_labels = np.array([s for s, _ in val_keys])
+            accs.append([
+                float(np.mean(np.array(m.classes)[np.argmax(decision_matrix(m, X_val), axis=1)] == val_labels))
+                for m in fitted(X_fit, fit_keys, c_grid)
+            ])
+        candidates += [(float(np.mean([acc[i] for acc in accs])) if accs else -1.0, C, eps, norm)
+                       for i, C in enumerate(c_grid)]
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], not c[3]))
     _, C, eps, norm = candidates[0]
 
-    info = fisher.estimate_information([train_scores[k_] for k_ in train_keys], eps)
-    X_train = np.array([fisher.feature_map(raw[k_], info, norm) for k_ in train_keys])
-    model = train(X_train, [s for s, _ in train_keys], C=C)
-    X_test = np.array([fisher.feature_map(raw[k_], info, norm) for k_ in test_keys])
+    X_train, X_test = whitened(train_keys, test_keys, eps, norm)
+    model = fitted(X_train, train_keys, (C,))[0]
     decisions = decision_matrix(model, X_test)
     class_order = [model.classes.index(s) for s in subjects]
-    rows = {
-        key: decisions[i][class_order] for i, key in enumerate(test_keys)
-    }
+    rows = {key: decisions[i][class_order] for i, key in enumerate(test_keys)}
     chosen = {"C": C, "eps_reg": eps, "normalize": bool(norm)}
     return _accuracy_from_rows(subjects, split, ks, rows), chosen, notes
 
@@ -445,8 +481,9 @@ def run_protocol(
     averages over disjoint consecutive groups of k test images per
     subject; the curve reports mean and standard error across splits.
     Results depend only on (data, family, protocol), not on ``threads``.
-    Each SceneWalk fit that stops without converging adds one warning, in
-    split order (subject order within a Bayes split).
+    Each SceneWalk fit and each SVM solve that stops without converging
+    adds one warning, in split order (subject order within a Bayes split,
+    CV order then the final model within a Fisher split).
     """
     protocol = protocol or EvalProtocol()
     if family not in FAMILIES:

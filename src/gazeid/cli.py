@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -229,6 +230,7 @@ def cmd_train(args) -> int:
             "classes": list(model.classes),
             "weights": [[float(v) for v in row] for row in model.weights],
             "C": model.C,
+            "solver": dataclasses.asdict(model.report),
             "provenance": _provenance(config),
         },
     )

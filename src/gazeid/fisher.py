@@ -71,21 +71,27 @@ class FisherInformation:
         return self.eps_reg * float(np.trace(self.matrix)) / self.dim
 
 
-def estimate_information(scores: Sequence[FisherScore], eps_reg: float = DEFAULT_RIDGE) -> FisherInformation:
+def estimate_information(
+    scores: Sequence[FisherScore] | np.ndarray, eps_reg: float = DEFAULT_RIDGE
+) -> FisherInformation:
     """Average outer product of the scores, regularized and factorized.
 
-    Summation order is fixed (list order) for bit-reproducibility.
+    ``scores`` is a list of FisherScores or an (items, dim) matrix G; the
+    matrix is G^T G / N, one product whose summation order BLAS fixes, so
+    it differs from a per-item sum of outer products in the last bits.
     """
-    if not scores:
+    if isinstance(scores, np.ndarray):
+        G = scores
+        if G.ndim != 2 or not np.all(np.isfinite(G)):
+            raise ValueError("scores must be a finite (items, dim) matrix")
+    else:
+        dims = {s.g.size for s in scores}
+        if len(dims) > 1:
+            raise ValueError(f"score dimensions differ: {sorted(dims)}")
+        G = np.array([s.g for s in scores])
+    if len(G) == 0:
         raise ValueError("need at least one score")
-    dim = scores[0].g.size
-    info = np.zeros((dim, dim))
-    for s in scores:
-        if s.g.size != dim:
-            raise ValueError(f"score dimension {s.g.size} does not match {dim}")
-        info += np.outer(s.g, s.g)
-    info /= len(scores)
-    return FisherInformation(matrix=info, eps_reg=eps_reg, n_scores=len(scores))
+    return FisherInformation(matrix=G.T @ G / len(G), eps_reg=eps_reg, n_scores=len(G))
 
 
 def compute_scores(
@@ -113,20 +119,21 @@ def compute_scores(
 
 
 def feature_map(score: FisherScore | np.ndarray, info: FisherInformation, normalize: bool = False) -> np.ndarray:
-    """Whitened feature vector phi = factor^{-1} g by forward substitution.
+    """Whitened feature vector phi = factor^{-1} g by forward substitution;
+    an (items, dim) matrix of scores gives the (items, dim) matrix of their
+    features in one triangular solve.
 
-    With ``normalize`` the vector is scaled to unit L2 norm (gradient
+    With ``normalize`` each vector is scaled to unit L2 norm (gradient
     magnitudes grow with scanpath length, which otherwise leaks length
     into the classifier).
     """
     g = score.g if isinstance(score, FisherScore) else np.asarray(score, dtype=float)
-    if g.size != info.dim:
-        raise ValueError(f"score dimension {g.size} does not match information dim {info.dim}")
-    phi = solve_triangular(info.factor, g, lower=True)
+    if g.ndim not in (1, 2) or g.shape[-1] != info.dim:
+        raise ValueError(f"score shape {g.shape} does not match information dim {info.dim}")
+    phi = solve_triangular(info.factor, g.T, lower=True).T
     if normalize:
-        norm = float(np.linalg.norm(phi))
-        if norm > 0:
-            phi = phi / norm
+        norm = np.linalg.norm(phi, axis=-1, keepdims=True)
+        phi = phi / np.where(norm > 0, norm, 1.0)
     return phi
 
 

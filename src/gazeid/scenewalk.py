@@ -18,7 +18,7 @@ import csv
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -98,6 +98,7 @@ class SaliencyMap:
 
     grid: np.ndarray
     extent: tuple[float, float]
+    _centers: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -113,6 +114,11 @@ class SaliencyMap:
             raise ValueError(f"saliency grid must sum to 1 within 1e-9, got {grid.sum()!r}")
         if not (self.extent[0] > 0 and self.extent[1] > 0):
             raise ValueError("extent must be positive")
+        rows, cols = grid.shape
+        xs = (np.arange(cols) + 0.5) * self.extent[0] / cols
+        ys = (np.arange(rows) + 0.5) * self.extent[1] / rows
+        xs.flags.writeable = ys.flags.writeable = False
+        object.__setattr__(self, "_centers", (xs, ys))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -123,11 +129,9 @@ class SaliencyMap:
         return self.grid.size
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """x centers (cols,) and y centers (rows,) in degrees."""
-        rows, cols = self.grid.shape
-        xs = (np.arange(cols) + 0.5) * self.extent[0] / cols
-        ys = (np.arange(rows) + 0.5) * self.extent[1] / rows
-        return xs, ys
+        """x centers (cols,) and y centers (rows,) in degrees; computed once
+        per map and read-only."""
+        return self._centers
 
     def cell_area(self) -> float:
         rows, cols = self.grid.shape
@@ -143,7 +147,7 @@ class SaliencyMap:
         return min(max(i, 0), rows - 1), min(max(j, 0), cols - 1), clamped
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        xs, ys = self.cell_centers()
+        xs, ys = self._centers
         return float(xs[j]), float(ys[i])
 
 

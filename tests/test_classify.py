@@ -21,6 +21,47 @@ def separable_blobs(rng, n_per_class=20, gap=6.0):
     return np.vstack(X), y
 
 
+def ovr_primal(model, X, y):
+    """Sum over classes of |w|^2 / 2 + C * hinge, bias folded in."""
+    Xb = np.hstack([X, np.ones((len(X), 1))])
+    Y = np.where(np.array(y)[None, :] == np.array(model.classes)[:, None], 1.0, -1.0)
+    return 0.5 * float(np.sum(model.weights**2)) + model.C * float(np.maximum(0.0, 1.0 - Y * (model.weights @ Xb.T)).sum())
+
+
+def slsqp_primal(X, y, C):
+    """One-vs-rest primal optimum, each class solved with explicit slack
+    variables by SLSQP; the objective is divided by C for conditioning."""
+    Xb = np.hstack([X, np.ones((len(X), 1))])
+    n, d = Xb.shape
+    total = 0.0
+    for cls in sorted(set(y)):
+        yk = np.where(np.array(y) == cls, 1.0, -1.0)
+        res = minimize(
+            lambda z: (0.5 * z[:d] @ z[:d] + C * z[d:].sum()) / C,
+            np.concatenate([np.zeros(d), np.ones(n)]),
+            jac=lambda z: np.concatenate([z[:d] / C, np.ones(n)]),
+            method="SLSQP",
+            bounds=[(None, None)] * d + [(0.0, None)] * n,
+            constraints=[{
+                "type": "ineq",
+                "fun": lambda z: yk * (Xb @ z[:d]) - 1.0 + z[d:],
+                "jac": lambda z: np.hstack([yk[:, None] * Xb, np.eye(n)]),
+            }],
+            options={"ftol": 1e-10, "maxiter": 1000},
+        )
+        assert res.success
+        w = res.x[:d]
+        total += 0.5 * w @ w + C * np.maximum(0.0, 1.0 - yk * (Xb @ w)).sum()
+    return total
+
+
+def overlapping_classes():
+    rng = np.random.default_rng(0)
+    X = 3.0 * rng.standard_normal((60, 4))
+    X[:, 0] += np.arange(60) % 3
+    return X, [f"c{i % 3}" for i in range(60)]
+
+
 class TestTrain:
     def test_separable_data_perfectly_classified(self, rng):
         X, y = separable_blobs(rng)
@@ -51,45 +92,95 @@ class TestTrain:
         # Overlapping classes at large C: many multipliers sit at the bound,
         # and the dual is ill-conditioned. The reference solves each
         # one-vs-rest primal with explicit slack variables by SLSQP.
-        rng = np.random.default_rng(0)
-        X = 3.0 * rng.standard_normal((60, 4))
-        X[:, 0] += np.arange(60) % 3
-        y = [f"c{i % 3}" for i in range(60)]
-        C = 100.0
-        model = classify.train(X, y, C=C)
+        X, y = overlapping_classes()
+        model = classify.train(X, y, C=100.0)
         assert model.report.converged
-
-        Xb = np.hstack([X, np.ones((60, 1))])
-        n, d = Xb.shape
-
-        def primal(w, yk):
-            return 0.5 * w @ w + C * np.maximum(0.0, 1.0 - yk * (Xb @ w)).sum()
-
-        got = reference = 0.0
-        for w, cls in zip(model.weights, model.classes):
-            yk = np.where(np.array(y) == cls, 1.0, -1.0)
-            # z = (w, slack); the objective is divided by C for conditioning.
-            res = minimize(
-                lambda z: (0.5 * z[:d] @ z[:d] + C * z[d:].sum()) / C,
-                np.concatenate([np.zeros(d), np.ones(n)]),
-                jac=lambda z: np.concatenate([z[:d] / C, np.ones(n)]),
-                method="SLSQP",
-                bounds=[(None, None)] * d + [(0.0, None)] * n,
-                constraints=[{
-                    "type": "ineq",
-                    "fun": lambda z: yk * (Xb @ z[:d]) - 1.0 + z[d:],
-                    "jac": lambda z: np.hstack([yk[:, None] * Xb, np.eye(n)]),
-                }],
-                options={"ftol": 1e-10, "maxiter": 1000},
-            )
-            assert res.success
-            got += primal(w, yk)
-            reference += primal(res.x[:d], yk)
-        assert got == pytest.approx(reference, rel=1e-6)
+        assert ovr_primal(model, X, y) == pytest.approx(slsqp_primal(X, y, 100.0), rel=1e-6)
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError):
             classify.train(rng.standard_normal((5, 2)), ["a"] * 5)
+
+    def test_large_C_reaches_certified_optimum(self):
+        # C = 1e4 on the overlapping classes: the optimum is about 1.1706e6.
+        # The duality gap bounds how far the primal is above it, and it is
+        # within the tolerance stated in train's docstring, here bounded
+        # above through alpha <= C.
+        X, y = overlapping_classes()
+        C = 1e4
+        model = classify.train(X, y, C=C)
+        assert model.report.converged
+        got, reference = ovr_primal(model, X, y), slsqp_primal(X, y, C)
+        assert got == pytest.approx(reference, rel=1e-6)
+        assert got - reference <= model.report.duality_gap
+        Xb = np.hstack([X, np.ones((len(X), 1))])
+        Y = np.where(np.array(y)[None, :] == np.array(model.classes)[:, None], 1.0, -1.0)
+        e = 1.0 - Y * (model.weights @ Xb.T)
+        absX = np.abs(Xb)
+        error_bound = C * (1.0 + (np.abs(model.weights) + C * absX.sum(axis=0)) @ absX.T) + 2.0 * C * np.abs(e)
+        tolerance = np.sqrt(len(Xb)) * np.finfo(float).eps / 2 * error_bound.sum()
+        assert 0.0 <= model.report.duality_gap <= tolerance
+
+
+def ref_train(features, labels, C=1.0):
+    """The L-BFGS-B solve of the joint dual that ``train`` replaced, kept as
+    a parity oracle: it restarts while the largest projected-gradient entry
+    is above sqrt(2 eps |f| max_i |x_i|^2) and still falling."""
+    X = np.asarray(features, dtype=float)
+    classes = tuple(sorted(set(labels)))
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    label_idx = np.array([classes.index(lbl) for lbl in labels])
+    Y = np.where(label_idx[None, :] == np.arange(len(classes))[:, None], 1.0, -1.0)
+
+    def dual(a):
+        W = (a.reshape(Y.shape) * Y) @ Xb
+        return 0.5 * float(np.sum(W * W)) - float(a.sum()), (Y * (W @ Xb.T) - 1.0).ravel()
+
+    curvature = float(np.max(np.einsum("ij,ij->i", Xb, Xb)))
+    alpha = np.zeros(Y.size)
+    previous = np.inf
+    while True:
+        res = minimize(
+            dual, alpha, jac=True, method="L-BFGS-B",
+            bounds=[(0.0, C)] * alpha.size, options={"ftol": 0.0, "gtol": 0.0},
+        )
+        alpha = res.x
+        pg = float(np.max(np.abs(np.clip(alpha - res.jac, 0.0, C) - alpha)))
+        if pg <= np.sqrt(2.0 * np.finfo(float).eps * abs(res.fun) * curvature) or pg >= previous:
+            break
+        previous = pg
+    return classify.LinearModel(weights=(alpha.reshape(Y.shape) * Y) @ Xb, classes=classes, C=C)
+
+
+class TestTrainParity:
+    """The interior-point solve against the L-BFGS-B oracle: never above its
+    primal by more than 1e-12 relative, on every C of the protocol grid."""
+
+    @pytest.mark.parametrize("n_classes", [2, 6, 10])
+    @pytest.mark.parametrize("per_class", [1, 12], ids=["n<d+1", "n>d+1"])
+    def test_primal_not_above_lbfgsb(self, n_classes, per_class):
+        rng = np.random.default_rng(n_classes * 100 + per_class)
+        dim = 20
+        n = n_classes * per_class
+        labels = [f"c{i % n_classes}" for i in range(n)]
+        centers = rng.standard_normal((n_classes, dim))
+        X = centers[np.arange(n) % n_classes] + 1.5 * rng.standard_normal((n, dim))
+        for C in EvalProtocol().c_grid:
+            model = classify.train(X, labels, C=C)
+            assert model.report.converged, (C, model.report)
+            oracle = ovr_primal(ref_train(X, labels, C=C), X, labels)
+            assert ovr_primal(model, X, labels) <= oracle * (1.0 + 1e-12), C
+
+    def test_grid_solve_matches_single_solves(self):
+        # The CV solves a fold's whole C grid in one stack; each model must
+        # be the one train gives at that C.
+        X, y = overlapping_classes()
+        c_grid = EvalProtocol().c_grid
+        for C, model in zip(c_grid, classify._train_grid(X, y, c_grid)):
+            single = classify.train(X, y, C=C)
+            assert model.C == C and model.report.iterations == single.report.iterations
+            assert model.report.converged == single.report.converged
+            np.testing.assert_allclose(model.weights, single.weights, rtol=1e-12, atol=1e-12 * np.abs(single.weights).max())
 
 
 class TestIdentify:
@@ -280,6 +371,23 @@ class TestRunProtocol:
             assert len(warnings) == len(patterns)
             assert all(re.fullmatch(p, w) for p, w in zip(patterns, warnings)), warnings
             assert classify.run_protocol(data, family, converging).warnings == ()
+
+    def test_unconverged_svm_solves_are_warned(self, monkeypatch):
+        # With the iteration cap at 1 no solve can meet its tolerance: each
+        # of a split's 3 CV folds x 2 C values x 1 normalization, then the
+        # final model, adds one warning, in fold order and C order within.
+        data = small_cohort()
+        protocol = EvalProtocol(n_splits=2, seed=1, max_k=1, c_grid=(0.1, 1.0), normalize_grid=(True,))
+        assert classify.run_protocol(data, "fisher-svm-markov", protocol).warnings == ()
+        monkeypatch.setattr(classify, "_MAX_ITERATIONS", 1)
+        result = classify.run_protocol(data, "fisher-svm-markov", protocol)
+        stopped = r"split 0: svm train at C={} stopped after 1 iterations without converging \(duality gap [^)]+\)"
+        cs = [0.1, 1.0] * 3 + [result.hyperparams[0]["C"]]
+        split0 = [stopped.format(re.escape(f"{c:g}")) for c in cs]
+        assert len(result.warnings) == 14
+        assert all(re.fullmatch(p, w) for p, w in zip(split0, result.warnings)), result.warnings
+        assert all(w.startswith("split 1: ") for w in result.warnings[7:])
+        assert classify.run_protocol(data, "fisher-svm-markov", protocol).warnings == result.warnings
 
     def test_results_files(self, tmp_path):
         data = small_cohort()

@@ -124,6 +124,15 @@ class TestFitScoresTrainIdentify:
         assert rows[0] == "subject_id,group_first_image,predicted,correct"
         assert len(rows) == 16  # 3 users x 5 images + header
 
+    def test_classifier_json_carries_solver_report(self, tmp_path):
+        data = self.make_data(tmp_path)
+        main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])
+        main(["scores", "--data", data, "--model-json", str(tmp_path / "m.json"), "--out", str(tmp_path / "phi.csv")])
+        assert main(["train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json")]) == 0
+        solver = json.loads((tmp_path / "clf.json").read_text())["solver"]
+        assert set(solver) == {"iterations", "duality_gap", "converged"}
+        assert solver["converged"] is True and solver["iterations"] > 0 and solver["duality_gap"] >= 0.0
+
     def test_scores_info_in_reproduces_features(self, tmp_path):
         data = self.make_data(tmp_path)
         main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])

@@ -150,6 +150,25 @@ class TestKernel:
         phi = fisher.feature_map(scores[0], info, normalize=True)
         assert np.linalg.norm(phi) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_stacked_feature_map_matches_rows(self, rng, normalize):
+        scores = random_scores(rng, 40, 7)
+        G = np.array([s.g for s in scores])
+        info = fisher.estimate_information(scores, 1e-3)
+        stacked = fisher.feature_map(G, info, normalize)
+        rows = np.array([fisher.feature_map(s, info, normalize) for s in scores])
+        assert stacked.shape == (40, 7)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12 * np.abs(rows).max())
+
+    def test_information_from_matrix_matches_scores(self, rng):
+        scores = random_scores(rng, 30, 6)
+        from_scores = fisher.estimate_information(scores, 1e-3)
+        from_matrix = fisher.estimate_information(np.array([s.g for s in scores]), 1e-3)
+        assert from_matrix.n_scores == 30
+        np.testing.assert_allclose(from_matrix.matrix, from_scores.matrix, rtol=1e-12)
+        with pytest.raises(ValueError):
+            fisher.estimate_information(np.array([[1.0, np.nan]]), 1e-3)
+
     def test_whitening_sanity(self, rng):
         # With a vanishing ridge on a full-rank score set, the whitened
         # scores' empirical second moment is the identity.

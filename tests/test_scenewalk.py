@@ -234,6 +234,18 @@ class TestSaliencyEstimation:
             sw.estimate_saliency(np.full((10, 2), 3.0), shape=(16, 16), extent=(16.0, 16.0))
 
 
+class TestSaliencyMap:
+    def test_cell_centers_computed_once_and_read_only(self, rng):
+        sal = make_saliency(rng, shape=(6, 8), extent=(16.0, 12.0))
+        xs, ys = sal.cell_centers()
+        assert sal.cell_centers()[0] is xs and sal.cell_centers()[1] is ys
+        np.testing.assert_array_equal(xs, (np.arange(8) + 0.5) * 2.0)
+        np.testing.assert_array_equal(ys, (np.arange(6) + 0.5) * 2.0)
+        assert sal.cell_center(2, 5) == (11.0, 5.0)
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+
+
 class TestGaussianWindow:
     def test_center_value(self):
         g = sw.gaussian_window((8.25, 8.25), 2.0, (32, 32), (16.0, 16.0))
