@@ -282,11 +282,6 @@ def make_splits(data: GazeDataset, protocol: EvalProtocol) -> list[Split]:
     return splits
 
 
-def _test_groups(test_images: Sequence[str], k: int) -> list[tuple[str, ...]]:
-    """Disjoint consecutive groups of k test images (remainder dropped)."""
-    return [tuple(test_images[i : i + k]) for i in range(0, len(test_images) - k + 1, k)]
-
-
 class _FamilyOps:
     """Per-family generative-model hooks. Markov families reduce every item
     once to its ``markov.statistics`` row; fits, likelihoods and scores are
@@ -307,31 +302,31 @@ class _FamilyOps:
             raise ValueError(f"unknown model family {family!r}; choose one of {FAMILIES}")
         self.protocol = protocol
         if self.kind == "markov":
-            self.rows = {
-                key: markov.statistics(
-                    item.features if item.features is not None else extract_features(item.scanpath),
-                    self.channels,
-                )
-                for key, item in self.index.items()
-            }
+            self.row_of = {key: i for i, key in enumerate(self.index)}
+            self.rows = markov.statistics(
+                [it.features if it.features is not None else extract_features(it.scanpath) for it in self.index.values()],
+                self.channels,
+            )
 
     def _stack(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
-        return np.array([self.rows[key] for key in keys])
+        return self.rows[[self.row_of[key] for key in keys]]
 
-    def fit(self, keys: Sequence[tuple[str, str]]):
-        """The fitted model parameters and, for SceneWalk, the
-        ``SceneWalkFitResult`` (None for Markov)."""
+    def fit(self, groups: Sequence[Sequence[tuple[str, str]]]) -> list:
+        """For each group of item keys, the fitted model parameters and,
+        for SceneWalk, the ``SceneWalkFitResult`` (None for Markov). All
+        Markov groups are fitted in one call."""
         if self.kind == "markov":
-            return markov.fit_from_statistics(self._stack(keys).sum(axis=0), self.channels), None
-        pairs = [
-            (self.index[key].scanpath, self.data.saliency[key[1]]) for key in keys
+            sums = np.array([self._stack(keys).sum(axis=0) for keys in groups])
+            return [(params, None) for params in markov.fit_from_statistics(sums, self.channels)]
+        results = [
+            scenewalk.fit(
+                [(self.index[key].scanpath, self.data.saliency[key[1]]) for key in keys],
+                rho=self.protocol.scenewalk_rho,
+                max_iter=self.protocol.scenewalk_max_iter,
+            )
+            for keys in groups
         ]
-        result = scenewalk.fit(
-            pairs,
-            rho=self.protocol.scenewalk_rho,
-            max_iter=self.protocol.scenewalk_max_iter,
-        )
-        return result.params, result
+        return [(result.params, result) for result in results]
 
     def loglik_table(self, keys: Sequence[tuple[str, str]], models: Sequence) -> np.ndarray:
         """(items, models) log-likelihood of each item under each model."""
@@ -364,34 +359,35 @@ def _unconverged(result, whose: str = "") -> list[str]:
 
 
 def _accuracy_from_rows(
-    subjects: tuple[str, ...],
-    split: Split,
-    ks: Sequence[int],
-    row_scores: dict[tuple[str, str], np.ndarray],
+    subjects: tuple[str, ...], split: Split, ks: Sequence[int], table: np.ndarray
 ) -> dict[int, float]:
-    """Group accuracies when per-item per-class scores are additive."""
+    """Group accuracies when per-item per-class scores are additive.
+    ``table`` has one row per test item, subject by subject in
+    ``split.test`` order. Each subject's disjoint consecutive groups of k
+    test images (remainder dropped) are summed by one reshape; ties go to
+    the lowest class index."""
+    per_subject = np.split(table, np.cumsum([len(split.test[s]) for s in subjects])[:-1])
     accuracies = {}
     for k in ks:
         correct = total = 0
-        for s_idx, subject in enumerate(subjects):
-            for group in _test_groups(split.test[subject], k):
-                summed = np.sum([row_scores[(subject, image)] for image in group], axis=0)
-                correct += int(np.argmax(summed)) == s_idx
-                total += 1
+        for s_idx, scores in enumerate(per_subject):
+            groups = len(scores) // k
+            summed = scores[: groups * k].reshape(groups, k, table.shape[1]).sum(axis=1)
+            correct += int(np.sum(np.argmax(summed, axis=1) == s_idx))
+            total += groups
         accuracies[k] = correct / total if total else math.nan
     return accuracies
 
 
 def _run_bayes_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     subjects = ops.data.subjects
-    fits = [ops.fit([(s, img) for img in split.train[s]]) for s in subjects]
+    fits = ops.fit([[(s, img) for img in split.train[s]] for s in subjects])
     user_models = [model for model, _ in fits]
     notes = [note for s, (_, result) in zip(subjects, fits) for note in _unconverged(result, f" of {s}")]
     # Per-item log-likelihood under every user model; group identification
     # then sums rows, exactly matching bayes_identify's aggregation.
     test_keys = [(s, img) for s in subjects for img in split.test[s]]
-    rows = dict(zip(test_keys, ops.loglik_table(test_keys, user_models)))
-    return _accuracy_from_rows(subjects, split, ks, rows), None, notes
+    return _accuracy_from_rows(subjects, split, ks, ops.loglik_table(test_keys, user_models)), None, notes
 
 
 def _cv_folds_of(train_images: Sequence[str], n_folds: int) -> list[tuple[list[str], list[str]]]:
@@ -408,7 +404,7 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     subjects = ops.data.subjects
     train_keys = [(s, img) for s in subjects for img in split.train[s]]
     test_keys = [(s, img) for s in subjects for img in split.test[s]]
-    pooled, result = ops.fit(train_keys)
+    [(pooled, result)] = ops.fit([train_keys])
     notes = _unconverged(result)
 
     scores = ops.grads(train_keys + test_keys, pooled)
@@ -427,8 +423,7 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
         return models
 
     if len(subjects) < 2:
-        rows = {key: np.array([0.0]) for key in test_keys}
-        return _accuracy_from_rows(subjects, split, ks, rows), {"degenerate": True}, notes
+        return _accuracy_from_rows(subjects, split, ks, np.zeros((len(test_keys), 1))), {"degenerate": True}, notes
 
     # Hyperparameter search: evaluated on single test images (k = 1) within
     # image-disjoint folds of the training portion. Candidates are ranked
@@ -459,9 +454,8 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     model = fitted(X_train, train_keys, (C,))[0]
     decisions = decision_matrix(model, X_test)
     class_order = [model.classes.index(s) for s in subjects]
-    rows = {key: decisions[i][class_order] for i, key in enumerate(test_keys)}
     chosen = {"C": C, "eps_reg": eps, "normalize": bool(norm)}
-    return _accuracy_from_rows(subjects, split, ks, rows), chosen, notes
+    return _accuracy_from_rows(subjects, split, ks, decisions[:, class_order]), chosen, notes
 
 
 def run_protocol(
@@ -502,11 +496,7 @@ def run_protocol(
         split = splits[idx]
         if family.startswith("bayes"):
             if len(data.subjects) < 2:
-                rows = {
-                    (s, img): np.array([0.0])
-                    for s in data.subjects
-                    for img in split.test[s]
-                }
+                rows = np.zeros((sum(len(images) for images in split.test.values()), 1))
                 return _accuracy_from_rows(data.subjects, split, ks, rows), None, []
             return _run_bayes_split(ops, split, ks)
         return _run_fisher_split(ops, split, ks)

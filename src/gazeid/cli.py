@@ -130,7 +130,7 @@ def cmd_fit(args) -> int:
                 "dynamics channels unavailable: dataset carries no per-saccade feature files"
             )
         feats = [
-            list(it.features) if it.features is not None else extract_features(it.scanpath)
+            it.features if it.features is not None else extract_features(it.scanpath)
             for it in data.items
         ]
         params = markov.fit(feats, channels)
@@ -175,7 +175,7 @@ def cmd_scores(args) -> int:
 
     if kind in ("markov", "markov-dyn"):
         def grad_fn(item):
-            feats = list(item.features) if item.features is not None else extract_features(item.scanpath)
+            feats = item.features if item.features is not None else extract_features(item.scanpath)
             return markov.grad_loglik(feats, params)
     else:
         if not data.saliency:

@@ -6,12 +6,11 @@ milliseconds, velocities deg/s, accelerations deg/s^2 throughout.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,16 +30,32 @@ DYNAMICS_CHANNELS = (
     "vigor_y",
 )
 
-# Channel name -> SaccadeFeatures attribute.
-CHANNEL_ATTRS = {
-    "amplitude": "amplitude",
-    "duration": "duration",
-    "velocity": "mean_velocity",
-    "acceleration": "mean_abs_acceleration",
-    "ratio_x": "accel_ratio_x",
-    "ratio_y": "accel_ratio_y",
-    "vigor_x": "vigor_x",
-    "vigor_y": "vigor_y",
+# Feature-CSV columns after ``saccade_index`` and ``type``, in file order:
+# the rows of ``SaccadeTable.values``.
+FEATURE_ROWS = (
+    "amplitude_deg",
+    "duration_ms",
+    "direction_deg",
+    "mean_velocity",
+    "mean_abs_acceleration",
+    "peak_velocity_x",
+    "peak_velocity_y",
+    "accel_ratio_x",
+    "accel_ratio_y",
+    "vigor_x",
+    "vigor_y",
+)
+
+# Model channel -> row of ``SaccadeTable.values``.
+CHANNEL_ROWS = {
+    "amplitude": 0,
+    "duration": 1,
+    "velocity": 3,
+    "acceleration": 4,
+    "ratio_x": 7,
+    "ratio_y": 8,
+    "vigor_x": 9,
+    "vigor_y": 10,
 }
 
 
@@ -103,9 +118,9 @@ class Scanpath:
             raise ValueError("positions must have shape (T, 2)")
         if dur.shape != (pos.shape[0],):
             raise ValueError("durations must have shape (T,)")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(dur))):
+        if not (np.isfinite(pos).all() and np.isfinite(dur).all()):
             raise ValueError("scanpath entries must be finite")
-        if np.any(dur <= 0):
+        if (dur <= 0).any():
             raise ValueError("all fixation durations must be positive")
 
     def __len__(self) -> int:
@@ -113,26 +128,36 @@ class Scanpath:
 
 
 @dataclass(frozen=True)
-class SaccadeFeatures:
-    """All channel values for one saccade.
+class SaccadeTable:
+    """Per-saccade features of one scanpath: ``types`` (S,) in 1..4 and
+    ``values`` (len(FEATURE_ROWS), S), one row per ``FEATURE_ROWS`` entry.
 
-    ``duration`` is the duration of the fixation *following* the saccade.
-    Channels that could not be computed (no raw samples, undefined ratio,
-    zero displacement) are NaN and get skipped by model likelihoods.
+    ``duration_ms`` is the duration of the fixation *following* the
+    saccade. Values that could not be computed (no raw samples, undefined
+    ratio, zero displacement) are NaN and get skipped by model likelihoods.
     """
 
-    saccade_type: int
-    amplitude: float
-    duration: float
-    direction: float
-    mean_velocity: float = math.nan
-    mean_abs_acceleration: float = math.nan
-    peak_velocity_x: float = math.nan
-    peak_velocity_y: float = math.nan
-    accel_ratio_x: float = math.nan
-    accel_ratio_y: float = math.nan
-    vigor_x: float = math.nan
-    vigor_y: float = math.nan
+    types: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        types = np.asarray(self.types, dtype=int)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "values", values)
+        if types.ndim != 1 or values.shape != (len(FEATURE_ROWS), types.size):
+            raise ValueError(f"saccade table needs types (S,) and values ({len(FEATURE_ROWS)}, S)")
+
+    def __len__(self) -> int:
+        return self.types.size
+
+    @staticmethod
+    def concat(tables: Sequence["SaccadeTable"]) -> "SaccadeTable":
+        """The saccades of several tables, in order, as one table."""
+        return SaccadeTable(
+            types=np.concatenate([t.types for t in tables]),
+            values=np.concatenate([t.values for t in tables], axis=1),
+        )
 
 
 @dataclass(frozen=True)
@@ -321,20 +346,18 @@ def _dynamics_from_recording(
     accel_x = np.gradient(seg.vx, dt)
     accel_y = np.gradient(seg.vy, dt)
 
-    out = []
-    for s, e in seg.saccade_spans:
+    out = np.empty((6, n_saccades))
+    for t, (s, e) in enumerate(seg.saccade_spans):
         sl = slice(s, e + 1)
         pos_ax, neg_ax = np.max(accel_x[sl]), np.min(accel_x[sl])
         pos_ay, neg_ay = np.max(accel_y[sl]), np.min(accel_y[sl])
-        out.append(
-            {
-                "mean_velocity": float(np.mean(speed[sl])),
-                "mean_abs_acceleration": float(np.mean(np.abs(accel_speed[sl]))),
-                "peak_velocity_x": float(np.max(np.abs(seg.vx[sl]))),
-                "peak_velocity_y": float(np.max(np.abs(seg.vy[sl]))),
-                "accel_ratio_x": float(pos_ax / -neg_ax) if pos_ax > 0 and neg_ax < 0 else math.nan,
-                "accel_ratio_y": float(pos_ay / -neg_ay) if pos_ay > 0 and neg_ay < 0 else math.nan,
-            }
+        out[:, t] = (
+            np.mean(speed[sl]),
+            np.mean(np.abs(accel_speed[sl])),
+            np.max(np.abs(seg.vx[sl])),
+            np.max(np.abs(seg.vy[sl])),
+            pos_ax / -neg_ax if pos_ax > 0 and neg_ax < 0 else math.nan,
+            pos_ay / -neg_ay if pos_ay > 0 and neg_ay < 0 else math.nan,
         )
     return out
 
@@ -346,15 +369,16 @@ def extract_features(
     channels: Sequence[str] = BASE_CHANNELS,
     vel_threshold_multiplier: float = 6.0,
     min_saccade_duration_ms: float = 6.0,
-) -> list[SaccadeFeatures]:
-    """Per-saccade feature records for a scanpath of T >= 2 fixations.
+) -> SaccadeTable:
+    """Per-saccade feature table of a scanpath of T >= 2 fixations.
 
     Saccade t runs from fixation t to fixation t+1 and is paired with the
     duration of fixation t+1. Its type is classified from the direction
     change relative to the previous saccade; the first saccade's reference
-    direction is the positive x axis. Velocity/acceleration channels need
+    direction is the positive x axis. Velocity/acceleration rows need
     ``rec`` (the raw recording the scanpath was detected from, with the
-    same detection parameters); vigor channels additionally need ``vigor``.
+    same detection parameters); vigor rows additionally need ``vigor``.
+    Rows that are not computed stay NaN.
     """
     T = len(path)
     if T < 2:
@@ -376,33 +400,20 @@ def extract_features(
     amplitudes = np.hypot(steps[:, 0], steps[:, 1])
     directions = np.degrees(np.arctan2(steps[:, 1], steps[:, 0]))
 
-    dyn = None
+    values = np.full((len(FEATURE_ROWS), T - 1), math.nan)
+    values[0] = np.where(amplitudes > 0, amplitudes, math.nan)
+    values[1] = path.durations[1:]
+    values[2] = directions
     if rec is not None:
-        dyn = _dynamics_from_recording(
+        values[3:9] = _dynamics_from_recording(
             rec, T - 1, vel_threshold_multiplier, min_saccade_duration_ms
         )
-
-    features = []
-    prev_dir = 0.0
-    for t in range(T - 1):
-        delta = float(wrap_angle_deg(directions[t] - prev_dir))
-        prev_dir = directions[t]
-        extra = dict(dyn[t]) if dyn is not None else {}
-        if vigor is not None and dyn is not None:
-            for axis, disp in (("x", steps[t, 0]), ("y", steps[t, 1])):
-                denom = 1.0 - math.exp(-abs(float(disp)) / vigor.b_star)
-                peak = extra[f"peak_velocity_{axis}"]
-                extra[f"vigor_{axis}"] = peak / denom if denom > 0 else math.nan
-        features.append(
-            SaccadeFeatures(
-                saccade_type=classify_saccade_type(delta),
-                amplitude=float(amplitudes[t]) if amplitudes[t] > 0 else math.nan,
-                duration=float(path.durations[t + 1]),
-                direction=float(directions[t]),
-                **extra,
-            )
-        )
-    return features
+        if vigor is not None:
+            denom = 1.0 - np.exp(-np.abs(steps.T) / vigor.b_star)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values[9:11] = np.where(denom > 0, values[5:7] / denom, math.nan)
+    deltas = wrap_angle_deg(np.diff(directions, prepend=0.0))
+    return SaccadeTable(types=[classify_saccade_type(d) for d in deltas], values=values)
 
 
 def _profiled_vigor_residual(b: float, vmax: np.ndarray, amp: np.ndarray) -> float:
@@ -478,14 +489,67 @@ def fit_vigor_rate(
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(csv_path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
+    """Write the header and the given row strings in one pass, with the
+    CRLF line ends of ``csv.writer``. Callers format floats with ``repr``,
+    which reads back to the same float."""
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("".join(f"{line}\r\n" for line in (",".join(header), *rows)))
+
+
+# Bytes of the cells that ``repr`` writes (digits, signs, exponents, nan,
+# inf, infinity) and of the commas between them.
+_NUMERIC_BYTES = b"0123456789+-.eEnNaAiIfFtTyY,"
+
+
+def _read_csv(csv_path: str | Path, header: Sequence[str]) -> np.ndarray:
+    """The rows of a numeric CSV file under exactly ``header``, as one
+    (rows, columns) float array. A wrong header, a row whose cell count
+    differs from the header's and a cell that ``float`` cannot read each
+    raise ValueError naming the file (and the row).
+
+    The body is parsed by one ``np.fromstring`` call when it holds only
+    ``_NUMERIC_BYTES``; any other body (cells padded with spaces, say) is
+    read cell by cell with ``float``, which also finds the row of a bad
+    cell."""
+    with open(csv_path, "rb") as fh:
+        head, *lines = fh.read().splitlines() or [b""]
+    head = head.decode(errors="replace")
+    if head.split(",") != list(header):
+        raise ValueError(f"{csv_path}: expected header {','.join(header)}, got {head!r}")
+    commas = [line.count(b",") for line in lines]
+    if commas.count(len(header) - 1) != len(lines):
+        bad = next(i for i, n in enumerate(commas) if n != len(header) - 1)
+        raise ValueError(
+            f"{csv_path}: row {bad + 2} has {commas[bad] + 1} columns, expected {len(header)}"
+        )
+    body = b",".join(lines)
+    if not body.translate(None, _NUMERIC_BYTES):
+        try:
+            cells = np.fromstring(body, sep=",")
+        except ValueError:
+            cells = None
+        if cells is not None and cells.size == len(lines) * len(header):
+            return cells.reshape(len(lines), len(header))
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            rows.append([float(cell) for cell in line.decode(errors="replace").split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: row {lineno}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(len(lines), len(header))
+
+
+_RECORDING_COLUMNS = ("t_ms", "x_deg", "y_deg")
+_SCANPATH_COLUMNS = ("fix_index", "x_deg", "y_deg", "dur_ms")
+_FEATURE_COLUMNS = ("saccade_index", "type") + FEATURE_ROWS
+
+
 def save_recording_csv(rec: GazeRecording, csv_path: str | Path) -> None:
     """Write samples as ``t_ms,x_deg,y_deg`` plus a metadata sidecar JSON."""
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms", "x_deg", "y_deg"])
-        for t, x, y in zip(rec.t_ms, rec.x_deg, rec.y_deg):
-            writer.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
+    samples = np.column_stack([rec.t_ms, rec.x_deg, rec.y_deg]).tolist()
+    _write_csv(csv_path, _RECORDING_COLUMNS, (",".join(map(repr, row)) for row in samples))
     sidecar = csv_path.with_suffix(".json")
     with open(sidecar, "w") as fh:
         json.dump(
@@ -500,28 +564,13 @@ def save_recording_csv(rec: GazeRecording, csv_path: str | Path) -> None:
 
 
 def load_recording_csv(csv_path: str | Path, sidecar_path: str | Path | None = None) -> GazeRecording:
-    """Read a recording CSV; NaN rows are rejected (dropped)."""
+    """Read a recording CSV; rows with a NaN (blinks) are dropped."""
     csv_path = Path(csv_path)
     sidecar = Path(sidecar_path) if sidecar_path is not None else csv_path.with_suffix(".json")
     with open(sidecar) as fh:
         meta = json.load(fh)
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["t_ms", "x_deg", "y_deg"]:
-            raise ValueError(f"{csv_path}: expected header t_ms,x_deg,y_deg, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 3:
-                raise ValueError(f"{csv_path}: row {lineno} has {len(row)} columns, expected 3")
-            try:
-                vals = [float(v) for v in row[:3]]
-            except ValueError as exc:
-                raise ValueError(f"{csv_path}: row {lineno}: {exc}") from exc
-            if any(math.isnan(v) for v in vals):
-                continue
-            rows.append(vals)
-    arr = np.asarray(rows, dtype=float)
+    arr = _read_csv(csv_path, _RECORDING_COLUMNS)
+    arr = arr[~np.isnan(arr).any(axis=1)]
     if arr.size == 0:
         raise ValueError(f"{csv_path}: no valid samples")
     return GazeRecording(
@@ -536,121 +585,27 @@ def load_recording_csv(csv_path: str | Path, sidecar_path: str | Path | None = N
 
 def save_scanpath_csv(path: Scanpath, csv_path: str | Path) -> None:
     """Write fixations as ``fix_index,x_deg,y_deg,dur_ms``."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fix_index", "x_deg", "y_deg", "dur_ms"])
-        for i in range(len(path)):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(path.positions[i, 0])),
-                    repr(float(path.positions[i, 1])),
-                    repr(float(path.durations[i])),
-                ]
-            )
+    rows = np.column_stack([path.positions, path.durations]).tolist()
+    _write_csv(csv_path, _SCANPATH_COLUMNS, (f"{i},{x!r},{y!r},{d!r}" for i, (x, y, d) in enumerate(rows)))
 
 
 def load_scanpath_csv(csv_path: str | Path, subject_id: str = "", image_id: str = "") -> Scanpath:
-    csv_path = Path(csv_path)
-    positions = []
-    durations = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["fix_index", "x_deg", "y_deg", "dur_ms"]:
-            raise ValueError(
-                f"{csv_path}: expected header fix_index,x_deg,y_deg,dur_ms, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 4:
-                raise ValueError(f"{csv_path}: row {lineno} has {len(row)} columns, expected 4")
-            try:
-                positions.append((float(row[1]), float(row[2])))
-                durations.append(float(row[3]))
-            except ValueError as exc:
-                raise ValueError(f"{csv_path}: row {lineno}: {exc}") from exc
-    return Scanpath(
-        positions=np.asarray(positions),
-        durations=np.asarray(durations),
-        subject_id=subject_id,
-        image_id=image_id,
+    arr = _read_csv(csv_path, _SCANPATH_COLUMNS)
+    return Scanpath(positions=arr[:, 1:3], durations=arr[:, 3], subject_id=subject_id, image_id=image_id)
+
+
+def save_features_csv(features: SaccadeTable, csv_path: str | Path) -> None:
+    """Persist a saccade table (used for simulated cohorts, whose dynamics
+    channels have no raw trace to recompute them from)."""
+    rows = zip(features.types.tolist(), features.values.T.tolist())
+    _write_csv(
+        csv_path, _FEATURE_COLUMNS, (f"{i},{u},{','.join(map(repr, row))}" for i, (u, row) in enumerate(rows))
     )
 
 
-_FEATURE_COLUMNS = [
-    "saccade_index",
-    "type",
-    "amplitude_deg",
-    "duration_ms",
-    "direction_deg",
-    "mean_velocity",
-    "mean_abs_acceleration",
-    "peak_velocity_x",
-    "peak_velocity_y",
-    "accel_ratio_x",
-    "accel_ratio_y",
-    "vigor_x",
-    "vigor_y",
-]
-
-
-def save_features_csv(features: Sequence[SaccadeFeatures], csv_path: str | Path) -> None:
-    """Persist per-saccade feature records (used for simulated cohorts,
-    whose dynamics channels have no raw trace to recompute them from)."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FEATURE_COLUMNS)
-        for i, f in enumerate(features):
-            writer.writerow(
-                [i, f.saccade_type]
-                + [
-                    repr(float(v))
-                    for v in (
-                        f.amplitude,
-                        f.duration,
-                        f.direction,
-                        f.mean_velocity,
-                        f.mean_abs_acceleration,
-                        f.peak_velocity_x,
-                        f.peak_velocity_y,
-                        f.accel_ratio_x,
-                        f.accel_ratio_y,
-                        f.vigor_x,
-                        f.vigor_y,
-                    )
-                ]
-            )
-
-
-def load_features_csv(csv_path: str | Path) -> list[SaccadeFeatures]:
-    csv_path = Path(csv_path)
-    out = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _FEATURE_COLUMNS:
-            raise ValueError(f"{csv_path}: unexpected feature CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_FEATURE_COLUMNS):
-                raise ValueError(
-                    f"{csv_path}: row {lineno} has {len(row)} columns, "
-                    f"expected {len(_FEATURE_COLUMNS)}"
-                )
-            vals = [float(v) for v in row[2:]]
-            out.append(
-                SaccadeFeatures(
-                    saccade_type=int(row[1]),
-                    amplitude=vals[0],
-                    duration=vals[1],
-                    direction=vals[2],
-                    mean_velocity=vals[3],
-                    mean_abs_acceleration=vals[4],
-                    peak_velocity_x=vals[5],
-                    peak_velocity_y=vals[6],
-                    accel_ratio_x=vals[7],
-                    accel_ratio_y=vals[8],
-                    vigor_x=vals[9],
-                    vigor_y=vals[10],
-                )
-            )
-    return out
+def load_features_csv(csv_path: str | Path) -> SaccadeTable:
+    arr = _read_csv(csv_path, _FEATURE_COLUMNS)
+    types = arr[:, 1]
+    if not (np.isfinite(types).all() and (types == np.trunc(types)).all()):
+        raise ValueError(f"{csv_path}: saccade types must be integers")
+    return SaccadeTable(types=types, values=arr[:, 2:].T)

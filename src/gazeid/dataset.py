@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
-    SaccadeFeatures,
+    SaccadeTable,
     Scanpath,
     load_features_csv,
     load_scanpath_csv,
@@ -34,7 +34,7 @@ class DatasetItem:
     subject_id: str
     image_id: str
     scanpath: Scanpath
-    features: tuple[SaccadeFeatures, ...] | None = None
+    features: SaccadeTable | None = None
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ class GazeDataset:
 
     def images_of(self, subject_id: str) -> tuple[str, ...]:
         return tuple(i.image_id for i in self.items if i.subject_id == subject_id)
-
-    def item(self, subject_id: str, image_id: str) -> DatasetItem:
-        for it in self.items:
-            if it.subject_id == subject_id and it.image_id == image_id:
-                return it
-        raise KeyError(f"no item for subject {subject_id!r} image {image_id!r}")
 
 
 def _checked_id(kind: str, value: str) -> str:
@@ -126,15 +120,14 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
         manifest = json.load(fh)
 
     pairs = [(entry["subject_id"], entry["image_id"]) for entry in manifest["items"]]
+    scan_dir, feat_dir = root / "scanpaths", root / "features"
     items = []
     for (subject_id, image_id), stem in zip(pairs, _item_stems(pairs)):
-        path = load_scanpath_csv(
-            root / "scanpaths" / f"{stem}.csv", subject_id=subject_id, image_id=image_id
-        )
+        path = load_scanpath_csv(scan_dir / f"{stem}.csv", subject_id=subject_id, image_id=image_id)
         features = None
-        feat_path = root / "features" / f"{stem}.csv"
+        feat_path = feat_dir / f"{stem}.csv"
         if manifest.get("has_features") and feat_path.exists():
-            features = tuple(load_features_csv(feat_path))
+            features = load_features_csv(feat_path)
         items.append(
             DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path, features=features)
         )

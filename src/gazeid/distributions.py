@@ -1,4 +1,4 @@
-"""Gamma and multinomial primitives: log-densities, scores, MLE, sampling.
+"""Gamma and multinomial primitives: log-densities, MLE, sampling.
 
 All saccade feature channels are modeled with shape/scale Gamma
 distributions; saccade types with a 4-way multinomial. This module keeps
@@ -75,22 +75,6 @@ def gamma_logpdf(x, params: GammaParams):
     return (a - 1.0) * np.log(x) - x / b - gammaln(a) - a * np.log(b)
 
 
-def gamma_score(x, params: GammaParams):
-    """Per-observation derivatives of the Gamma log-density.
-
-    Returns (d/d shape, d/d scale). The shape derivative uses the digamma
-    function: ln x - psi(shape) - ln scale; the scale derivative is
-    (x / scale - shape) / scale.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
-        raise ValueError("gamma_score requires strictly positive finite x")
-    a, b = params.shape, params.scale
-    d_shape = np.log(x) - digamma(a) - np.log(b)
-    d_scale = (x / b - a) / b
-    return d_shape, d_scale
-
-
 def gamma_mle(xs, tol: float = 1e-10, max_iter: int = 100) -> GammaParams:
     """Maximum-likelihood Gamma fit of a sample; see ``gamma_mle_from_sums``.
     Requires at least two distinct positive samples."""
@@ -99,41 +83,57 @@ def gamma_mle(xs, tol: float = 1e-10, max_iter: int = 100) -> GammaParams:
         raise DegenerateSampleError("need at least 2 samples for a Gamma fit")
     if np.any(xs <= 0) or not np.all(np.isfinite(xs)):
         raise DegenerateSampleError("Gamma samples must be strictly positive and finite")
-    return gamma_mle_from_sums(xs.size, xs.sum(), np.log(xs).sum(), tol, max_iter)
+    return checked_gamma(*gamma_mle_from_sums(xs.size, xs.sum(), np.log(xs).sum(), tol, max_iter))
 
 
-def gamma_mle_from_sums(
-    n: float, sum_x: float, sum_log_x: float, tol: float = 1e-10, max_iter: int = 100
-) -> GammaParams:
-    """Maximum-likelihood Gamma fit from the sufficient statistics of a
-    positive sample: its size n, sum of x and sum of ln x.
+def gamma_mle_from_sums(n, sum_x, sum_log_x, tol: float = 1e-10, max_iter: int = 100):
+    """Maximum-likelihood Gamma fits from the sufficient statistics of
+    positive samples, one per cell of the broadcast arrays n (sample size),
+    sum_x (sum of x) and sum_log_x (sum of ln x).
 
-    Newton iteration on the shape solves ln(a) - psi(a) = ln(mean(x)) -
-    mean(ln x), then scale = mean(x) / a.
+    A vectorised Newton iteration on the shapes solves ln(a) - psi(a) =
+    ln(mean(x)) - mean(ln x); a cell stops at the first step that moves its
+    shape by less than tol * max(1, a), and then scale = mean(x) / a.
+    Returns the arrays (shape, scale, converged). A degenerate cell, with
+    fewer than 2 samples or samples (numerically) all identical, so that
+    the shape is unidentifiable, has NaN shape and scale; a cell still
+    moving after ``max_iter`` steps keeps its last shape. Neither is
+    converged, and ``checked_gamma`` raises for both.
     """
-    if n < 2:
-        raise DegenerateSampleError("need at least 2 samples for a Gamma fit")
-    mean = sum_x / n
-    s = np.log(mean) - sum_log_x / n
+    n, sum_x, sum_log_x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n, sum_x, sum_log_x)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = sum_x / n
+        s = np.log(mean) - sum_log_x / n
     # s -> 0 as the sample spread vanishes; the shape then diverges.
-    if not np.isfinite(s) or s <= 1e-12:
-        raise DegenerateSampleError("samples are (numerically) all identical; shape is unidentifiable")
-
+    active = np.flatnonzero((n >= 2) & np.isfinite(s) & (s > 1e-12))
+    shape = np.full(n.shape, np.nan)
+    converged = np.zeros(n.shape, dtype=bool)
+    s = s.ravel()[active]
     a = 0.5 / s
     for _ in range(max_iter):
-        f = np.log(a) - digamma(a) - s
-        fprime = 1.0 / a - polygamma(1, a)
-        step = f / fprime
-        a_new = a - step
-        if a_new <= 0:
-            a_new = a / 2.0
-        if abs(a_new - a) < tol * max(1.0, a):
-            return GammaParams(shape=float(a_new), scale=float(mean / a_new))
-        a = a_new
-    raise ConvergenceError(
-        f"Gamma shape Newton iteration did not converge in {max_iter} steps (last shape {a!r})",
-        last_iterate=a,
-    )
+        if not active.size:
+            break
+        a_new = a - (np.log(a) - digamma(a) - s) / (1.0 / a - polygamma(1, a))
+        a_new = np.where(a_new <= 0, a / 2.0, a_new)
+        done = np.abs(a_new - a) < tol * np.maximum(1.0, a)
+        shape.flat[active[done]] = a_new[done]
+        converged.flat[active[done]] = True
+        active, a, s = active[~done], a_new[~done], s[~done]
+    shape.flat[active] = a
+    return shape, mean / shape, converged
+
+
+def checked_gamma(shape, scale, converged) -> GammaParams:
+    """One cell of ``gamma_mle_from_sums`` as GammaParams; a cell that did
+    not converge raises DegenerateSampleError or ConvergenceError."""
+    if np.isnan(shape):
+        raise DegenerateSampleError("fewer than 2 samples, or all (numerically) identical; shape is unidentifiable")
+    if not converged:
+        raise ConvergenceError(
+            f"Gamma shape Newton iteration did not converge (last shape {float(shape)!r})",
+            last_iterate=float(shape),
+        )
+    return GammaParams(shape=float(shape), scale=float(scale))
 
 
 def multinomial_mle(counts) -> MultinomialParams:
@@ -167,14 +167,6 @@ def multinomial_mle(counts) -> MultinomialParams:
         floored |= newly
 
 
-def multinomial_score(counts, params: MultinomialParams) -> np.ndarray:
-    """Per-coordinate derivative K_u / pi_u of the categorical log-likelihood."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != params.pi.shape:
-        raise ValueError("counts and pi shapes differ")
-    return counts / params.pi
-
-
 def as_rng(seed_or_rng) -> np.random.Generator:
     """Accept an int seed or a caller-owned Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
@@ -186,11 +178,3 @@ def gamma_sample(params: GammaParams, n: int, seed_or_rng) -> np.ndarray:
     """Draw n values; deterministic for a given seed."""
     rng = as_rng(seed_or_rng)
     return rng.gamma(shape=params.shape, scale=params.scale, size=n)
-
-
-def multinomial_sample(params: MultinomialParams, seed_or_rng) -> int:
-    """Draw one saccade type in {1, 2, 3, 4}; deterministic for a given seed."""
-    rng = as_rng(seed_or_rng)
-    cum = np.cumsum(params.pi)
-    u = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, u, side="right"), N_SACCADE_TYPES - 1)) + 1

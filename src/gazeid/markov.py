@@ -11,29 +11,19 @@ only in their channel set.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .core import (
-    BASE_CHANNELS,
-    CHANNEL_ATTRS,
-    DYNAMICS_CHANNELS,
-    SaccadeFeatures,
-    Scanpath,
-)
+from .core import BASE_CHANNELS, CHANNEL_ROWS, DYNAMICS_CHANNELS, FEATURE_ROWS, SaccadeTable, Scanpath
 from .distributions import (
-    ConvergenceError,
-    DegenerateSampleError,
     GammaParams,
     N_SACCADE_TYPES,
     as_rng,
+    checked_gamma,
     gamma_logpdf,  # noqa: F401  (unused; the benchmark's tracer test patches it through markov)
     gamma_mle_from_sums,
     multinomial_mle,
@@ -147,25 +137,47 @@ def _per_type_blocks(first: np.ndarray, shapes: np.ndarray, scales: np.ndarray) 
     return out.reshape(first.shape[:-1] + (-1,))
 
 
-def statistics(features: Sequence[SaccadeFeatures], channels: Sequence[str]) -> np.ndarray:
-    """Sufficient-statistics row of one scanpath's saccades, on which alone
-    ``loglik``, ``grad_loglik`` and ``fit`` depend: ``[K_1..K_4 | for each
-    channel, for each type: n, sum x, sum ln x]``. K_u counts type-u
+def statistics(
+    features: SaccadeTable | Sequence[SaccadeTable], channels: Sequence[str]
+) -> np.ndarray:
+    """Sufficient-statistics row of one scanpath's saccade table, on which
+    alone ``loglik``, ``grad_loglik`` and ``fit`` depend: ``[K_1..K_4 | for
+    each channel, for each type: n, sum x, sum ln x]``. K_u counts type-u
     saccades; the channel sums skip values that are not finite and
-    positive. The row of a concatenation is the sum of the rows."""
-    if not features:
+    positive. The row of a concatenation is the sum of the rows.
+
+    A sequence of tables gives the (tables, row) matrix in one pass over
+    their concatenation. Tables of one length share one stacked matrix
+    product whose slices are the product of each table alone, so every row
+    equals the row of its table alone, bit for bit."""
+    single = isinstance(features, SaccadeTable)
+    tables = [features] if single else list(features)
+    lengths = [len(t) for t in tables]
+    if not tables or min(lengths) == 0:
         raise ValueError("features must be non-empty")
     names = canonical_channels(channels)
-    get = attrgetter("saccade_type", *(CHANNEL_ATTRS[ch] for ch in names))
-    table = np.array([get(f) for f in features], dtype=float).reshape(len(features), -1)
-    onehot = (table[:, 0] == np.arange(1, N_SACCADE_TYPES + 1)[:, None]).astype(float)
-    if onehot.sum() != len(features):
+    onehot = np.concatenate([t.types for t in tables]) == np.arange(1, N_SACCADE_TYPES + 1)[:, None]
+    if onehot.sum() != onehot.shape[1]:
         raise ValueError(f"saccade types must lie in 1..{N_SACCADE_TYPES}")
-    values = table[:, 1:].T
+    values = np.concatenate([t.values for t in tables], axis=1)[[CHANNEL_ROWS[ch] for ch in names]]
     valid = np.isfinite(values) & (values > 0)
     x = np.where(valid, values, 1.0)
-    sums = np.stack([valid, valid * x, np.log(x)]) @ onehot.T
-    return np.concatenate([onehot.sum(axis=1), sums.transpose(1, 2, 0).ravel()])
+    terms = np.stack([valid, valid * x, np.log(x)])
+    rows = np.empty((len(tables), N_SACCADE_TYPES * (1 + 3 * len(names))))
+    starts = np.cumsum(lengths) - lengths
+    by_length: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(i)
+    for length, idx in by_length.items():
+        cols = starts[idx, None] + np.arange(length)
+        # (tables, 4, S) one-hot types and (tables, 3, channels, S) terms,
+        # each (channels, S) matrix stored column by column
+        types = np.ascontiguousarray(onehot[:, cols].transpose(1, 0, 2), dtype=float)
+        by_column = np.ascontiguousarray(terms[:, :, cols].transpose(2, 0, 3, 1)).swapaxes(-1, -2)
+        sums = by_column @ types.swapaxes(-1, -2)[:, None]
+        rows[idx, :N_SACCADE_TYPES] = types.sum(axis=2)
+        rows[idx, N_SACCADE_TYPES:] = sums.transpose(0, 2, 3, 1).reshape(len(idx), -1)
+    return rows[0] if single else rows
 
 
 def _unpack(rows: np.ndarray, n_channels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,34 +205,44 @@ def coef(params: MarkovModelParams) -> np.ndarray:
 
 
 def fit_from_statistics(
-    row: np.ndarray, channels: Sequence[str], b_star: float | None = None
-) -> MarkovModelParams:
-    """``fit`` from the summed ``statistics`` rows of the training scanpaths."""
+    rows: np.ndarray, channels: Sequence[str], b_star: float | None = None
+) -> MarkovModelParams | list[MarkovModelParams]:
+    """``fit`` from the summed ``statistics`` rows of the training scanpaths.
+    A (models, row) stack of such sums gives one model per row, with every
+    Gamma cell of every model in one batched Newton iteration."""
     names = canonical_channels(channels)
-    counts, stats = _unpack(row, len(names))
-    cells, fallbacks = {}, []
-    for ch, channel_stats in zip(names, stats):
-        per_type = []
-        for u, cell in enumerate(channel_stats, start=1):
-            try:
-                per_type.append(gamma_mle_from_sums(*cell))
-            except (DegenerateSampleError, ConvergenceError):
-                per_type.append(gamma_mle_from_sums(*channel_stats.sum(axis=0)))
-                fallbacks.append((ch, u))
-        cells[ch] = tuple(per_type)
-    return MarkovModelParams(
-        pi=multinomial_mle(counts).pi,
-        channels=cells,
-        b_star=b_star,
-        fit_report=MarkovFitReport(
-            fallback_cells=tuple(fallbacks),
-            skipped_values=int(counts.sum() * len(names) - stats[..., 0].sum()),
-        ),
+    rows = np.asarray(rows, dtype=float)
+    counts, stats = _unpack(np.atleast_2d(rows), len(names))
+    # each channel's pooled-across-types cell, summed in type order, is its fallback
+    pooled = sum(stats[..., u, :] for u in range(N_SACCADE_TYPES))
+    shape, scale, ok = gamma_mle_from_sums(
+        *np.moveaxis(np.concatenate([stats, pooled[..., None, :]], axis=-2), -1, 0)
     )
+    models = []
+    for m, model_counts in enumerate(counts):
+        cells, fallbacks = {}, []
+        for c, ch in enumerate(names):
+            used = [u if ok[m, c, u] else N_SACCADE_TYPES for u in range(N_SACCADE_TYPES)]
+            fallbacks += [(ch, u + 1) for u, cell in enumerate(used) if cell != u]
+            if N_SACCADE_TYPES in used:
+                checked_gamma(shape[m, c, -1], scale[m, c, -1], ok[m, c, -1])  # a failed pooled fit raises
+            cells[ch] = tuple(
+                GammaParams(shape=float(shape[m, c, i]), scale=float(scale[m, c, i])) for i in used
+            )
+        models.append(MarkovModelParams(
+            pi=multinomial_mle(model_counts).pi,
+            channels=cells,
+            b_star=b_star,
+            fit_report=MarkovFitReport(
+                fallback_cells=tuple(fallbacks),
+                skipped_values=int(model_counts.sum() * len(names) - stats[m, ..., 0].sum()),
+            ),
+        ))
+    return models if rows.ndim == 2 else models[0]
 
 
 def fit(
-    data: Sequence[Sequence[SaccadeFeatures]],
+    data: Sequence[SaccadeTable],
     channels: Sequence[str] = BASE_CHANNELS,
     b_star: float | None = None,
 ) -> MarkovModelParams:
@@ -231,10 +253,9 @@ def fit(
     (or a degenerate one) falls back to the channel's pooled-across-types
     fit, recorded in the fit report.
     """
-    pooled = [f for path in data for f in path]
-    if not pooled:
+    if not sum(len(t) for t in data):
         raise ValueError("no saccades in training data")
-    return fit_from_statistics(statistics(pooled, channels), channels, b_star)
+    return fit_from_statistics(statistics(SaccadeTable.concat(data), channels), channels, b_star)
 
 
 @dataclass
@@ -248,7 +269,7 @@ class LikelihoodDiagnostics:
 
 
 def loglik(
-    features: Sequence[SaccadeFeatures],
+    features: SaccadeTable,
     params: MarkovModelParams,
     diagnostics: LikelihoodDiagnostics | None = None,
 ) -> float:
@@ -277,7 +298,7 @@ def grad_from_statistics(rows: np.ndarray, params: MarkovModelParams) -> np.ndar
     return _per_type_blocks(counts / params.pi, d_shape, (sum_x / b - n * a) / b)
 
 
-def grad_loglik(features: Sequence[SaccadeFeatures], params: MarkovModelParams) -> np.ndarray:
+def grad_loglik(features: SaccadeTable, params: MarkovModelParams) -> np.ndarray:
     """Gradient of ``loglik`` with respect to the flattened parameter vector.
 
     Layout matches ``params_to_vector``: per-type blocks of [K_u / pi_u, then
@@ -295,7 +316,7 @@ def sample_scanpath(
     seed_or_rng=0,
     subject_id: str = "",
     image_id: str = "",
-) -> tuple[Scanpath, list[SaccadeFeatures]]:
+) -> tuple[Scanpath, SaccadeTable]:
     """Draw a scanpath of ``n_fixations`` fixations from the model.
 
     Saccade types and channel values follow the generative process; the
@@ -304,7 +325,7 @@ def sample_scanpath(
     the sampled amplitude, so re-extracting features recovers the drawn
     types, amplitudes, and durations. Channel values without a spatial
     footprint (velocities, ratios, vigor) are carried in the returned
-    feature records. Deterministic for a given seed.
+    saccade table. Deterministic for a given seed.
     """
     if n_fixations < 2:
         raise ValueError("need at least 2 fixations")
@@ -326,42 +347,33 @@ def sample_scanpath(
         lo, hi = _TYPE_BINS[int(u)]
         deltas[t] = rng.uniform(lo + _BIN_INSET, hi - _BIN_INSET)
 
-    drawn = {ch: rng.gamma(shapes[i, types - 1], scales[i, types - 1]) for i, ch in enumerate(names)}
+    values = np.full((len(FEATURE_ROWS), n_sacc), math.nan)
+    for i, ch in enumerate(names):
+        values[CHANNEL_ROWS[ch]] = rng.gamma(shapes[i, types - 1], scales[i, types - 1])
+    amplitudes = values[CHANNEL_ROWS["amplitude"]]
+    directions = values[FEATURE_ROWS.index("direction_deg")]
 
     positions = np.empty((n_fixations, 2))
     positions[0] = start
     durations = np.empty(n_fixations)
     durations[0] = first_duration
+    durations[1:] = values[CHANNEL_ROWS["duration"]]
     direction = 0.0
-    features = []
     for t in range(n_sacc):
         direction = float(((direction + deltas[t]) + 180.0) % 360.0 - 180.0)
         if direction == -180.0:
             direction = 180.0
-        amp = float(drawn["amplitude"][t])
+        directions[t] = direction
         rad = math.radians(direction)
-        positions[t + 1] = positions[t] + amp * np.array([math.cos(rad), math.sin(rad)])
-        durations[t + 1] = drawn["duration"][t]
-        extras = {
-            CHANNEL_ATTRS[ch]: float(drawn[ch][t]) for ch in names if ch not in BASE_CHANNELS
-        }
-        features.append(
-            SaccadeFeatures(
-                saccade_type=int(types[t]),
-                amplitude=amp,
-                duration=float(drawn["duration"][t]),
-                direction=direction,
-                **extras,
-            )
-        )
+        positions[t + 1] = positions[t] + float(amplitudes[t]) * np.array([math.cos(rad), math.sin(rad)])
     path = Scanpath(
         positions=positions, durations=durations, subject_id=subject_id, image_id=image_id
     )
-    return path, features
+    return path, SaccadeTable(types=types, values=values)
 
 
 def bayes_identify(
-    per_image_features: Sequence[Sequence[SaccadeFeatures]],
+    per_image_features: Sequence[SaccadeTable],
     user_params: Sequence[MarkovModelParams],
 ) -> int:
     """Index of the user whose model maximizes the summed log-likelihood.
@@ -374,7 +386,7 @@ def bayes_identify(
     names = user_params[0].channel_names
     if any(m.channel_names != names for m in user_params):
         raise ValueError("user models must share one channel set")
-    rows = np.array([statistics(feats, names) for feats in per_image_features])
+    rows = statistics(per_image_features, names)
     return int(np.argmax((rows @ np.array([coef(m) for m in user_params]).T).sum(axis=0)))
 
 
@@ -405,16 +417,6 @@ def params_from_json_dict(doc: dict) -> MarkovModelParams:
         channels=channels,
         b_star=doc.get("b_star"),
     )
-
-
-def save_params_json(params: MarkovModelParams, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_json_dict(params), fh, indent=2)
-
-
-def load_params_json(path: str | Path) -> MarkovModelParams:
-    with open(path) as fh:
-        return params_from_json_dict(json.load(fh))
 
 
 def default_params(channels: Sequence[str] = BASE_CHANNELS) -> MarkovModelParams:

@@ -198,7 +198,7 @@ def generate_cohort(
                         subject_id=subject,
                         image_id=image,
                         scanpath=path,
-                        features=tuple(feats),
+                        features=feats,
                     )
                 )
         else:

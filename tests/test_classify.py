@@ -255,6 +255,16 @@ class TestSplits:
             classify.make_splits(extra, EvalProtocol())
 
 
+class TestAccuracyFromRows:
+    def test_groups_sum_and_ties_go_to_lowest_class(self):
+        split = classify.Split(train={}, test={"a": ("i1", "i2", "i3"), "b": ("j1", "j2", "j3")})
+        table = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 3.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
+        acc = classify._accuracy_from_rows(("a", "b"), split, [1, 2, 3], table)
+        # k=1: a wins its first two items (the second by the tie), b none;
+        # k=2: one group each, the remainder dropped; k=3: both groups lost
+        assert acc == {1: 2 / 6, 2: 1 / 2, 3: 0.0}
+
+
 class TestRunProtocol:
     def test_reproducible_bit_for_bit(self):
         data = small_cohort()
@@ -281,7 +291,7 @@ class TestRunProtocol:
         index = {(i.subject_id, i.image_id): i for i in data.items}
         models = [
             markov.fit(
-                [list(index[(s, img)].features) for img in split.train[s]],
+                [index[(s, img)].features for img in split.train[s]],
                 ("amplitude", "duration"),
             )
             for s in data.subjects
@@ -291,7 +301,7 @@ class TestRunProtocol:
             for s_idx, subject in enumerate(data.subjects):
                 test = split.test[subject]
                 for g in range(0, len(test) - k + 1, k):
-                    group = [list(index[(subject, img)].features) for img in test[g : g + k]]
+                    group = [index[(subject, img)].features for img in test[g : g + k]]
                     correct += markov.bayes_identify(group, models) == s_idx
                     total += 1
             assert result.per_split[k][0] == pytest.approx(correct / total)

@@ -1,5 +1,6 @@
-"""Saccade detection, feature extraction, and vigor fitting."""
+"""Saccade detection, feature extraction, vigor fitting, and CSV files."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,21 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazeid.core import (
+    CHANNEL_ROWS,
+    FEATURE_ROWS,
     ChannelUnavailableError,
     DegenerateRecordingError,
     GazeRecording,
+    SaccadeTable,
     Scanpath,
     VigorFit,
     classify_saccade_type,
     detect_saccades,
     extract_features,
     fit_vigor_rate,
+    load_features_csv,
     load_recording_csv,
     load_scanpath_csv,
+    save_features_csv,
     save_recording_csv,
     save_scanpath_csv,
     wrap_angle_deg,
 )
+from gazeid.dataset import GazeDataset, save_dataset
+from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 
 RATE = 1000.0
 
@@ -160,32 +168,32 @@ class TestExtractFeatures:
 
     def test_collinear_maintain(self):
         feats = extract_features(self.path_of([(0, 0), (1, 0), (2, 0)]))
-        assert feats[1].saccade_type == 1
+        assert feats.types[1] == 1
 
     def test_left_turn(self):
         feats = extract_features(self.path_of([(0, 0), (1, 0), (1, 1)]))
-        assert feats[1].saccade_type == 3
+        assert feats.types[1] == 3
 
     def test_reverse_wrap(self):
         # First saccade heading ~10 degrees, second ~-170: wraps to +180.
         p1 = (math.cos(math.radians(10.0)), math.sin(math.radians(10.0)))
         p2 = (p1[0] + math.cos(math.radians(-170.0)), p1[1] + math.sin(math.radians(-170.0)))
         feats = extract_features(self.path_of([(0, 0), p1, p2]))
-        assert feats[1].saccade_type == 4
+        assert feats.types[1] == 4
 
     def test_first_saccade_reference_is_positive_x(self):
         # A first saccade heading straight up is a +90 turn -> left.
         feats = extract_features(self.path_of([(0, 0), (0, 1)]))
-        assert feats[0].saccade_type == 3
+        assert feats.types[0] == 3
         # Heading along +x is maintain.
         feats = extract_features(self.path_of([(0, 0), (1, 0)]))
-        assert feats[0].saccade_type == 1
+        assert feats.types[0] == 1
 
     def test_duration_pairs_with_following_fixation(self):
         path = self.path_of([(0, 0), (1, 0), (2, 0)], durations=[100.0, 150.0, 250.0])
         feats = extract_features(path)
-        assert feats[0].duration == 150.0
-        assert feats[1].duration == 250.0
+        assert feats.values[CHANNEL_ROWS["duration"]][0] == 150.0
+        assert feats.values[CHANNEL_ROWS["duration"]][1] == 250.0
 
     def test_dynamics_require_recording(self):
         path = self.path_of([(0, 0), (1, 0)])
@@ -217,21 +225,64 @@ class TestExtractFeatures:
                 "vigor_y",
             ),
         )
-        f = feats[0]
+        f = dict(zip(FEATURE_ROWS, feats.values[:, 0]))
         # mean speed across the threshold-crossing window of a 250 deg/s ramp
-        assert 100.0 < f.mean_velocity <= 260.0
-        assert f.mean_abs_acceleration > 0
-        assert f.accel_ratio_x > 0
-        assert f.peak_velocity_x == pytest.approx(250.0, rel=0.1)
+        assert 100.0 < f["mean_velocity"] <= 260.0
+        assert f["mean_abs_acceleration"] > 0
+        assert f["accel_ratio_x"] > 0
+        assert f["peak_velocity_x"] == pytest.approx(250.0, rel=0.1)
         # vigor: v_max / (1 - exp(-|dx|/b*)) with dx ~ 5, b* = 3
-        expected = f.peak_velocity_x / (1.0 - math.exp(-abs(5.0) / 3.0))
-        assert f.vigor_x == pytest.approx(expected, rel=0.05)
+        expected = f["peak_velocity_x"] / (1.0 - math.exp(-abs(5.0) / 3.0))
+        assert f["vigor_x"] == pytest.approx(expected, rel=0.05)
 
     def test_mismatched_recording_rejected(self):
         rec = ramp_recording([(200, 0.0, 0.0), (20, 5.0, 0.0), (200, 5.0, 0.0)], noise=0.01)
         path = self.path_of([(0, 0), (1, 0), (2, 0), (3, 0)])
         with pytest.raises(ChannelUnavailableError):
             extract_features(path, rec=rec, channels=("amplitude", "duration", "velocity"))
+
+
+def oracle_extract(path):
+    """(type, amplitude, duration, direction) per saccade from the
+    per-saccade loop the table replaced."""
+    steps = np.diff(path.positions, axis=0)
+    amplitudes = np.hypot(steps[:, 0], steps[:, 1])
+    directions = np.degrees(np.arctan2(steps[:, 1], steps[:, 0]))
+    out, prev = [], 0.0
+    for t in range(len(path) - 1):
+        delta = float(wrap_angle_deg(directions[t] - prev))
+        prev = directions[t]
+        amplitude = float(amplitudes[t]) if amplitudes[t] > 0 else math.nan
+        out.append((classify_saccade_type(delta), amplitude, float(path.durations[t + 1]), float(directions[t])))
+    return out
+
+
+class TestSaccadeTable:
+    def test_extract_features_equals_per_saccade_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            positions = np.round(rng.uniform(0, 4, (n, 2)), 0)  # repeats give zero-length steps
+            path = Scanpath(positions=positions, durations=rng.uniform(50, 400, n))
+            table = extract_features(path)
+            want = np.array(oracle_extract(path)).T
+            np.testing.assert_array_equal(table.types, want[0])
+            np.testing.assert_array_equal(table.values[:3], want[1:])
+            assert np.isnan(table.values[3:]).all()
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="saccade table"):
+            SaccadeTable(types=[1, 2], values=np.zeros((len(FEATURE_ROWS), 3)))
+        with pytest.raises(ValueError, match="saccade table"):
+            SaccadeTable(types=[1], values=np.zeros((len(FEATURE_ROWS) - 1, 1)))
+
+    def test_concat_keeps_saccade_order(self):
+        a = extract_features(Scanpath(positions=[[0, 0], [1, 0], [1, 1]], durations=[100, 200, 300]))
+        b = extract_features(Scanpath(positions=[[0, 0], [0, 2]], durations=[100, 400]))
+        both = SaccadeTable.concat([a, b])
+        assert len(both) == 3
+        np.testing.assert_array_equal(both.types, [1, 3, 3])
+        np.testing.assert_array_equal(both.values[CHANNEL_ROWS["duration"]], [200, 300, 400])
 
 
 class TestVigorFit:
@@ -309,3 +360,150 @@ class TestPersistence:
         loaded = load_scanpath_csv(tmp_path / "sp.csv")
         np.testing.assert_array_equal(loaded.positions, path.positions)
         np.testing.assert_array_equal(loaded.durations, path.durations)
+
+
+def csv_module_write(csv_path, header, rows):
+    """The ``csv.writer`` code the one-pass writers replaced, as an oracle
+    for their bytes."""
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def dynamics_items(seed=6):
+    """Items of a dynamics cohort whose tables also carry inf, zero and
+    negative cells next to the NaN rows that simulation leaves."""
+    spec = SyntheticCohortSpec(
+        n_users=2, n_images=3, fixations_per_path=12, family="markov-dyn", jitter=0.3, seed=seed
+    )
+    items = generate_cohort(spec).data.items
+    rng = np.random.default_rng(seed)
+    for it in items:
+        values = it.features.values
+        values[rng.integers(0, values.shape[0], 4), rng.integers(0, values.shape[1], 4)] = [np.inf, -np.inf, 0.0, -2.5]
+    return items
+
+
+class TestCsvFiles:
+    def test_writers_write_the_csv_module_bytes(self, tmp_path):
+        items = dynamics_items()
+        for i, it in enumerate(items):
+            save_features_csv(it.features, tmp_path / "f.csv")
+            csv_module_write(
+                tmp_path / "f_ref.csv",
+                ["saccade_index", "type", *FEATURE_ROWS],
+                [
+                    [t, int(u)] + [repr(float(v)) for v in it.features.values[:, t]]
+                    for t, u in enumerate(it.features.types)
+                ],
+            )
+            assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f_ref.csv").read_bytes()
+            save_scanpath_csv(it.scanpath, tmp_path / "s.csv")
+            csv_module_write(
+                tmp_path / "s_ref.csv",
+                ["fix_index", "x_deg", "y_deg", "dur_ms"],
+                [[t, repr(float(x)), repr(float(y)), repr(float(d))]
+                 for t, ((x, y), d) in enumerate(zip(it.scanpath.positions, it.scanpath.durations))],
+            )
+            assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
+        rec = ramp_recording([(50, 0.0, 0.0), (20, 5.0, 0.0), (50, 5.0, 0.0)], noise=0.01)
+        save_recording_csv(rec, tmp_path / "r.csv")
+        csv_module_write(
+            tmp_path / "r_ref.csv",
+            ["t_ms", "x_deg", "y_deg"],
+            [[repr(float(t)), repr(float(x)), repr(float(y))] for t, x, y in zip(rec.t_ms, rec.x_deg, rec.y_deg)],
+        )
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r_ref.csv").read_bytes()
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        save_dataset(GazeDataset(items=dynamics_items()), tmp_path / "d")
+        files = sorted((tmp_path / "d" / "features").iterdir()) + sorted((tmp_path / "d" / "scanpaths").iterdir())
+        assert b"nan" in files[0].read_bytes() and b"inf" in b"".join(f.read_bytes() for f in files[:6])
+        for f in files:
+            if f.parent.name == "features":
+                save_features_csv(load_features_csv(f), tmp_path / "again.csv")
+            else:
+                save_scanpath_csv(load_scanpath_csv(f), tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+        rec = ramp_recording([(50, 0.0, 0.0), (20, 5.0, 0.0), (50, 5.0, 0.0)], noise=0.01)
+        save_recording_csv(rec, tmp_path / "r.csv")
+        save_recording_csv(load_recording_csv(tmp_path / "r.csv"), tmp_path / "r2.csv")
+        assert (tmp_path / "r2.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+    def test_cells_padded_with_spaces_read_as_float_reads_them(self, tmp_path):
+        (tmp_path / "sp.csv").write_text("fix_index,x_deg,y_deg,dur_ms\n0, 1.5,2.0 ,100\n1,1_0,2e1,2.5E2\n")
+        loaded = load_scanpath_csv(tmp_path / "sp.csv")
+        np.testing.assert_array_equal(loaded.positions, [[1.5, 2.0], [10.0, 20.0]])
+        np.testing.assert_array_equal(loaded.durations, [100.0, 250.0])
+
+
+READERS = {
+    "recording": (load_recording_csv, "t_ms,x_deg,y_deg", "0.0,0.0,0.0\n1.0,0.5,0.5\n2.0,1.0,1.0\n"),
+    "scanpath": (
+        load_scanpath_csv,
+        "fix_index,x_deg,y_deg,dur_ms",
+        "0,0.0,0.0,100.0\n1,1.0,1.0,200.0\n2,2.0,2.0,300.0\n",
+    ),
+    "features": (
+        load_features_csv,
+        ",".join(["saccade_index", "type", *FEATURE_ROWS]),
+        "".join(f"{i},{i + 1},{','.join(cells)}\n" for i, cells in enumerate(
+            [["1.0"] * 11, ["2.0"] * 10 + ["nan"], ["3.0"] * 11]
+        )),
+    ),
+}
+
+
+def second_row_with(body, change):
+    lines = body.splitlines()
+    lines[1] = change(lines[1])
+    return "\n".join(lines) + "\n"
+
+
+class TestReaderRejections:
+    def write(self, tmp_path, header, body):
+        (tmp_path / "f.csv").write_text(f"{header}\n{body}")
+        (tmp_path / "f.json").write_text('{"sampling_rate": 1000}')
+        return tmp_path / "f.csv"
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_good_file_reads(self, tmp_path, kind):
+        reader, header, body = READERS[kind]
+        assert len(reader(self.write(tmp_path, header, body))) == 3
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize(
+        "defect, change",
+        [
+            ("one cell too many", lambda row: row + ",7.0"),
+            ("one cell too few", lambda row: row.rsplit(",", 1)[0]),
+        ],
+    )
+    def test_ragged_row_rejected_with_its_number(self, tmp_path, kind, defect, change):
+        reader, header, body = READERS[kind]
+        path = self.write(tmp_path, header, second_row_with(body, change))
+        with pytest.raises(ValueError, match=r"f\.csv: row 3 has \d+ columns, expected"):
+            reader(path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("cell", ["oops", "", " ", "1.0.0", "0x10"])
+    def test_unparseable_cell_rejected_with_its_row(self, tmp_path, kind, cell):
+        reader, header, body = READERS[kind]
+        path = self.write(tmp_path, header, second_row_with(body, lambda row: row.rsplit(",", 1)[0] + "," + cell))
+        with pytest.raises(ValueError, match=r"f\.csv: row 3: could not convert"):
+            reader(path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("change", [lambda h: h + ",extra", lambda h: h.replace("_", "-"), lambda h: ""])
+    def test_wrong_header_rejected(self, tmp_path, kind, change):
+        reader, header, body = READERS[kind]
+        path = self.write(tmp_path, change(header), body)
+        with pytest.raises(ValueError, match=r"f\.csv: expected header"):
+            reader(path)
+
+    def test_non_integer_saccade_type_rejected(self, tmp_path):
+        _, header, body = READERS["features"]
+        path = self.write(tmp_path, header, body.replace("1,2,", "1,2.5,"))
+        with pytest.raises(ValueError, match=r"f\.csv: saccade types must be integers"):
+            load_features_csv(path)

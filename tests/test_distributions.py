@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import digamma, polygamma
 
+from gazeid import markov
+from gazeid.core import FEATURE_ROWS, SaccadeTable
 from gazeid.distributions import (
     ConvergenceError,
     DegenerateSampleError,
@@ -16,11 +19,9 @@ from gazeid.distributions import (
     PROB_FLOOR,
     gamma_logpdf,
     gamma_mle,
+    gamma_mle_from_sums,
     gamma_sample,
-    gamma_score,
     multinomial_mle,
-    multinomial_sample,
-    multinomial_score,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -29,6 +30,28 @@ PARAM_GRID = [
     GammaParams(shape=a, scale=b) for a in (0.5, 1.0, 2.0, 5.0) for b in (0.5, 1.0, 3.0)
 ]
 X_GRID = (0.1, 1.0, 10.0)
+
+
+def gamma_score(x, params: GammaParams):
+    """(d/d shape, d/d scale) of the Gamma log-density at one x, read from
+    the only implementation of that score: the amplitude block of
+    ``markov.grad_loglik`` for a single type-1 saccade of amplitude x."""
+    values = np.full((len(FEATURE_ROWS), 1), np.nan)
+    values[0, 0] = x
+    model = markov.MarkovModelParams(
+        pi=np.full(4, 0.25), channels={"amplitude": (params,) * 4}
+    )
+    g = markov.grad_loglik(SaccadeTable(types=[1], values=values), model)
+    return g[1], g[2]
+
+
+def sample_types(params: MultinomialParams, n: int, seed_or_rng) -> np.ndarray:
+    """n saccade types in {1, 2, 3, 4}, drawn by ``markov.sample_scanpath``
+    under ``params.pi``."""
+    model = markov.MarkovModelParams(
+        pi=params.pi, channels=markov.default_params(("amplitude", "duration")).channels
+    )
+    return markov.sample_scanpath(model, n + 1, seed_or_rng=seed_or_rng)[1].types
 
 
 class TestGammaLogpdf:
@@ -97,6 +120,67 @@ class TestGammaScore:
         assert ds == pytest.approx(fd, rel=1e-7)
 
 
+def oracle_gamma_from_sums(n, sum_x, sum_log_x, tol=1e-10, max_iter=100):
+    """The scalar Newton iteration that the vectorised one replaced."""
+    if n < 2:
+        raise DegenerateSampleError("need at least 2 samples for a Gamma fit")
+    mean = sum_x / n
+    s = np.log(mean) - sum_log_x / n
+    if not np.isfinite(s) or s <= 1e-12:
+        raise DegenerateSampleError("samples are (numerically) all identical")
+    a = 0.5 / s
+    for _ in range(max_iter):
+        f = np.log(a) - digamma(a) - s
+        fprime = 1.0 / a - polygamma(1, a)
+        step = f / fprime
+        a_new = a - step
+        if a_new <= 0:
+            a_new = a / 2.0
+        if abs(a_new - a) < tol * max(1.0, a):
+            return GammaParams(shape=float(a_new), scale=float(mean / a_new))
+        a = a_new
+    raise ConvergenceError("did not converge", last_iterate=a)
+
+
+class TestGammaMleFromSums:
+    def test_batch_matches_scalar_oracle(self):
+        # 3200 cells of samples of 0-60 values over five decades of scale,
+        # with all-equal samples, at the default cap and at a cap of 3
+        # steps, where many cells stop unconverged
+        rng = np.random.default_rng(7)
+        cells = []
+        for _ in range(3200):
+            xs = rng.gamma(rng.uniform(0.3, 30.0), 10 ** rng.uniform(-3, 2), int(rng.integers(0, 60)))
+            if rng.random() < 0.05:
+                xs[:] = 1.7
+            cells.append((xs.size, xs.sum(), np.log(xs).sum()))
+        n, sum_x, sum_log_x = np.array(cells).T
+        for max_iter in (100, 3):
+            shape, scale, converged = gamma_mle_from_sums(n, sum_x, sum_log_x, max_iter=max_iter)
+            kinds = set()
+            for i, cell in enumerate(cells):
+                try:
+                    want = oracle_gamma_from_sums(*cell, max_iter=max_iter)
+                except DegenerateSampleError:
+                    kinds.add("degenerate")
+                    assert np.isnan(shape[i]) and np.isnan(scale[i]) and not converged[i]
+                except ConvergenceError as exc:
+                    kinds.add("unconverged")
+                    assert shape[i] == exc.last_iterate and not converged[i]
+                else:
+                    kinds.add("fitted")
+                    assert converged[i] and (shape[i], scale[i]) == (want.shape, want.scale)
+            assert {"degenerate", "fitted"} <= kinds
+        assert "unconverged" in kinds
+
+    def test_gamma_mle_raises_for_unfitted_cells(self):
+        with pytest.raises(ConvergenceError) as info:
+            gamma_mle([1.0, 2.0, 3.5], max_iter=1)
+        assert info.value.last_iterate > 0
+        with pytest.raises(DegenerateSampleError):
+            gamma_mle([2.0, 2.0, 2.0])
+
+
 class TestGammaMle:
     def test_recovers_generating_parameters(self):
         params = GammaParams(2.5, 1.3)
@@ -132,8 +216,13 @@ class TestGammaMle:
 
 class TestMultinomial:
     def test_score_direct(self):
-        params = MultinomialParams(pi=np.array([0.25, 0.25, 0.25, 0.25]))
-        score = multinomial_score(np.array([2.0, 1.0, 1.0, 0.0]), params)
+        # the type block of markov's gradient is K_u / pi_u
+        params = markov.MarkovModelParams(
+            pi=np.full(4, 0.25), channels=markov.default_params(("amplitude", "duration")).channels
+        )
+        row = np.zeros(4 + 4 * 3 * 2)
+        row[:4] = [2.0, 1.0, 1.0, 0.0]
+        score = markov.grad_from_statistics(row, params)[::5]
         np.testing.assert_allclose(score, [8.0, 4.0, 4.0, 0.0])
 
     def test_mle_symmetric(self):
@@ -160,7 +249,7 @@ class TestMultinomial:
         fit = multinomial_mle(counts)
         if np.any(counts == 0):
             return  # floored entries perturb the identity by design
-        assert float(fit.pi @ multinomial_score(counts, fit)) == pytest.approx(
+        assert float(fit.pi @ (counts / fit.pi)) == pytest.approx(
             counts.sum(), rel=1e-12
         )
 
@@ -187,18 +276,18 @@ class TestSampling:
     def test_multinomial_sample_near_degenerate(self):
         params = multinomial_mle([100, 0, 0, 0])
         rng = np.random.default_rng(3)
-        draws = [multinomial_sample(params, rng) for _ in range(5000)]
-        assert np.mean(np.array(draws) == 1) >= 1.0 - 4 * PROB_FLOOR - 0.01
+        draws = sample_types(params, 5000, rng)
+        assert np.mean(draws == 1) >= 1.0 - 4 * PROB_FLOOR - 0.01
 
     def test_multinomial_sample_deterministic(self):
         params = MultinomialParams(pi=np.array([0.4, 0.3, 0.2, 0.1]))
-        a = [multinomial_sample(params, np.random.default_rng(9)) for _ in range(5)]
-        b = [multinomial_sample(params, np.random.default_rng(9)) for _ in range(5)]
-        assert a == b
+        a = sample_types(params, 5, np.random.default_rng(9))
+        b = sample_types(params, 5, np.random.default_rng(9))
+        np.testing.assert_array_equal(a, b)
 
     def test_multinomial_sample_frequencies(self):
         params = MultinomialParams(pi=np.array([0.4, 0.3, 0.2, 0.1]))
         rng = np.random.default_rng(11)
-        draws = np.array([multinomial_sample(params, rng) for _ in range(40_000)])
+        draws = sample_types(params, 40_000, rng)
         freqs = np.bincount(draws - 1, minlength=4) / draws.size
         np.testing.assert_allclose(freqs, params.pi, atol=0.01)

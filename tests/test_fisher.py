@@ -25,8 +25,8 @@ class TestComputeScores:
         block = 1 + 2 * len(BASE_CHANNELS)
         counts = np.zeros(4)
         for path in data:
-            for f in path:
-                counts[f.saccade_type - 1] += 1
+            for u in path.types:
+                counts[u - 1] += 1
         for u in range(4):
             np.testing.assert_allclose(total[u * block], counts[u] / fit.pi[u], rtol=1e-12)
             scale = max(abs(counts[u]), 1.0)

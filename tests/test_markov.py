@@ -1,16 +1,29 @@
 """Markov scanpath model: fit recovery, likelihood, gradient, sampling."""
 
+import collections
+import csv
 import dataclasses
+import json
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
 from test_acceptance import random_markov_params
+from test_distributions import oracle_gamma_from_sums
 
-from gazeid import markov
-from gazeid.core import BASE_CHANNELS, CHANNEL_ATTRS, DYNAMICS_CHANNELS, extract_features
+from gazeid import markov, simulate
+from gazeid.core import (
+    BASE_CHANNELS,
+    CHANNEL_ROWS,
+    DYNAMICS_CHANNELS,
+    FEATURE_ROWS,
+    SaccadeTable,
+    extract_features,
+)
+from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.distributions import (
     PROB_FLOOR,
     ConvergenceError,
@@ -50,18 +63,29 @@ def sample_features(params, n_paths, n_fixations, seed):
     ]
 
 
+def make_table(types, **channels):
+    """A saccade table of the given types and channel values; the other
+    rows are NaN."""
+    values = np.full((len(FEATURE_ROWS), len(types)), math.nan)
+    for ch, vals in channels.items():
+        values[CHANNEL_ROWS[ch]] = vals
+    return SaccadeTable(types=types, values=values)
+
+
+def subset(features, keep):
+    """The saccades of a table where ``keep`` holds."""
+    return SaccadeTable(types=features.types[keep], values=features.values[:, keep])
+
+
 def corrupt(features, rng, fraction=0.2):
-    """Copies of the features with about ``fraction`` of the channel values
+    """A copy of the table with about ``fraction`` of the channel values
     replaced by NaN, inf, zero or a negative number."""
-    out = []
-    for f in features:
-        bad = {
-            attr: float(rng.choice([math.nan, math.inf, 0.0, -1.5]))
-            for attr in CHANNEL_ATTRS.values()
-            if rng.random() < fraction
-        }
-        out.append(dataclasses.replace(f, **bad))
-    return out
+    values = features.values.copy()
+    for t in range(len(features)):
+        for row in CHANNEL_ROWS.values():
+            if rng.random() < fraction:
+                values[row, t] = float(rng.choice([math.nan, math.inf, 0.0, -1.5]))
+    return SaccadeTable(types=features.types, values=values)
 
 
 # Per-type mask loops over raw channel values: the likelihood, gradient and
@@ -69,8 +93,8 @@ def corrupt(features, rng, fraction=0.2):
 
 
 def oracle_values(features, names):
-    types = np.array([f.saccade_type for f in features])
-    values = np.array([[getattr(f, CHANNEL_ATTRS[ch]) for f in features] for ch in names], dtype=float)
+    types = features.types
+    values = features.values[[CHANNEL_ROWS[ch] for ch in names]]
     return types, values, np.isfinite(values) & (values > 0)
 
 
@@ -107,8 +131,7 @@ def oracle_grad(features, params):
 
 
 def oracle_fit(data, names):
-    pooled = [f for path in data for f in path]
-    types, values, valid = oracle_values(pooled, names)
+    types, values, valid = oracle_values(SaccadeTable.concat(data), names)
     cells, fallbacks = {}, []
     for i, ch in enumerate(names):
         per_type = []
@@ -120,6 +143,136 @@ def oracle_fit(data, names):
                 fallbacks.append((ch, u))
         cells[ch] = per_type
     return cells, fallbacks, int(values.size - valid.sum())
+
+
+# The per-saccade records and the statistics and fit code that the saccade
+# table and the batched fit replaced, kept as oracles: one 12-field record
+# per feature-CSV row, read back field by field, and one scalar Gamma
+# Newton iteration per cell.
+
+OracleSaccade = collections.namedtuple(
+    "OracleSaccade",
+    "saccade_type amplitude duration direction mean_velocity mean_abs_acceleration "
+    "peak_velocity_x peak_velocity_y accel_ratio_x accel_ratio_y vigor_x vigor_y",
+)
+ORACLE_ATTRS = {
+    "amplitude": "amplitude",
+    "duration": "duration",
+    "velocity": "mean_velocity",
+    "acceleration": "mean_abs_acceleration",
+    "ratio_x": "accel_ratio_x",
+    "ratio_y": "accel_ratio_y",
+    "vigor_x": "vigor_x",
+    "vigor_y": "vigor_y",
+}
+
+
+def oracle_records(csv_path):
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [OracleSaccade(int(row[1]), *(float(v) for v in row[2:])) for row in reader]
+
+
+def oracle_statistics(features, channels):
+    names = markov.canonical_channels(channels)
+    get = attrgetter("saccade_type", *(ORACLE_ATTRS[ch] for ch in names))
+    table = np.array([get(f) for f in features], dtype=float).reshape(len(features), -1)
+    onehot = (table[:, 0] == np.arange(1, 5)[:, None]).astype(float)
+    values = table[:, 1:].T
+    valid = np.isfinite(values) & (values > 0)
+    x = np.where(valid, values, 1.0)
+    sums = np.stack([valid, valid * x, np.log(x)]) @ onehot.T
+    return np.concatenate([onehot.sum(axis=1), sums.transpose(1, 2, 0).ravel()])
+
+
+def oracle_fit_from_statistics(row, channels):
+    names = markov.canonical_channels(channels)
+    counts, stats = row[:4], row[4:].reshape(len(names), 4, 3)
+    cells, fallbacks = {}, []
+    for ch, channel_stats in zip(names, stats):
+        per_type = []
+        for u, cell in enumerate(channel_stats, start=1):
+            try:
+                per_type.append(oracle_gamma_from_sums(*cell))
+            except (DegenerateSampleError, ConvergenceError):
+                per_type.append(oracle_gamma_from_sums(*channel_stats.sum(axis=0)))
+                fallbacks.append((ch, u))
+        cells[ch] = tuple(per_type)
+    report = markov.MarkovFitReport(
+        fallback_cells=tuple(fallbacks),
+        skipped_values=int(counts.sum() * len(names) - stats[..., 0].sum()),
+    )
+    return cells, report
+
+
+class TestTableParity:
+    @pytest.mark.parametrize("family, channels", [("markov", BASE_CHANNELS), ("markov-dyn", DYNAMICS_CHANNELS)])
+    def test_rows_equal_object_oracle(self, tmp_path, family, channels):
+        # a simulated cohort, half of its tables corrupted with NaN, inf,
+        # zero and negative values, plus paths of other lengths; saved,
+        # then read both ways
+        spec = simulate.SyntheticCohortSpec(
+            n_users=3, n_images=6, fixations_per_path=25, family=family, jitter=0.3, seed=8
+        )
+        data = simulate.generate_cohort(spec).data
+        rng = np.random.default_rng(9)
+        items = [
+            dataclasses.replace(it, features=corrupt(it.features, rng) if i % 2 else it.features)
+            for i, it in enumerate(data.items)
+        ]
+        gen = markov.default_params(channels)
+        for n in (2, 3, 17, 25, 40, 41):
+            feats = markov.sample_scanpath(gen, n, seed_or_rng=rng)[1]
+            path = markov.sample_scanpath(gen, n, seed_or_rng=0)[0]
+            items.append(DatasetItem("extra", f"len{n}", path, corrupt(feats, rng)))
+        save_dataset(GazeDataset(items=tuple(items)), tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")
+        tables = [it.features for it in loaded.items]
+        feature_files = [tmp_path / "d" / "features" / f"{it.subject_id}__{it.image_id}.csv" for it in loaded.items]
+        want = np.array([oracle_statistics(oracle_records(f), channels) for f in feature_files])
+        assert np.isnan(SaccadeTable.concat(tables).values[[CHANNEL_ROWS[ch] for ch in channels]]).any()
+        np.testing.assert_array_equal(markov.statistics(tables, channels), want)
+        np.testing.assert_array_equal([markov.statistics(t, channels) for t in tables], want)
+
+    def test_fit_of_stacked_rows_equals_scalar_oracle(self):
+        # per-user row sums of a dynamics cohort, and rows with a cell of
+        # fewer than 2 values (type 4 seen once) and a cell of all-equal
+        # values (type 3 amplitudes): both fall back to the pooled fit
+        spec = simulate.SyntheticCohortSpec(
+            n_users=4, n_images=5, fixations_per_path=20, family="markov-dyn", jitter=0.3, seed=3
+        )
+        data = simulate.generate_cohort(spec).data
+        rows = [
+            markov.statistics([it.features for it in data.items if it.subject_id == s], DYNAMICS_CHANNELS).sum(axis=0)
+            for s in data.subjects
+        ]
+        rng = np.random.default_rng(5)
+        values = rng.gamma(3.0, 2.0, (len(DYNAMICS_CHANNELS), 12))
+        types = np.array([1, 1, 2, 2, 2, 3, 3, 3, 1, 2, 1, 4])
+        values[0, types == 3] = 2.0
+        odd = make_table(types, **dict(zip(DYNAMICS_CHANNELS, values)))
+        rows.append(markov.statistics(odd, DYNAMICS_CHANNELS))
+        fits = markov.fit_from_statistics(np.array(rows), DYNAMICS_CHANNELS)
+        for row, fit in zip(rows, fits):
+            cells, report = oracle_fit_from_statistics(row, DYNAMICS_CHANNELS)
+            assert fit.channels == cells
+            assert fit.fit_report == report
+        assert {("amplitude", 3), ("amplitude", 4), ("velocity", 4)} <= set(fits[-1].fit_report.fallback_cells)
+        single = markov.fit_from_statistics(rows[0], DYNAMICS_CHANNELS)
+        assert single.channels == fits[0].channels and single.fit_report == fits[0].fit_report
+
+    def test_degenerate_pooled_channel_raises_like_oracle(self):
+        # every duration equal: each cell and the channel's pooled fit are
+        # degenerate, so the fit raises instead of falling back
+        table = make_table([1, 2, 2, 3, 1], amplitude=[1.0, 2.0, 3.0, 2.5, 1.5], duration=[200.0] * 5)
+        row = markov.statistics(table, BASE_CHANNELS)
+        with pytest.raises(DegenerateSampleError):
+            oracle_fit_from_statistics(row, BASE_CHANNELS)
+        with pytest.raises(DegenerateSampleError):
+            markov.fit_from_statistics(np.array([row, row]), BASE_CHANNELS)
+        with pytest.raises(DegenerateSampleError):
+            markov.fit([table], BASE_CHANNELS)
 
 
 class TestStatisticsParity:
@@ -174,8 +327,9 @@ class TestStatisticsParity:
 
     def test_out_of_range_type_rejected(self):
         f = markov.sample_scanpath(markov.default_params(), 3, seed_or_rng=1)[1]
+        bad = SaccadeTable(types=np.r_[5, f.types], values=np.c_[f.values[:, :1], f.values])
         with pytest.raises(ValueError, match="saccade types"):
-            markov.statistics([dataclasses.replace(f[0], saccade_type=5)] + f, BASE_CHANNELS)
+            markov.statistics(bad, BASE_CHANNELS)
 
 
 class TestFit:
@@ -198,9 +352,8 @@ class TestFit:
 
     def test_single_type_floored(self):
         base = markov.default_params(BASE_CHANNELS)
-        feats = [
-            [f for path in sample_features(base, 5, 50, 1) for f in path if f.saccade_type == 1]
-        ]
+        pooled = SaccadeTable.concat(sample_features(base, 5, 50, 1))
+        feats = [subset(pooled, pooled.types == 1)]
         fit = markov.fit(feats, BASE_CHANNELS)
         assert fit.pi[0] == pytest.approx(1.0 - 3 * PROB_FLOOR)
         np.testing.assert_allclose(fit.pi[1:], PROB_FLOOR)
@@ -212,16 +365,12 @@ class TestFit:
         data = sample_features(true, 5, 60, 3)
         fit_a = markov.fit(data, BASE_CHANNELS)
         perturbed = [
-            [
-                type(f)(
-                    saccade_type=f.saccade_type,
-                    amplitude=f.amplitude,
-                    duration=f.duration,
-                    direction=f.direction,
-                    mean_velocity=f.mean_velocity * 7.7,
-                )
-                for f in path
-            ]
+            make_table(
+                path.types,
+                amplitude=path.values[CHANNEL_ROWS["amplitude"]],
+                duration=path.values[CHANNEL_ROWS["duration"]],
+                velocity=path.values[CHANNEL_ROWS["velocity"]] * 7.7,
+            )
             for path in data
         ]
         fit_b = markov.fit(perturbed, BASE_CHANNELS)
@@ -237,23 +386,19 @@ class TestLoglik:
                 "duration": tuple(GammaParams(6.0, 40.0) for _ in range(4)),
             },
         )
-        from gazeid.core import SaccadeFeatures
-
-        f = SaccadeFeatures(saccade_type=1, amplitude=3.0, duration=240.0, direction=0.0)
-        from gazeid.distributions import gamma_logpdf
-
+        f = make_table([1], amplitude=[3.0], duration=[240.0])
         expected = (
             math.log(params.pi[0])
             + float(gamma_logpdf(3.0, params.channels["amplitude"][0]))
             + float(gamma_logpdf(240.0, params.channels["duration"][0]))
         )
-        assert markov.loglik([f], params) == pytest.approx(expected, rel=1e-12)
+        assert markov.loglik(f, params) == pytest.approx(expected, rel=1e-12)
 
     def test_additive_over_concatenation(self):
         params = markov.default_params(BASE_CHANNELS)
         a = sample_features(params, 1, 20, 5)[0]
         b = sample_features(params, 1, 25, 6)[0]
-        assert markov.loglik(a + b, params) == pytest.approx(
+        assert markov.loglik(SaccadeTable.concat([a, b]), params) == pytest.approx(
             markov.loglik(a, params) + markov.loglik(b, params), rel=1e-12
         )
 
@@ -273,13 +418,10 @@ class TestLoglik:
         assert mean_ll == pytest.approx(neg_entropy, rel=0.01)
 
     def test_skips_invalid_channel_values(self):
-        from gazeid.core import SaccadeFeatures
-
         params = markov.default_params(BASE_CHANNELS)
-        good = SaccadeFeatures(saccade_type=1, amplitude=2.0, duration=100.0, direction=0.0)
-        bad = SaccadeFeatures(saccade_type=1, amplitude=math.nan, duration=100.0, direction=0.0)
+        good_and_bad = make_table([1, 1], amplitude=[2.0, math.nan], duration=[100.0, 100.0])
         diag = markov.LikelihoodDiagnostics()
-        ll = markov.loglik([good, bad], params, diagnostics=diag)
+        ll = markov.loglik(good_and_bad, params, diagnostics=diag)
         assert diag.skipped == {"amplitude": 1}
         assert np.isfinite(ll)
 
@@ -295,7 +437,8 @@ class TestGradient:
 
     def test_empty_type_block_is_zero(self):
         params = markov.default_params(BASE_CHANNELS)
-        feats = [f for f in sample_features(params, 1, 40, 13)[0] if f.saccade_type != 4]
+        feats = sample_features(params, 1, 40, 13)[0]
+        feats = subset(feats, feats.types != 4)
         g = markov.grad_loglik(feats, params)
         block = 1 + 2 * len(BASE_CHANNELS)
         np.testing.assert_array_equal(g[3 * block :], 0.0)
@@ -357,13 +500,10 @@ class TestSampling:
         params = markov.default_params(DYNAMICS_CHANNELS)
         path, feats = markov.sample_scanpath(params, 40, seed_or_rng=101)
         re = extract_features(path)
-        assert [f.saccade_type for f in re] == [f.saccade_type for f in feats]
-        np.testing.assert_allclose(
-            [f.amplitude for f in re], [f.amplitude for f in feats], rtol=1e-12
-        )
-        np.testing.assert_array_equal(
-            [f.duration for f in re], [f.duration for f in feats]
-        )
+        np.testing.assert_array_equal(re.types, feats.types)
+        amplitude, duration = CHANNEL_ROWS["amplitude"], CHANNEL_ROWS["duration"]
+        np.testing.assert_allclose(re.values[amplitude], feats.values[amplitude], rtol=1e-12)
+        np.testing.assert_array_equal(re.values[duration], feats.values[duration])
 
     def test_maintain_only_stays_in_bin(self):
         params = markov.MarkovModelParams(
@@ -372,7 +512,7 @@ class TestSampling:
         )
         path, feats = markov.sample_scanpath(params, 60, seed_or_rng=5)
         re = extract_features(path)
-        assert all(f.saccade_type == 1 for f in re)
+        assert np.all(re.types == 1)
 
     def test_deterministic(self):
         params = markov.default_params(BASE_CHANNELS)
@@ -380,7 +520,7 @@ class TestSampling:
         p2, f2 = markov.sample_scanpath(params, 30, seed_or_rng=7)
         np.testing.assert_array_equal(p1.positions, p2.positions)
         np.testing.assert_array_equal(p1.durations, p2.durations)
-        assert [f.amplitude for f in f1] == [f.amplitude for f in f2]
+        np.testing.assert_array_equal(f1.values, f2.values)
 
 
 class TestBayesIdentify:
@@ -439,8 +579,8 @@ class TestPersistence:
         true = markov.default_params(channels)
         data = sample_features(true, 3, 80, 37)
         fit = markov.fit(data, channels, b_star=3.25)
-        markov.save_params_json(fit, tmp_path / "m.json")
-        loaded = markov.load_params_json(tmp_path / "m.json")
+        (tmp_path / "m.json").write_text(json.dumps(markov.params_to_json_dict(fit), indent=2))
+        loaded = markov.params_from_json_dict(json.loads((tmp_path / "m.json").read_text()))
         np.testing.assert_array_equal(loaded.pi, fit.pi)
         for ch in channels:
             for u in range(4):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gazeid import markov, simulate
-from gazeid.core import extract_features
+from gazeid.core import CHANNEL_ROWS, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 
@@ -74,7 +74,7 @@ class TestGenerateCohort:
         true_means = {s: mean_amplitude(p) for s, p in cohort.user_params.items()}
         fit_means = {}
         for subject in cohort.data.subjects:
-            feats = [list(i.features) for i in cohort.data.items if i.subject_id == subject]
+            feats = [i.features for i in cohort.data.items if i.subject_id == subject]
             fit_means[subject] = mean_amplitude(markov.fit(feats, ("amplitude", "duration")))
         order_true = sorted(true_means, key=true_means.get)
         order_fit = sorted(fit_means, key=fit_means.get)
@@ -109,10 +109,9 @@ class TestDatasetRoundTrip:
             assert (a.subject_id, a.image_id) == (b.subject_id, b.image_id)
             np.testing.assert_array_equal(a.scanpath.positions, b.scanpath.positions)
             if b.features is not None:
-                assert [f.saccade_type for f in a.features] == [f.saccade_type for f in b.features]
-                np.testing.assert_array_equal(
-                    [f.vigor_x for f in a.features], [f.vigor_x for f in b.features]
-                )
+                np.testing.assert_array_equal(a.features.types, b.features.types)
+                vigor_x = CHANNEL_ROWS["vigor_x"]
+                np.testing.assert_array_equal(a.features.values[vigor_x], b.features.values[vigor_x])
         if family == "scenewalk":
             for image_id, sal in data.saliency.items():
                 np.testing.assert_array_equal(loaded.saliency[image_id].grid, sal.grid)
