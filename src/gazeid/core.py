@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -100,6 +100,18 @@ class GazeRecording:
         return self.t_ms.size
 
 
+def _eq_by_value(self, other) -> bool:
+    """``==`` of dataclasses with array fields: the same type and equal
+    compared fields, arrays by value (NaN equal to NaN). The generated
+    ``__eq__`` raises on arrays of more than one element."""
+    if type(self) is not type(other):
+        return NotImplemented
+    return all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    )
+
+
 @dataclass(frozen=True)
 class Scanpath:
     """Ordered fixations: positions (T, 2) in degrees, durations (T,) in ms."""
@@ -108,6 +120,8 @@ class Scanpath:
     durations: np.ndarray
     subject_id: str = ""
     image_id: str = ""
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -139,6 +153,8 @@ class SaccadeTable:
 
     types: np.ndarray
     values: np.ndarray
+
+    __eq__ = _eq_by_value
 
     def __post_init__(self):
         types = np.asarray(self.types, dtype=int)
@@ -489,12 +505,13 @@ def fit_vigor_rate(
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(csv_path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
-    """Write the header and the given row strings in one pass, with the
-    CRLF line ends of ``csv.writer``. Callers format floats with ``repr``,
-    which reads back to the same float."""
+def _write_csv(csv_path: str | Path, header: Sequence[str] | None, rows: Iterable[str]) -> None:
+    """Write the header (if any) and the given row strings in one pass,
+    with the CRLF line ends of ``csv.writer``. Callers format floats with
+    ``repr``, which reads back to the same float."""
+    lines = rows if header is None else (",".join(header), *rows)
     with open(csv_path, "w", newline="") as fh:
-        fh.write("".join(f"{line}\r\n" for line in (",".join(header), *rows)))
+        fh.write("".join(f"{line}\r\n" for line in lines))
 
 
 # Bytes of the cells that ``repr`` writes (digits, signs, exponents, nan,
@@ -502,26 +519,32 @@ def _write_csv(csv_path: str | Path, header: Sequence[str], rows: Iterable[str])
 _NUMERIC_BYTES = b"0123456789+-.eEnNaAiIfFtTyY,"
 
 
-def _read_csv(csv_path: str | Path, header: Sequence[str]) -> np.ndarray:
-    """The rows of a numeric CSV file under exactly ``header``, as one
-    (rows, columns) float array. A wrong header, a row whose cell count
-    differs from the header's and a cell that ``float`` cannot read each
-    raise ValueError naming the file (and the row).
+def _read_csv(csv_path: str | Path, header: Sequence[str] | int) -> np.ndarray:
+    """The rows of a numeric CSV file under exactly ``header`` (or, given a
+    column count, of a file without a header line), as one (rows, columns)
+    float array. A wrong header, a row whose cell count differs from the
+    header's and a cell that ``float`` cannot read each raise ValueError
+    naming the file (and the row, counted from the file's first line).
 
     The body is parsed by one ``np.fromstring`` call when it holds only
     ``_NUMERIC_BYTES``; any other body (cells padded with spaces, say) is
     read cell by cell with ``float``, which also finds the row of a bad
     cell."""
     with open(csv_path, "rb") as fh:
-        head, *lines = fh.read().splitlines() or [b""]
-    head = head.decode(errors="replace")
-    if head.split(",") != list(header):
-        raise ValueError(f"{csv_path}: expected header {','.join(header)}, got {head!r}")
+        lines = fh.read().splitlines()
+    if isinstance(header, int):
+        n_columns, first = header, 1
+    else:
+        head, *lines = lines or [b""]
+        head = head.decode(errors="replace")
+        if head.split(",") != list(header):
+            raise ValueError(f"{csv_path}: expected header {','.join(header)}, got {head!r}")
+        n_columns, first = len(header), 2
     commas = [line.count(b",") for line in lines]
-    if commas.count(len(header) - 1) != len(lines):
-        bad = next(i for i, n in enumerate(commas) if n != len(header) - 1)
+    if commas.count(n_columns - 1) != len(lines):
+        bad = next(i for i, n in enumerate(commas) if n != n_columns - 1)
         raise ValueError(
-            f"{csv_path}: row {bad + 2} has {commas[bad] + 1} columns, expected {len(header)}"
+            f"{csv_path}: row {bad + first} has {commas[bad] + 1} columns, expected {n_columns}"
         )
     body = b",".join(lines)
     if not body.translate(None, _NUMERIC_BYTES):
@@ -529,15 +552,15 @@ def _read_csv(csv_path: str | Path, header: Sequence[str]) -> np.ndarray:
             cells = np.fromstring(body, sep=",")
         except ValueError:
             cells = None
-        if cells is not None and cells.size == len(lines) * len(header):
-            return cells.reshape(len(lines), len(header))
+        if cells is not None and cells.size == len(lines) * n_columns:
+            return cells.reshape(len(lines), n_columns)
     rows = []
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(lines, start=first):
         try:
             rows.append([float(cell) for cell in line.decode(errors="replace").split(",")])
         except ValueError as exc:
             raise ValueError(f"{csv_path}: row {lineno}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(len(lines), len(header))
+    return np.array(rows, dtype=float).reshape(len(lines), n_columns)
 
 
 _RECORDING_COLUMNS = ("t_ms", "x_deg", "y_deg")

@@ -14,7 +14,6 @@ decay terms.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Scanpath
+from .core import Scanpath, _eq_by_value, _read_csv, _write_csv
 from .distributions import GammaParams, as_rng
 
 # Canonical parameter order for vectors: gradients, fits, Fisher scores.
@@ -100,6 +99,8 @@ class SaliencyMap:
     extent: tuple[float, float]
     _centers: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
+    __eq__ = _eq_by_value
+
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         object.__setattr__(self, "grid", grid)
@@ -153,42 +154,32 @@ class SaliencyMap:
 
 @dataclass
 class SceneWalkState:
-    """Attention/inhibition fields and their parameter partials.
+    """Attention/inhibition fields and their parameter partials, the rows of
+    one (2, 3, rows, cols) array: [attention, inhibition] by [field,
+    d/d omega, d/d sigma].
 
     Single-owner mutable during a sequential sweep over one scanpath;
     independent scanpaths use separate states.
     """
 
-    attention: np.ndarray
-    inhibition: np.ndarray
-    d_att_d_omega: np.ndarray
-    d_att_d_sigma: np.ndarray
-    d_inh_d_omega: np.ndarray
-    d_inh_d_sigma: np.ndarray
+    fields: np.ndarray
     t: int = 0
+
+    attention = property(lambda self: self.fields[0, 0])
+    d_att_d_omega = property(lambda self: self.fields[0, 1])
+    d_att_d_sigma = property(lambda self: self.fields[0, 2])
+    inhibition = property(lambda self: self.fields[1, 0])
+    d_inh_d_omega = property(lambda self: self.fields[1, 1])
+    d_inh_d_sigma = property(lambda self: self.fields[1, 2])
 
 
 def initial_state(saliency: SaliencyMap) -> SceneWalkState:
     """Attention starts at the saliency prior, inhibition uniform,
     all partial grids zero."""
-    shape = saliency.shape
-    return SceneWalkState(
-        attention=saliency.grid.copy(),
-        inhibition=np.full(shape, 1.0 / saliency.n_cells),
-        d_att_d_omega=np.zeros(shape),
-        d_att_d_sigma=np.zeros(shape),
-        d_inh_d_omega=np.zeros(shape),
-        d_inh_d_sigma=np.zeros(shape),
-        t=0,
-    )
-
-
-def _window(dx2: np.ndarray, dy2: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-r^2 / 2 sigma^2) on the grid, r^2 = dy2[:, None] + dx2[None, :],
-    as the outer product of a column and a row exponential: exp runs on
-    rows + cols values."""
-    two_var = 2.0 * sigma**2
-    return np.outer(np.exp(-dy2 / two_var), np.exp(-dx2 / two_var))
+    fields = np.zeros((2, 3) + saliency.shape)
+    fields[0, 0] = saliency.grid
+    fields[1, 0] = 1.0 / saliency.n_cells
+    return SceneWalkState(fields)
 
 
 def gaussian_window(center, sigma: float, shape: tuple[int, int], extent) -> np.ndarray:
@@ -201,99 +192,140 @@ def gaussian_window(center, sigma: float, shape: tuple[int, int], extent) -> np.
     ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
     dx2 = (xs - float(center[0])) ** 2
     dy2 = (ys - float(center[1])) ** 2
-    return _window(dx2, dy2, sigma) / (2.0 * math.pi * sigma**2)
+    two_var = 2.0 * sigma**2
+    return np.outer(np.exp(-dy2 / two_var), np.exp(-dx2 / two_var)) / (2.0 * math.pi * sigma**2)
 
 
-def _normalized_with_dsigma(w: np.ndarray, r2: np.ndarray, sigma: float):
-    """w / sum(w) and its derivative in sigma, for w = exp(-r2 / 2 sigma^2)
-    times a weight independent of sigma: dw/dsigma = w r2 / sigma^3, so
-    the derivative is (w / sum w) (r2 - E[r2]) / sigma^3 with E the mean
-    under w / sum w. Constant factors of w cancel."""
-    ratio = w / w.sum()
-    return ratio, ratio * ((r2 - np.vdot(ratio, r2)) / sigma**3)
+def _windows(cells: np.ndarray, durations_ms, params: SceneWalkParams, saliency: SaliencyMap):
+    """Factors of the field updates past fixations on ``cells`` (K, 2) of
+    the given durations, all K at once.
 
+    The attention target is S * outer(ey, ex) / Z and the inhibition
+    target outer(ey, ex) / Z, with ey, ex the window's row and column
+    exponentials exp(-d^2 / 2 sigma^2) and Z its normaliser: ey . W ex, with
+    W = S for attention and all ones for inhibition. A target's sigma
+    partial is target (r^2 - E[r^2]) / sigma^3, with r^2 = dy^2 + dx^2 and
+    E the mean under the target, and the update weighs it by 1 - decay: it
+    is target times the outer sum of wy = (dy^2 - E[r^2]) (1 - decay) /
+    sigma^3 and wx = dx^2 (1 - decay) / sigma^3.
 
-def _advance(state: SceneWalkState, cell, duration_ms: float, params: SceneWalkParams,
-             saliency: SaliencyMap) -> SceneWalkState:
-    """The field recursion past a fixation on ``cell``: both fields and
-    their four parameter partials."""
-    if not duration_ms > 0:
+    Returns (ey / Z, ex, wy, wx, decay, duration in s); indexed by k, the
+    first four are (2, rows, 1) or (2, 1, cols) factors of both fields and
+    the decays (2, 1, 1, 1). Finite factors keep a finite state finite.
+    """
+    d_s = np.asarray(durations_ms, dtype=float) / 1000.0
+    if not (d_s > 0).all():
         raise ValueError("duration must be positive")
-    d_s = duration_ms / 1000.0
     xs, ys = saliency.cell_centers()
-    dx2 = (xs - xs[cell[1]]) ** 2
-    dy2 = (ys - ys[cell[0]]) ** 2
-    r2 = dy2[:, None] + dx2[None, :]
-    g_hat, dg_hat = _normalized_with_dsigma(
-        _window(dx2, dy2, params.sigma_a) * saliency.grid, r2, params.sigma_a
-    )
-    f_hat, df_hat = _normalized_with_dsigma(_window(dx2, dy2, params.sigma_f), r2, params.sigma_f)
-
-    decay_a = math.exp(-params.omega_a * d_s)
-    decay_f = math.exp(-params.omega_f * d_s)
-    att_gap = state.attention - g_hat
-    inh_gap = state.inhibition - f_hat
-    new = SceneWalkState(
-        attention=g_hat + decay_a * att_gap,
-        inhibition=f_hat + decay_f * inh_gap,
-        d_att_d_omega=decay_a * (state.d_att_d_omega - d_s * att_gap),
-        d_att_d_sigma=dg_hat * (1.0 - decay_a) + decay_a * state.d_att_d_sigma,
-        d_inh_d_omega=decay_f * (state.d_inh_d_omega - d_s * inh_gap),
-        d_inh_d_sigma=df_hat * (1.0 - decay_f) + decay_f * state.d_inh_d_sigma,
-        t=state.t + 1,
-    )
-    if not (np.all(np.isfinite(new.attention)) and np.all(np.isfinite(new.inhibition))):
+    dx2 = (xs - xs[cells[:, 1], None]) ** 2
+    dy2 = (ys - ys[cells[:, 0], None]) ** 2
+    neg_two_var = np.array([[-2.0 * params.sigma_a**2], [-2.0 * params.sigma_f**2]])
+    ex = np.exp(dx2[:, None] / neg_two_var)
+    ey = np.exp(dy2[:, None] / neg_two_var)
+    # sum w = ey . c0 and sum w r^2 = ey . (dy^2 c0 + c1) for the column
+    # moments c0 = W ex and c1 = W (ex dx^2): (K, fields, moments, rows).
+    moments = np.stack([ex, ex * dx2[:, None]], axis=2)
+    c = np.empty(moments.shape[:3] + ys.shape)
+    np.matmul(moments[:, 0], saliency.grid.T, out=c[:, 0])
+    c[:, 1] = moments[:, 1].sum(axis=-1, keepdims=True)
+    z = (ey * c[:, :, 0]).sum(axis=-1)
+    mean_r2 = (ey * (dy2[:, None] * c[:, :, 0] + c[:, :, 1])).sum(axis=-1) / z
+    decay = np.exp(np.multiply.outer(d_s, [-params.omega_a, -params.omega_f]))
+    weight = ((1.0 - decay) / [params.sigma_a**3, params.sigma_f**3])[:, :, None]
+    rows, d_rows = ey / z[:, :, None], (dy2[:, None] - mean_r2[:, :, None]) * weight
+    d_cols = dx2[:, None] * weight
+    # ex is finite where ey is: any NaN or inf reaches one of these sums.
+    if not math.isfinite(rows.sum() + d_rows.sum() + d_cols.sum()):
         raise FloatingPointError(f"non-finite field update for parameters {params}")
-    return new
+    return (rows[..., None], ex[:, :, None], d_rows[..., None], d_cols[:, :, None],
+            decay[:, :, None, None, None], d_s)
 
 
-@dataclass(frozen=True)
-class _TargetDistribution:
-    """Potential, its positive part and normalization, and the pieces
-    gradients reuse. ``a`` and ``f`` are the fields floored at _TINY."""
+class _Walk:
+    """One field sweep's work arrays, allocated once as one block and
+    updated in place.
 
-    a: np.ndarray
-    f: np.ndarray
-    log_a: np.ndarray
-    log_f: np.ndarray
-    a_pow: np.ndarray
-    f_pow: np.ndarray
-    a_sum: float
-    f_sum: float
-    a_norm: np.ndarray
-    f_norm: np.ndarray
-    potential: np.ndarray
-    u_plus: np.ndarray
-    u_sum: float
-    mix_sum: float
+    The fields (a copy of the given ones), the two update targets, scratch
+    space, the potential and its positive mask m, and per field the
+    ``powers`` [a^lam, m a^lam] and the gradient ``factors`` [1, ln a,
+    (dA/d omega) / a, (dA/d sigma) / a], with a the attention A floored at
+    _TINY; likewise with f, gamma and the inhibition F. ``powers @
+    factors.T`` gives the full and masked sums of every gradient term.
+    """
 
-    @property
-    def p_star(self) -> np.ndarray:
-        return (self.u_plus + POTENTIAL_EPS) / self.mix_sum
+    def __init__(self, fields: np.ndarray, saliency: SaliencyMap, params: SceneWalkParams,
+                 with_grad: bool):
+        shape = saliency.shape
+        work = np.empty((24,) + shape)
+        self.fields = work[:6].reshape((2, 3) + shape)
+        self.fields[...] = fields
+        self.target, self.scratch = work[6:8], work[8:10]
+        self.potential, self.mask = work[10], work[11]
+        self.powers = work[12:16].reshape((2, 2) + shape)
+        self.factors = work[16:].reshape((2, 4) + shape)
+        if with_grad:
+            self.factors[:, 0] = 1.0
+        self.params = params
+        self.with_grad = with_grad
+        self.saliency = saliency
+        self.exponents = np.array([params.lam, params.gamma])[:, None, None]
+        self.weights = np.array([1.0, -params.c_f])
 
+    def advance(self, windows, k: int) -> None:
+        """The field recursion past fixation k of ``windows``: both fields
+        and their four parameter partials."""
+        rows, cols, d_rows, d_cols, decay, d_s = windows
+        fields, target, scratch = self.fields, self.target, self.scratch
+        np.multiply(rows[k], cols[k], out=target)
+        target[0] *= self.saliency.grid
+        values = fields[:, 0]
+        values -= target
+        np.multiply(values, d_s[k], out=scratch)
+        fields[:, 1] -= scratch
+        fields *= decay[k]
+        values += target
+        np.add(d_rows[k], d_cols[k], out=scratch)
+        scratch *= target
+        fields[:, 2] += scratch
 
-def _target_distribution(state: SceneWalkState, params: SceneWalkParams) -> _TargetDistribution:
-    a = np.maximum(state.attention, _TINY)
-    f = np.maximum(state.inhibition, _TINY)
-    log_a = np.log(a)
-    log_f = np.log(f)
-    a_pow = np.exp(params.lam * log_a)
-    f_pow = np.exp(params.gamma * log_f)
-    a_sum = float(a_pow.sum())
-    f_sum = float(f_pow.sum())
-    if not (np.isfinite(a_sum) and a_sum > 0 and np.isfinite(f_sum) and f_sum > 0):
-        raise FloatingPointError(
-            f"non-finite potential normalization for parameters {params}"
-        )
-    a_norm = a_pow / a_sum
-    f_norm = f_pow / f_sum
-    potential = a_norm - params.c_f * f_norm
-    u_plus = np.maximum(potential, 0.0)
-    u_sum = float(u_plus.sum())
-    return _TargetDistribution(
-        a, f, log_a, log_f, a_pow, f_pow, a_sum, f_sum, a_norm, f_norm, potential, u_plus,
-        u_sum, mix_sum=u_sum + potential.size * POTENTIAL_EPS,
-    )
+    def next_fixation(self, q, duration_ms: float) -> np.ndarray:
+        """Advance past the fixation at q and return the next-fixation
+        distribution (1 - zeta) (u + eps) / (sum u + n eps) + zeta / n, u
+        the potential's positive part, in the mask's buffer."""
+        cell = np.array([self.saliency.position_to_cell(q)[:2]])
+        self.advance(_windows(cell, [duration_ms], self.params, self.saliency), 0)
+        _, u_sum = self.distribution()
+        n, zeta = self.potential.size, self.params.zeta
+        scale = (1.0 - zeta) / (u_sum + n * POTENTIAL_EPS)
+        prob = np.maximum(self.potential, 0.0, out=self.mask)
+        prob *= scale
+        prob += scale * POTENTIAL_EPS + zeta / n
+        return prob
+
+    def distribution(self) -> tuple[np.ndarray, float]:
+        """Fill the potential a^lam / sum a^lam - c_f f^gamma / sum f^gamma,
+        its mask and the powers (with gradient also the masked powers and
+        the factors). Returns (sum a^lam, sum f^gamma) and the sum of the
+        potential's positive part."""
+        fields, powers, factors = self.fields, self.powers, self.factors
+        log = factors[:, 1]
+        np.maximum(fields[:, 0], _TINY, out=log)
+        if self.with_grad:
+            np.divide(fields[:, 1:], log[:, None], out=factors[:, 2:])
+        np.log(log, out=log)
+        np.multiply(log, self.exponents, out=powers[:, 0])
+        np.exp(powers[:, 0], out=powers[:, 0])
+        sums = powers[:, 0].sum(axis=(1, 2))
+        a_sum, f_sum = sums.tolist()
+        if not (0.0 < a_sum < math.inf and 0.0 < f_sum < math.inf):
+            raise FloatingPointError(
+                f"non-finite potential normalization for parameters {self.params}"
+            )
+        np.matmul(self.weights / sums, powers[:, 0].reshape(2, -1), out=self.potential.reshape(-1))
+        np.greater(self.potential, 0.0, out=self.mask)
+        if self.with_grad:
+            np.multiply(powers[:, 0], self.mask, out=powers[:, 1])
+        return sums, float(np.vdot(self.potential, self.mask))
 
 
 def step(
@@ -309,10 +341,9 @@ def step(
     state carries the recursively updated parameter partials. The input
     state is not modified.
     """
-    new = _advance(state, saliency.position_to_cell(q)[:2], duration_ms, params, saliency)
-    target = _target_distribution(new, params)
-    prob = (1.0 - params.zeta) * target.p_star + params.zeta / saliency.n_cells
-    return new, target.potential, prob
+    walk = _Walk(state.fields, saliency, params, with_grad=False)
+    prob = walk.next_fixation(q, duration_ms)
+    return SceneWalkState(walk.fields, state.t + 1), walk.potential, prob
 
 
 @dataclass
@@ -320,6 +351,12 @@ class WalkDiagnostics:
     """Fixations that fell outside the grid extent and were clamped."""
 
     clamped: int = 0
+
+
+# grad[1:] (c_f, lam, gamma, omega_a, omega_f, sigma_a, sigma_f) as the
+# (field, factor) entries of the sweep's gradient terms.
+_GRAD_FIELD = [1, 0, 1, 0, 1, 0, 1]
+_GRAD_FACTOR = [0, 1, 1, 2, 2, 3, 3]
 
 
 def _sweep(
@@ -337,64 +374,62 @@ def _sweep(
     f^(gamma-1); -f_norm for c_f). Through the positive part u (mask m, sum
     M), d ln p(obs) = (1 - zeta) coef / (p(obs) M^2 norm_sum) (m[obs] M X[obs]
     - u_obs sum_m X - (m[obs] M norm[obs] - u_obs sum_m norm) sum X), with
-    u_obs = u[obs] + POTENTIAL_EPS: one product of the stacked X with [1, m]
-    gives every sum.
+    u_obs = u[obs] + POTENTIAL_EPS. Each transition keeps the scalars and
+    one product of the walk's powers and factors, which gives every sum;
+    the gradient is then formed for all transitions at once.
     """
     T = len(path)
     if T < 2:
         raise ValueError("scanpath must contain at least 2 fixations")
-    cells = []
-    for q in path.positions:
+    cells = np.empty((T, 2), dtype=int)
+    for t, q in enumerate(path.positions):
         i, j, clamped = saliency.position_to_cell(q)
         if clamped and diagnostics is not None:
             diagnostics.clamped += 1
-        cells.append((i, j))
+        cells[t] = i, j
+
+    windows = _windows(cells[:-1], path.durations[:-1], params, saliency)
+    walk = _Walk(initial_state(saliency).fields, saliency, params, with_grad)
+    sums = np.empty((T - 1, 2))
+    positive_sum = np.empty(T - 1)
+    potential_obs = np.empty(T - 1)
+    if with_grad:
+        # Per transition: (field, [full, masked], factor) sums and (field, factor) terms at obs.
+        products = np.empty((T - 1, 2, 2, 4))
+        at_obs = np.empty((T - 1, 2, 4))
+        powers, factors = walk.powers.reshape(2, 2, -1), walk.factors.reshape(2, 4, -1).transpose(0, 2, 1)
+    for k, (i, j) in enumerate(cells[1:].tolist()):
+        walk.advance(windows, k)
+        sums[k], positive_sum[k] = walk.distribution()
+        potential_obs[k] = walk.potential[i, j]
+        if with_grad:
+            np.matmul(powers, factors, out=products[k])
+            np.multiply(walk.factors[:, :, i, j], walk.powers[:, 0, i, j, None], out=at_obs[k])
 
     n = saliency.n_cells
-    zeta, c_f = params.zeta, params.c_f
-    total = 0.0
+    zeta = params.zeta
+    u_obs = np.maximum(potential_obs, 0.0) + POTENTIAL_EPS
+    mix_sum = positive_sum + n * POTENTIAL_EPS
+    p_star_obs = u_obs / mix_sum
+    p_obs = (1.0 - zeta) * p_star_obs + zeta / n
+    total = float(np.log(p_obs).sum())
     grad = np.zeros(len(PARAM_NAMES))
-    if with_grad:
-        terms = np.empty((len(PARAM_NAMES) - 1,) + saliency.shape)
-        ones_and_mask = np.ones((2, n))
-        # Order of terms and of grad[1:]: c_f, lam, gamma, omega_a, omega_f, sigma_a, sigma_f.
-        coef = np.array([-1.0, 1.0, -c_f, params.lam, -c_f * params.gamma, params.lam, -c_f * params.gamma])
-    state = initial_state(saliency)
-    for t in range(T - 1):
-        state = _advance(state, cells[t], path.durations[t], params, saliency)
-        target = _target_distribution(state, params)
-        obs = cells[t + 1]
-        u_obs = target.u_plus[obs] + POTENTIAL_EPS
-        p_star_obs = u_obs / target.mix_sum
-        p_obs = (1.0 - zeta) * p_star_obs + zeta / n
-        total += math.log(p_obs)
-        if not with_grad:
-            continue
+    if not with_grad:
+        return total, grad
 
-        grad[0] += (-p_star_obs + 1.0 / n) / p_obs
-        a_ratio = target.a_pow / target.a
-        f_ratio = target.f_pow / target.f
-        terms[0] = target.f_norm
-        np.multiply(target.a_pow, target.log_a, out=terms[1])
-        np.multiply(target.f_pow, target.log_f, out=terms[2])
-        np.multiply(a_ratio, state.d_att_d_omega, out=terms[3])
-        np.multiply(f_ratio, state.d_inh_d_omega, out=terms[4])
-        np.multiply(a_ratio, state.d_att_d_sigma, out=terms[5])
-        np.multiply(f_ratio, state.d_inh_d_sigma, out=terms[6])
-        np.greater(target.potential.ravel(), 0.0, out=ones_and_mask[1])
-        full, masked = ones_and_mask @ terms.reshape(len(coef), n).T
-
-        # Where the potential is positive, a_norm = u_plus + c_f f_norm.
-        f_masked = masked[0]
-        a_masked = target.u_sum + c_f * f_masked
-        obs_mix = target.mix_sum if target.potential[obs] > 0.0 else 0.0
-        a_centre = obs_mix * target.a_norm[obs] - u_obs * a_masked
-        f_centre = obs_mix * target.f_norm[obs] - u_obs * f_masked
-        centre = np.array([0.0, a_centre, f_centre, a_centre, f_centre, a_centre, f_centre])
-        norm_sum = np.array([1.0] + [target.a_sum, target.f_sum] * 3)
-        grad[1:] += (1.0 - zeta) / (p_obs * target.mix_sum**2) * coef / norm_sum * (
-            obs_mix * terms[:, obs[0], obs[1]] - u_obs * masked - centre * full
-        )
+    grad[0] = ((-p_star_obs + 1.0 / n) / p_obs).sum()
+    full, masked = products[:, :, 0], products[:, :, 1]
+    obs_mix = np.where(potential_obs > 0.0, mix_sum, 0.0)[:, None]
+    u_obs = u_obs[:, None]
+    # With norm = powers / sums, factor 0 (ones) gives norm[obs] and sum_m norm.
+    centre = (obs_mix * at_obs[:, :, 0] - u_obs * masked[:, :, 0]) / sums
+    terms = obs_mix[:, :, None] * at_obs - u_obs[:, :, None] * masked
+    terms[:, :, 1:] -= centre[:, :, None] * full[:, :, 1:]
+    terms /= sums[:, :, None]
+    coef = np.array([-1.0, 1.0, -params.c_f, params.lam, -params.c_f * params.gamma,
+                     params.lam, -params.c_f * params.gamma])
+    scale = (1.0 - zeta) / (p_obs * mix_sum**2)
+    grad[1:] = coef * (scale[:, None] * terms[:, _GRAD_FIELD, _GRAD_FACTOR]).sum(axis=0)
     return total, grad
 
 
@@ -440,11 +475,16 @@ def loglik_and_grad(
 
 @dataclass(frozen=True)
 class SceneWalkFitResult:
+    """A fit's parameters and objective, and how L-BFGS-B ended: its
+    iterations, its objective evaluations and its stop message."""
+
     params: SceneWalkParams
     objective: float
     grad_norm: float
     iterations: int
     converged: bool
+    evaluations: int
+    stop_reason: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -453,6 +493,8 @@ class SceneWalkFitResult:
             "grad_norm": self.grad_norm,
             "iterations": self.iterations,
             "converged": self.converged,
+            "evaluations": self.evaluations,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -538,6 +580,8 @@ def fit(
         grad_norm=float(np.max(np.abs(res.jac))),
         iterations=int(res.nit),
         converged=bool(res.success) or float(np.max(np.abs(res.jac))) < gtol,
+        evaluations=int(res.nfev),
+        stop_reason=str(res.message),
     )
 
 
@@ -556,7 +600,8 @@ def sample_scanpath(
     subject_id: str = "",
     image_id: str = "",
 ) -> Scanpath:
-    """Iteratively sample fixations from the next-fixation distribution.
+    """Iteratively sample fixations from the next-fixation distribution,
+    advancing one walk in place (the field recursion of ``step``).
 
     ``durations`` supplies fixation durations in ms: a scalar constant, a
     sequence of length ``n_fixations``, or GammaParams to draw from.
@@ -580,10 +625,9 @@ def sample_scanpath(
     i, j, _ = saliency.position_to_cell(start)
     positions = np.empty((n_fixations, 2))
     positions[0] = saliency.cell_center(i, j)
-    state = initial_state(saliency)
+    walk = _Walk(initial_state(saliency).fields, saliency, params, with_grad=False)
     for t in range(n_fixations - 1):
-        state, _, prob = step(state, positions[t], durs[t], params, saliency)
-        flat = prob.ravel()
+        flat = walk.next_fixation(positions[t], durs[t]).ravel()
         idx = int(rng.choice(flat.size, p=flat / flat.sum()))
         i, j = divmod(idx, cols)
         positions[t + 1] = saliency.cell_center(i, j)
@@ -643,21 +687,15 @@ def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
             fh,
             indent=2,
         )
-    with open(base.with_name(base.name + ".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in saliency.grid:
-            writer.writerow([repr(float(v)) for v in row])
+    rows = (",".join(map(repr, row)) for row in saliency.grid.tolist())
+    _write_csv(base.with_name(base.name + ".csv"), None, rows)
 
 
 def load_saliency(base_path: str | Path) -> SaliencyMap:
     base = Path(base_path)
     with open(base.with_name(base.name + ".json")) as fh:
         meta = json.load(fh)
-    grid = []
-    with open(base.with_name(base.name + ".csv"), newline="") as fh:
-        for row in csv.reader(fh):
-            grid.append([float(v) for v in row])
-    grid = np.asarray(grid)
+    grid = _read_csv(base.with_name(base.name + ".csv"), int(meta["cols"]))
     if grid.shape != (meta["rows"], meta["cols"]):
         raise ValueError(
             f"{base}: grid shape {grid.shape} does not match header "

@@ -1,5 +1,6 @@
 """Saccade detection, feature extraction, vigor fitting, and CSV files."""
 
+import copy
 import csv
 import math
 
@@ -29,7 +30,8 @@ from gazeid.core import (
     save_scanpath_csv,
     wrap_angle_deg,
 )
-from gazeid.dataset import GazeDataset, save_dataset
+from gazeid.dataset import DatasetItem, GazeDataset, save_dataset
+from gazeid.scenewalk import SaliencyMap
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 
 RATE = 1000.0
@@ -283,6 +285,27 @@ class TestSaccadeTable:
         assert len(both) == 3
         np.testing.assert_array_equal(both.types, [1, 3, 3])
         np.testing.assert_array_equal(both.values[CHANNEL_ROWS["duration"]], [200, 300, 400])
+
+
+class TestValueEquality:
+    def test_deep_copies_are_equal_and_one_changed_value_is_not(self):
+        item = generate_cohort(SyntheticCohortSpec(
+            n_users=1, n_images=1, fixations_per_path=6, family="markov-dyn", seed=3
+        )).data.items[0]
+        assert np.isnan(item.features.values).any()
+        grid = np.full((3, 4), 1.0 / 12)
+        cases = [
+            (item, lambda it: DatasetItem(it.subject_id, it.image_id, it.scanpath, None)),
+            (item.scanpath, lambda sp: Scanpath(sp.positions + 1e-9, sp.durations)),
+            (item.features, lambda t: SaccadeTable(t.types, np.where(np.isnan(t.values), 1.0, t.values))),
+            (SaliencyMap(grid=grid, extent=(4.0, 3.0)), lambda m: SaliencyMap(grid=m.grid, extent=(4.0, 3.5))),
+        ]
+        for value, changed in cases:
+            assert value == copy.deepcopy(value)
+            assert not value != copy.deepcopy(value)
+            assert value != changed(value)
+        assert item != item.scanpath and item.scanpath != item.features
+        assert Scanpath([[0.0, 0.0], [1.0, 1.0]], [100.0, 200.0]) != Scanpath([[0.0, 0.0], [1.0, 1.0]], [100.0, 201.0])
 
 
 class TestVigorFit:

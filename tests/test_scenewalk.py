@@ -5,7 +5,9 @@ recomputes the field recursions from the full fixation history at every
 step, sharing no state with the incremental implementation.
 """
 
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -85,6 +87,16 @@ def naive_loglik(path, saliency, params):
 # masked full grid.
 
 
+@dataclass
+class RefState:
+    attention: np.ndarray
+    inhibition: np.ndarray
+    d_att_d_omega: np.ndarray
+    d_att_d_sigma: np.ndarray
+    d_inh_d_omega: np.ndarray
+    d_inh_d_sigma: np.ndarray
+
+
 def ref_window_with_dsigma(center, sigma, shape, extent):
     rows, cols = shape
     xs = (np.arange(cols) + 0.5) * float(extent[0]) / cols
@@ -129,14 +141,13 @@ def ref_step(state, q, duration_ms, params, saliency):
     f_hat, df_hat = ref_normalized_ratio_and_dsigma(gf, dgf)
     decay_a = math.exp(-params.omega_a * d_s)
     decay_f = math.exp(-params.omega_f * d_s)
-    new = sw.SceneWalkState(
+    new = RefState(
         attention=g_hat + decay_a * (state.attention - g_hat),
         inhibition=f_hat + decay_f * (state.inhibition - f_hat),
         d_att_d_omega=decay_a * (state.d_att_d_omega - d_s * (state.attention - g_hat)),
         d_att_d_sigma=dg_hat * (1.0 - decay_a) + decay_a * state.d_att_d_sigma,
         d_inh_d_omega=decay_f * (state.d_inh_d_omega - d_s * (state.inhibition - f_hat)),
         d_inh_d_sigma=df_hat * (1.0 - decay_f) + decay_f * state.d_inh_d_sigma,
-        t=state.t + 1,
     )
     target = ref_target(new, params)
     return new, target["potential"], target["prob"]
@@ -465,11 +476,12 @@ class TestGradient:
         state = sw.initial_state(sal)
         expected = 0.0
         for t in range(4):
-            state, _, prob = sw.step(
+            state, potential, prob = sw.step(
                 state, sal.cell_center(*cells[t]), path.durations[t], params, sal
             )
-            target = sw._target_distribution(state, params)
-            expected += (-target.p_star[cells[t + 1]] + 1.0 / n) / prob[cells[t + 1]]
+            u_plus = np.maximum(potential, 0.0)
+            p_star = (u_plus + sw.POTENTIAL_EPS) / (u_plus.sum() + n * sw.POTENTIAL_EPS)
+            expected += (-p_star[cells[t + 1]] + 1.0 / n) / prob[cells[t + 1]]
         assert g[0] == pytest.approx(expected, rel=1e-12)
 
         h = 1e-6
@@ -492,10 +504,15 @@ def parity_cases(rng, shape, extent):
     positions = path.positions.copy()
     positions[3] = (extent[0] + 3.0, -2.0)
     cases.append(("clamped", make_walk_params(rng), Scanpath(positions=positions, durations=path.durations)))
+    cases.append(("two fixations", make_walk_params(rng), make_path(rng, extent, n_fixations=2)))
     return cases
 
 
-@pytest.mark.parametrize("shape, extent", [((16, 16), (16.0, 16.0)), ((64, 64), (32.0, 32.0))])
+# The non-square grid (12 rows of 0.75 deg, 20 columns of 1 deg) catches a
+# row/column mix-up in the separable window sums.
+@pytest.mark.parametrize(
+    "shape, extent", [((16, 16), (16.0, 16.0)), ((64, 64), (32.0, 32.0)), ((12, 20), (20.0, 9.0))]
+)
 class TestFusedSweepParity:
     def test_loglik_and_grad_match_reference(self, rng, shape, extent):
         sal = make_saliency(rng, shape=shape, extent=extent)
@@ -575,6 +592,20 @@ class TestFit:
         assert r1.objective == r2.objective
 
 
+    def test_fit_matches_oracle_sweep(self, rng, monkeypatch):
+        sal, _, paths = self.make_training(rng, n_paths=4, n_fix=6)
+        data = [(p, sal) for p in paths]
+        result = sw.fit(data, rho=1.0, max_iter=25)
+        monkeypatch.setattr(sw, "loglik_and_grad", lambda path, saliency, params: (
+            ref_loglik(path, saliency, params), ref_grad_loglik(path, saliency, params)
+        ))
+        oracle = sw.fit(data, rho=1.0, max_iter=25)
+        assert (result.iterations, result.evaluations) == (oracle.iterations, oracle.evaluations)
+        assert result.stop_reason == oracle.stop_reason
+        assert result.objective == pytest.approx(oracle.objective, rel=1e-12)
+        doc = result.to_json_dict()
+        assert (doc["evaluations"], doc["stop_reason"]) == (result.evaluations, result.stop_reason)
+
     def test_unevaluable_start_raises(self, rng):
         # a^500 underflows to zero on every cell, so the potential cannot be
         # normalized at the start; L-BFGS-B would read the failure value's
@@ -643,6 +674,30 @@ class TestPersistence:
         loaded = sw.load_saliency(tmp_path / "sal")
         np.testing.assert_array_equal(loaded.grid, sal.grid)
         assert loaded.extent == sal.extent
+
+    def test_saliency_files_keep_csv_module_bytes(self, rng, tmp_path):
+        sal = make_saliency(rng, shape=(20, 24), extent=(24.0, 20.0))
+        sw.save_saliency(sal, tmp_path / "sal")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([repr(float(v)) for v in row] for row in sal.grid)
+        assert (tmp_path / "sal.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        loaded = sw.load_saliency(tmp_path / "sal")
+        assert loaded == sal
+        sw.save_saliency(loaded, tmp_path / "again")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "sal.csv").read_bytes()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda line: line.replace(b",", b",x", 1), r"sal\.csv: row 3: could not convert"),
+        (lambda line: line + b",0.5", r"sal\.csv: row 3 has 6 columns, expected 5"),
+        (lambda line: line.rsplit(b",", 1)[0], r"sal\.csv: row 3 has 4 columns, expected 5"),
+    ])
+    def test_bad_row_names_file_and_row(self, rng, tmp_path, change, message):
+        sw.save_saliency(make_saliency(rng, shape=(4, 5)), tmp_path / "sal")
+        lines = (tmp_path / "sal.csv").read_bytes().split(b"\r\n")
+        lines[2] = change(lines[2])
+        (tmp_path / "sal.csv").write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=message):
+            sw.load_saliency(tmp_path / "sal")
 
     def test_shape_mismatch_detected(self, rng, tmp_path):
         sal = make_saliency(rng, shape=(8, 8))
