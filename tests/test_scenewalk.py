@@ -591,7 +591,6 @@ class TestFit:
         np.testing.assert_array_equal(r1.params.to_vector(), r2.params.to_vector())
         assert r1.objective == r2.objective
 
-
     def test_fit_matches_oracle_sweep(self, rng, monkeypatch):
         sal, _, paths = self.make_training(rng, n_paths=4, n_fix=6)
         data = [(p, sal) for p in paths]
