@@ -9,11 +9,13 @@ model with saccade dynamics, or the saliency-walk model.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -285,11 +287,14 @@ def make_splits(data: GazeDataset, protocol: EvalProtocol) -> list[Split]:
 class _FamilyOps:
     """Per-family generative-model hooks. Markov families reduce every item
     once to its ``markov.statistics`` row; fits, likelihoods and scores are
-    then sums and matrix products of those rows."""
+    then sums and matrix products of those rows. SceneWalk families sweep
+    the items' paths in a ``scenewalk.SweepPool`` with ``threads - 1``
+    forked workers, which ``close`` stops."""
 
-    def __init__(self, data: GazeDataset, family: str, protocol: EvalProtocol):
+    def __init__(self, data: GazeDataset, family: str, protocol: EvalProtocol, threads: int):
         self.data = data
         self.index = {(it.subject_id, it.image_id): it for it in data.items}
+        self.row_of = {key: i for i, key in enumerate(self.index)}
         if family in ("bayes-markov", "fisher-svm-markov"):
             self.kind, self.channels = "markov", BASE_CHANNELS
         elif family in ("bayes-markov-dyn", "fisher-svm-markov-dyn"):
@@ -302,14 +307,23 @@ class _FamilyOps:
             raise ValueError(f"unknown model family {family!r}; choose one of {FAMILIES}")
         self.protocol = protocol
         if self.kind == "markov":
-            self.row_of = {key: i for i, key in enumerate(self.index)}
             self.rows = markov.statistics(
                 [it.features if it.features is not None else extract_features(it.scanpath) for it in self.index.values()],
                 self.channels,
             )
+        else:
+            pairs = [(it.scanpath, data.saliency[it.image_id]) for it in self.index.values()]
+            self.pool = scenewalk.SweepPool(pairs, min(threads, len(pairs)) - 1)
+
+    def close(self) -> None:
+        if self.kind == "scenewalk":
+            self.pool.close()
+
+    def _indices(self, keys: Sequence[tuple[str, str]]) -> list[int]:
+        return [self.row_of[key] for key in keys]
 
     def _stack(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
-        return self.rows[[self.row_of[key] for key in keys]]
+        return self.rows[self._indices(keys)]
 
     def fit(self, groups: Sequence[Sequence[tuple[str, str]]]) -> list:
         """For each group of item keys, the fitted model parameters and,
@@ -318,33 +332,29 @@ class _FamilyOps:
         if self.kind == "markov":
             sums = np.array([self._stack(keys).sum(axis=0) for keys in groups])
             return [(params, None) for params in markov.fit_from_statistics(sums, self.channels)]
-        results = [
-            scenewalk.fit(
-                [(self.index[key].scanpath, self.data.saliency[key[1]]) for key in keys],
+        results = []
+        for keys in groups:
+            indices = self._indices(keys)
+            results.append(scenewalk.fit(
+                [self.pool.pairs[i] for i in indices],
                 rho=self.protocol.scenewalk_rho,
                 max_iter=self.protocol.scenewalk_max_iter,
-            )
-            for keys in groups
-        ]
+                sweeps=functools.partial(self.pool.sweeps, indices=indices),
+            ))
         return [(result.params, result) for result in results]
 
     def loglik_table(self, keys: Sequence[tuple[str, str]], models: Sequence) -> np.ndarray:
         """(items, models) log-likelihood of each item under each model."""
         if self.kind == "markov":
             return self._stack(keys) @ np.array([markov.coef(m) for m in models]).T
-        return np.array([
-            [scenewalk.loglik(self.index[key].scanpath, self.data.saliency[key[1]], m) for m in models]
-            for key in keys
-        ])
+        indices = self._indices(keys)
+        return np.array([[value for value, _ in self.pool.sweeps(m, indices, with_grad=False)] for m in models]).T
 
     def grads(self, keys: Sequence[tuple[str, str]], params) -> np.ndarray:
         """(items, parameters) log-likelihood gradient of each item."""
         if self.kind == "markov":
             return markov.grad_from_statistics(self._stack(keys), params)
-        return np.array([
-            scenewalk.loglik_and_grad(self.index[key].scanpath, self.data.saliency[key[1]], params)[1]
-            for key in keys
-        ])
+        return np.array([grad for _, grad in self.pool.sweeps(params, self._indices(keys))])
 
 
 def _unconverged(result, whose: str = "") -> list[str]:
@@ -474,15 +484,20 @@ def run_protocol(
     portion, and identify by summed decision scores. Accuracy at k
     averages over disjoint consecutive groups of k test images per
     subject; the curve reports mean and standard error across splits.
-    Results depend only on (data, family, protocol), not on ``threads``.
     Each SceneWalk fit and each SVM solve that stops without converging
     adds one warning, in split order (subject order within a Bayes split,
     CV order then the final model within a Fisher split).
+
+    Splits run one after another. For SceneWalk families every sweep over
+    a set of paths is spread over this process and ``threads - 1`` forked
+    workers; Markov families run in this process only. The whole run uses
+    one BLAS thread (``_one_blas_thread``), so every ``threads`` value runs
+    the same arithmetic and results depend only on (data, family,
+    protocol).
     """
     protocol = protocol or EvalProtocol()
     if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}; choose one of {FAMILIES}")
-    ops = _FamilyOps(data, family, protocol)
     splits = make_splits(data, protocol)
 
     warnings: list[str] = []
@@ -492,8 +507,7 @@ def run_protocol(
     min_test = min(len(images) for split in splits for images in split.test.values())
     ks = [k for k in range(1, protocol.max_k + 1) if k <= min_test]
 
-    def run_one(idx: int):
-        split = splits[idx]
+    def run_one(ops: _FamilyOps, split: Split):
         if family.startswith("bayes"):
             if len(data.subjects) < 2:
                 rows = np.zeros((sum(len(images) for images in split.test.values()), 1))
@@ -501,11 +515,12 @@ def run_protocol(
             return _run_bayes_split(ops, split, ks)
         return _run_fisher_split(ops, split, ks)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, range(len(splits))))
-    else:
-        outcomes = [run_one(i) for i in range(len(splits))]
+    with _one_blas_thread():
+        ops = _FamilyOps(data, family, protocol, threads)
+        try:
+            outcomes = [run_one(ops, split) for split in splits]
+        finally:
+            ops.close()
 
     warnings += [f"split {idx}: {note}" for idx, (_, _, notes) in enumerate(outcomes) for note in notes]
     per_split = {k: tuple(acc[k] for acc, _, _ in outcomes) for k in ks}
@@ -521,6 +536,55 @@ def run_protocol(
         hyperparams=tuple(chosen for _, chosen, _ in outcomes),
         warnings=tuple(warnings),
     )
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS in this process set to one thread,
+    and restore the old counts on exit.
+
+    Evaluation work is many small matrix products: with more BLAS threads
+    each product is slower (OpenBLAS wakes threads that then spin on the
+    cores the forked SceneWalk workers need), and the thread count changes
+    the order in which some sums are added. Does nothing where no OpenBLAS
+    is found.
+    """
+    controls = []
+    for get_threads, set_threads in _openblas_thread_controls():
+        controls.append((set_threads, get_threads()))
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in controls:
+            set_threads(count)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into
+    this process, such as the ones numpy's and scipy's wheels bundle, whose
+    names carry a ``scipy_`` prefix and, for 64-bit integers, a ``64_``
+    suffix; none where ``/proc/self/maps`` cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get_threads, set_threads = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
+                break
+    return controls
 
 
 def save_results_json(result: ProtocolResult, path: str | Path, extra: dict | None = None) -> None:

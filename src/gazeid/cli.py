@@ -79,7 +79,12 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _default_threads() -> int:
-    return os.cpu_count() or 1
+    """The cores this process may run on (under a cpuset fewer than
+    ``os.cpu_count``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

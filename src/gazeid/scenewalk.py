@@ -14,12 +14,14 @@ decay terms.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -180,20 +182,6 @@ def initial_state(saliency: SaliencyMap) -> SceneWalkState:
     fields[0, 0] = saliency.grid
     fields[1, 0] = 1.0 / saliency.n_cells
     return SceneWalkState(fields)
-
-
-def gaussian_window(center, sigma: float, shape: tuple[int, int], extent) -> np.ndarray:
-    """Normalized 2-D Gaussian bump (value 1/(2 pi sigma^2) at the center),
-    evaluated at cell centers in degree coordinates."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    rows, cols = shape
-    xs = (np.arange(cols) + 0.5) * float(extent[0]) / cols
-    ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
-    dx2 = (xs - float(center[0])) ** 2
-    dy2 = (ys - float(center[1])) ** 2
-    two_var = 2.0 * sigma**2
-    return np.outer(np.exp(-dy2 / two_var), np.exp(-dx2 / two_var)) / (2.0 * math.pi * sigma**2)
 
 
 def _windows(cells: np.ndarray, durations_ms, params: SceneWalkParams, saliency: SaliencyMap):
@@ -526,16 +514,20 @@ def fit(
     rho: float = 1.0,
     max_iter: int = 500,
     gtol: float = 1e-5,
+    sweeps: Callable[[SceneWalkParams], Iterable[tuple[float, np.ndarray]]] | None = None,
 ) -> SceneWalkFitResult:
     """Regularized maximum likelihood over scanpath/saliency pairs.
 
     Maximizes sum of log-likelihoods minus rho * ||theta||^2 with the
     analytic gradient, running L-BFGS-B in a transformed space (log for
-    positive parameters, logit for the mixture weight). Convergence is a
-    projected-gradient infinity norm below ``gtol`` in the transformed
-    space; otherwise the best iterate is returned flagged non-converged.
-    Raises FloatingPointError when the objective cannot be evaluated at
-    ``init``.
+    positive parameters, logit for the mixture weight). Converged means a
+    projected-gradient infinity norm of at most ``gtol`` in the transformed
+    space; otherwise (an iteration cap, or a stall that L-BFGS-B reports as
+    success once f stops falling) the best iterate is returned flagged
+    non-converged, and ``stop_reason`` says why it stopped. ``sweeps(params)``,
+    if given, yields each pair's ``loglik_and_grad`` in data order (a
+    ``SweepPool``'s, say); by default they run here. Raises
+    FloatingPointError when the objective cannot be evaluated at ``init``.
     """
     if not data:
         raise ValueError("need at least one scanpath")
@@ -543,14 +535,16 @@ def fit(
         raise ValueError("rho must be non-negative")
     if init is None:
         init = default_params()
+    if sweeps is None:
+        def sweeps(params):
+            return (loglik_and_grad(path, saliency, params) for path, saliency in data)
 
     def negative_objective(x):
         try:
             params, jac = _from_unconstrained(x)
             total = 0.0
             grad = np.zeros(len(PARAM_NAMES))
-            for path, saliency in data:
-                value, path_grad = loglik_and_grad(path, saliency, params)
+            for value, path_grad in sweeps(params):
                 total += value
                 grad += path_grad
             theta = params.to_vector()
@@ -574,15 +568,117 @@ def fit(
     if not res.fun < _UNEVALUABLE:
         raise FloatingPointError(f"SceneWalk objective cannot be evaluated at the initial parameters {init}")
     params, _ = _from_unconstrained(res.x)
+    grad_norm = float(np.max(np.abs(res.jac)))
     return SceneWalkFitResult(
         params=params,
         objective=float(-res.fun),
-        grad_norm=float(np.max(np.abs(res.jac))),
+        grad_norm=grad_norm,
         iterations=int(res.nit),
-        converged=bool(res.success) or float(np.max(np.abs(res.jac))) < gtol,
+        converged=grad_norm <= gtol,
         evaluations=int(res.nfev),
         stop_reason=str(res.message),
     )
+
+
+# ---------------------------------------------------------------------------
+# Sweeps over many paths
+# ---------------------------------------------------------------------------
+
+
+class SweepPool:
+    """Sweeps over a fixed list of (scanpath, saliency) pairs, spread over
+    this process and ``workers`` forked worker processes.
+
+    The workers are forked once and inherit the pairs, so each call sends
+    them only the parameters and item indices and gets back each path's
+    (value, gradient). A call splits its indices into one contiguous share
+    per process and returns the results in index order, so they do not
+    depend on ``workers``. Without POSIX fork, or with no workers, every
+    sweep runs here. An error that a sweep raises is raised here, the one
+    of the first failing index, once every worker has answered; a worker
+    that dies raises RuntimeError with its exit code. ``close`` stops and
+    joins the workers.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[Scanpath, SaliencyMap]], workers: int):
+        self.pairs = list(pairs)
+        self._workers: list[tuple[multiprocessing.Process, object]] = []
+        if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+            return
+        context = multiprocessing.get_context("fork")
+        try:
+            for _ in range(workers):
+                mine, theirs = context.Pipe()
+                process = context.Process(target=_serve, args=(theirs, self.pairs), daemon=True)
+                process.start()
+                theirs.close()  # so that the worker's exit reads as end of file
+                self._workers.append((process, mine))
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        for process, conn in self._workers:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            conn.close()
+        for process, _ in self._workers:
+            process.join(timeout=10.0)
+            if process.is_alive():
+                process.terminate()
+                process.join()
+        self._workers = []
+
+    def sweeps(
+        self, params: SceneWalkParams, indices: Sequence[int], with_grad: bool = True
+    ) -> list[tuple[float, np.ndarray | None]]:
+        """(``loglik``, gradient) of each indexed pair, in index order; the
+        gradient is None without ``with_grad``."""
+        own, *shares = np.array_split(np.asarray(indices, dtype=int), len(self._workers) + 1)
+        asked = []
+        for (process, conn), share in zip(self._workers, shares):
+            if share.size:
+                try:
+                    conn.send((params, share.tolist(), with_grad))
+                except OSError:
+                    conn = None
+                asked.append((process, conn))
+        replies = [_sweep_share(self.pairs, params, own.tolist(), with_grad)]
+        for process, conn in asked:
+            try:
+                if conn is None:
+                    raise EOFError
+                replies.append(conn.recv())
+            except (EOFError, OSError):
+                process.join()
+                replies.append(RuntimeError(
+                    f"SceneWalk worker process {process.pid} exited with code {process.exitcode}"
+                ))
+        results = []
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+            results += reply
+        return results
+
+
+def _sweep_share(pairs, params: SceneWalkParams, indices: list[int], with_grad: bool):
+    """Each indexed pair's (loglik, gradient or None), or the first error
+    raised, which the caller raises once every share is in."""
+    try:
+        if with_grad:
+            return [loglik_and_grad(*pairs[i], params) for i in indices]
+        return [(loglik(*pairs[i], params), None) for i in indices]
+    except Exception as exc:
+        return exc
+
+
+def _serve(conn, pairs) -> None:
+    """A worker: answer each (params, indices, with_grad) request with its
+    ``_sweep_share`` until the pool sends None or goes away."""
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        while (request := conn.recv()) is not None:
+            conn.send(_sweep_share(pairs, *request))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Linear classifier and the evaluation protocol harness."""
 
 import dataclasses
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gazeid import classify, markov, simulate
+from gazeid import classify, markov, scenewalk, simulate
 from gazeid.classify import EvalProtocol
 from gazeid.dataset import DatasetItem, GazeDataset
 
@@ -280,6 +283,50 @@ class TestRunProtocol:
         r2 = classify.run_protocol(data, "bayes-markov", protocol, threads=3)
         assert r1.to_json_dict() == r2.to_json_dict()
 
+    def test_scenewalk_results_do_not_depend_on_threads(self):
+        data = small_cohort(n_users=3, n_images=4, T=6, seed=5, family="scenewalk")
+        protocol = EvalProtocol(n_splits=2, seed=0, max_k=1, c_grid=(1.0,), scenewalk_max_iter=8)
+        for family in ("fisher-svm-scenewalk", "bayes-scenewalk"):
+            results = [classify.run_protocol(data, family, protocol, threads=t).to_json_dict() for t in (1, 2, 3)]
+            assert results[1] == results[0] and results[2] == results[0], family
+            assert multiprocessing.active_children() == []
+
+    def test_sweep_error_on_a_worker_matches_serial(self, monkeypatch):
+        # The last viewer's paths fall in the workers' shares; a sweep of
+        # one of them at c_f < 0.25 raises, as an overflow would, and the
+        # fit's line search backs off from it wherever it was raised.
+        data = small_cohort(n_users=3, n_images=4, T=6, seed=5, family="scenewalk")
+        protocol = EvalProtocol(n_splits=2, seed=0, max_k=1, c_grid=(1.0,), scenewalk_max_iter=8)
+        clean = classify.run_protocol(data, "fisher-svm-scenewalk", protocol).to_json_dict()
+        sweep, raised = scenewalk.loglik_and_grad, []
+
+        def failing(path, saliency, params):
+            if path.subject_id == data.subjects[-1] and params.c_f < 0.25:
+                raised.append(path.image_id)
+                raise FloatingPointError("injected")
+            return sweep(path, saliency, params)
+
+        monkeypatch.setattr(scenewalk, "loglik_and_grad", failing)
+        serial = classify.run_protocol(data, "fisher-svm-scenewalk", protocol, threads=1).to_json_dict()
+        assert raised and serial != clean
+        assert classify.run_protocol(data, "fisher-svm-scenewalk", protocol, threads=3).to_json_dict() == serial
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises(self, monkeypatch):
+        data = small_cohort(n_users=3, n_images=4, T=6, seed=5, family="scenewalk")
+        protocol = EvalProtocol(n_splits=2, seed=0, max_k=1, c_grid=(1.0,), scenewalk_max_iter=8)
+        sweep, parent = scenewalk.loglik_and_grad, os.getpid()
+
+        def killed_in_worker(path, saliency, params):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sweep(path, saliency, params)
+
+        monkeypatch.setattr(scenewalk, "loglik_and_grad", killed_in_worker)
+        with pytest.raises(RuntimeError, match=r"SceneWalk worker process \d+ exited with code -9"):
+            classify.run_protocol(data, "fisher-svm-scenewalk", protocol, threads=2)
+        assert multiprocessing.active_children() == []
+
     def test_bayes_matches_bayes_identify_composition(self):
         # Cross-module consistency: the harness's per-group predictions for
         # the markov Bayes family equal direct bayes_identify calls.
@@ -375,12 +422,21 @@ class TestRunProtocol:
                 rf"split {i}: " + stopped.format(f" of {s}") for i in range(2) for s in data.subjects
             ],
         }
-        converging = dataclasses.replace(capped, scenewalk_max_iter=200)
+        # Uncapped, all but one bayes fit stall once f stops falling, short
+        # of gtol = 1e-5 and of the cap: each stall is warned, the fit that
+        # converges is not.
+        uncapped = dataclasses.replace(capped, scenewalk_max_iter=200)
+        stalled = r"split \d: scenewalk fit(?: of user\d+)? stopped after (\d+) iterations without converging " \
+                  r"\(grad_norm (\S+)\)"
         for family, patterns in expected.items():
             warnings = classify.run_protocol(data, family, capped).warnings
             assert len(warnings) == len(patterns)
             assert all(re.fullmatch(p, w) for p, w in zip(patterns, warnings)), warnings
-            assert classify.run_protocol(data, family, converging).warnings == ()
+            warnings = classify.run_protocol(data, family, uncapped).warnings
+            assert len(warnings) == len(patterns) - (family == "bayes-scenewalk")
+            for w in warnings:
+                match = re.fullmatch(stalled, w)
+                assert match and int(match[1]) < 200 and float(match[2]) > 1e-5, w
 
     def test_unconverged_svm_solves_are_warned(self, monkeypatch):
         # With the iteration cap at 1 no solve can meet its tolerance: each

@@ -257,28 +257,58 @@ class TestSaliencyMap:
             xs[0] = 0.0
 
 
+def gaussian_window(center, sigma, shape, extent):
+    """Normalized 2-D Gaussian bump (value 1/(2 pi sigma^2) at the center),
+    evaluated at cell centers in degree coordinates."""
+    rows, cols = shape
+    xs = (np.arange(cols) + 0.5) * float(extent[0]) / cols
+    ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
+    two_var = 2.0 * sigma**2
+    bump = np.outer(np.exp(-((ys - center[1]) ** 2) / two_var), np.exp(-((xs - center[0]) ** 2) / two_var))
+    return bump / (2.0 * math.pi * sigma**2)
+
+
+def applied_window(sal, q, sigma):
+    """The inhibition window that ``step`` applies past a fixation at q: with
+    omega_f * d = 50 the inhibition field is that window to within about
+    exp(-50) / n_cells."""
+    params = sw.SceneWalkParams(
+        omega_a=1.0, omega_f=200.0, sigma_a=2.0, sigma_f=sigma, lam=1.0, gamma=1.0, c_f=0.3, zeta=0.1
+    )
+    state, _, _ = sw.step(sw.initial_state(sal), q, 250.0, params, sal)
+    return state.inhibition
+
+
 class TestGaussianWindow:
-    def test_center_value(self):
-        g = sw.gaussian_window((8.25, 8.25), 2.0, (32, 32), (16.0, 16.0))
-        # (8.25, 8.25) is exactly a cell center on this grid
-        assert g.max() == pytest.approx(1.0 / (2 * math.pi * 4.0), rel=1e-12)
+    def test_center_value(self, rng):
+        sal = make_saliency(rng)
+        w = applied_window(sal, (8.25, 8.25), 2.0)
+        # (8.25, 8.25) is exactly a cell center on this grid, so the window
+        # peaks there at exp(0) over the grid sum of exp(-r^2 / 2 sigma^2)
+        i, j, _ = sal.position_to_cell((8.25, 8.25))
+        xs, ys = sal.cell_centers()
+        r2 = (ys[:, None] - 8.25) ** 2 + (xs[None, :] - 8.25) ** 2
+        assert w.max() == w[i, j] == pytest.approx(1.0 / np.exp(-r2 / 8.0).sum(), rel=1e-12)
 
-    def test_radial_symmetry(self):
-        g = sw.gaussian_window((8.25, 8.25), 1.5, (32, 32), (16.0, 16.0))
-        i, j = np.unravel_index(np.argmax(g), g.shape)
-        assert g[i + 3, j] == pytest.approx(g[i - 3, j], rel=1e-12)
-        assert g[i, j + 5] == pytest.approx(g[i, j - 5], rel=1e-12)
-        assert g[i + 2, j] == pytest.approx(g[i, j + 2], rel=1e-12)
+    def test_radial_symmetry(self, rng):
+        w = applied_window(make_saliency(rng), (8.25, 8.25), 1.5)
+        i, j = np.unravel_index(np.argmax(w), w.shape)
+        assert w[i + 3, j] == pytest.approx(w[i - 3, j], rel=1e-12)
+        assert w[i, j + 5] == pytest.approx(w[i, j - 5], rel=1e-12)
+        assert w[i + 2, j] == pytest.approx(w[i, j + 2], rel=1e-12)
 
-    def test_riemann_integral_near_one(self):
-        sal_shape, extent = (64, 64), (32.0, 32.0)
-        g = sw.gaussian_window((16.0, 16.0), 1.2, sal_shape, extent)
-        cell_area = (extent[0] / sal_shape[1]) * (extent[1] / sal_shape[0])
-        assert g.sum() * cell_area == pytest.approx(1.0, rel=0.01)
+    def test_riemann_integral_near_one(self, rng):
+        # The window is the Gaussian density normalized over the grid; its
+        # peak is the density's times the cell area, within the Riemann
+        # sum's error.
+        sal = make_saliency(rng, shape=(64, 64), extent=(32.0, 32.0))
+        w = applied_window(sal, (16.0, 16.0), 1.2)
+        assert w.sum() == pytest.approx(1.0, rel=1e-12)
+        assert w.max() * 2 * math.pi * 1.2**2 / sal.cell_area() == pytest.approx(1.0, rel=0.01)
 
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sw.gaussian_window((1.0, 1.0), 0.0, (8, 8), (4.0, 4.0))
+    def test_sigma_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="sigma_f must be positive"):
+            applied_window(make_saliency(rng, shape=(8, 8), extent=(4.0, 4.0)), (1.0, 1.0), 0.0)
 
 
 class TestStep:
@@ -308,7 +338,7 @@ class TestStep:
         # omega_a * d = 200 * 0.25 = 50
         state, _, _ = sw.step(sw.initial_state(sal), (8.0, 6.0), 250.0, params, sal)
         i, j, _ = sal.position_to_cell((8.0, 6.0))
-        ga = sw.gaussian_window(sal.cell_center(i, j), 2.0, sal.shape, sal.extent)
+        ga = gaussian_window(sal.cell_center(i, j), 2.0, sal.shape, sal.extent)
         ghat = ga * sal.grid
         ghat /= ghat.sum()
         assert np.max(np.abs(state.attention - ghat)) < 1e-15
@@ -615,6 +645,17 @@ class TestFit:
         )
         with pytest.raises(FloatingPointError, match="initial parameters"):
             sw.fit([(p, sal) for p in paths], init=start)
+
+    def test_stall_on_ftol_is_not_converged(self, rng):
+        # L-BFGS-B reports success once f stops falling, whatever the
+        # gradient; these paths stall there far above gtol.
+        sal, _, paths = self.make_training(rng, n_paths=4, n_fix=6)
+        data = [(p, sal) for p in paths]
+        stalled = sw.fit(data, rho=1.0)
+        assert "RELATIVE REDUCTION OF F" in stalled.stop_reason
+        assert stalled.grad_norm > 1e-5 and not stalled.converged
+        loose = sw.fit(data, rho=1.0, gtol=1.0)
+        assert loose.grad_norm <= 1.0 and loose.converged
 
 class TestSampling:
     def test_zeta_one_uniform_frequencies(self, rng):
