@@ -540,37 +540,23 @@ def run_protocol(
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every OpenBLAS in this process set to one thread,
-    and restore the old counts on exit.
+    """Run the body with every OpenBLAS mapped into this process set to one
+    thread, and restore the old counts on exit.
 
     Evaluation work is many small matrix products: with more BLAS threads
     each product is slower (OpenBLAS wakes threads that then spin on the
     cores the forked SceneWalk workers need), and the thread count changes
-    the order in which some sums are added. Does nothing where no OpenBLAS
-    is found.
+    the order in which some sums are added. The libraries are found in
+    ``/proc/self/maps``; the ones numpy's and scipy's wheels bundle prefix
+    the names with ``scipy_`` and, for 64-bit integers, suffix ``64_``.
+    Does nothing where no OpenBLAS is found.
     """
-    controls = []
-    for get_threads, set_threads in _openblas_thread_controls():
-        controls.append((set_threads, get_threads()))
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in controls:
-            set_threads(count)
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """The (get, set) thread-count functions of each OpenBLAS mapped into
-    this process, such as the ones numpy's and scipy's wheels bundle, whose
-    names carry a ``scipy_`` prefix and, for 64-bit integers, a ``64_``
-    suffix; none where ``/proc/self/maps`` cannot be read."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line})
     except OSError:
-        return []
-    controls = []
+        paths = []
+    restore = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -582,9 +568,14 @@ def _openblas_thread_controls() -> list[tuple]:
             if get_threads is not None and set_threads is not None:
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                controls.append((get_threads, set_threads))
+                restore.append((set_threads, get_threads()))
+                set_threads(1)
                 break
-    return controls
+    try:
+        yield
+    finally:
+        for set_threads, count in restore:
+            set_threads(count)
 
 
 def save_results_json(result: ProtocolResult, path: str | Path, extra: dict | None = None) -> None:

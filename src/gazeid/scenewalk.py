@@ -593,16 +593,20 @@ class SweepPool:
     them only the parameters and item indices and gets back each path's
     (value, gradient). A call splits its indices into one contiguous share
     per process and returns the results in index order, so they do not
-    depend on ``workers``. Without POSIX fork, or with no workers, every
-    sweep runs here. An error that a sweep raises is raised here, the one
-    of the first failing index, once every worker has answered; a worker
-    that dies raises RuntimeError with its exit code. ``close`` stops and
-    joins the workers.
+    depend on ``workers``. Once this process has done its own share, it
+    sweeps a worker's share itself, one path at a time, until the worker's
+    answer comes (a worker whose CPU is taken by others then delays no
+    call), and a worker skips the requests that newer ones replaced.
+    Without POSIX fork, or with no workers, every sweep runs here. An error
+    that a sweep raises is raised here, the one of the first failing index,
+    once every share is in; a worker that dies raises RuntimeError with its
+    exit code. ``close`` stops and joins the workers.
     """
 
     def __init__(self, pairs: Sequence[tuple[Scanpath, SaliencyMap]], workers: int):
         self.pairs = list(pairs)
         self._workers: list[tuple[multiprocessing.Process, object]] = []
+        self._calls = 0
         if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
             return
         context = multiprocessing.get_context("fork")
@@ -634,32 +638,42 @@ class SweepPool:
     ) -> list[tuple[float, np.ndarray | None]]:
         """(``loglik``, gradient) of each indexed pair, in index order; the
         gradient is None without ``with_grad``."""
+        self._calls += 1
         own, *shares = np.array_split(np.asarray(indices, dtype=int), len(self._workers) + 1)
-        asked = []
-        for (process, conn), share in zip(self._workers, shares):
-            if share.size:
-                try:
-                    conn.send((params, share.tolist(), with_grad))
-                except OSError:
-                    conn = None
-                asked.append((process, conn))
+        asked = [(worker, share.tolist()) for worker, share in zip(self._workers, shares) if share.size]
+        for (_, conn), share in asked:
+            with contextlib.suppress(OSError):  # a dead worker: its poll below reads end of file
+                conn.send((self._calls, params, share, with_grad))
         replies = [_sweep_share(self.pairs, params, own.tolist(), with_grad)]
-        for process, conn in asked:
-            try:
-                if conn is None:
-                    raise EOFError
-                replies.append(conn.recv())
-            except (EOFError, OSError):
-                process.join()
-                replies.append(RuntimeError(
-                    f"SceneWalk worker process {process.pid} exited with code {process.exitcode}"
-                ))
+        replies += [self._answer(worker, share, params, with_grad) for worker, share in asked]
         results = []
         for reply in replies:
             if isinstance(reply, Exception):
                 raise reply
             results += reply
         return results
+
+    def _answer(self, worker, share: list[int], params: SceneWalkParams, with_grad: bool):
+        """The worker's answer to this call, or its share swept here one path
+        at a time until that answer comes; answers to earlier calls are
+        dropped."""
+        process, conn = worker
+        done: list = []
+        while True:
+            while conn.poll():
+                try:
+                    call, reply = conn.recv()
+                except (EOFError, OSError):
+                    process.join()
+                    return RuntimeError(f"SceneWalk worker process {process.pid} exited with code {process.exitcode}")
+                if call == self._calls:
+                    return reply
+            if len(done) == len(share):
+                return done
+            reply = _sweep_share(self.pairs, params, share[len(done):len(done) + 1], with_grad)
+            if isinstance(reply, Exception):
+                return reply
+            done += reply
 
 
 def _sweep_share(pairs, params: SceneWalkParams, indices: list[int], with_grad: bool):
@@ -674,11 +688,18 @@ def _sweep_share(pairs, params: SceneWalkParams, indices: list[int], with_grad: 
 
 
 def _serve(conn, pairs) -> None:
-    """A worker: answer each (params, indices, with_grad) request with its
-    ``_sweep_share`` until the pool sends None or goes away."""
+    """A worker: answer the newest (call, params, indices, with_grad) request
+    with (call, its ``_sweep_share``), skipping requests that a newer one
+    replaced, until the pool sends None or goes away."""
     with contextlib.suppress(EOFError, BrokenPipeError):
-        while (request := conn.recv()) is not None:
-            conn.send(_sweep_share(pairs, *request))
+        while True:
+            request = conn.recv()
+            while request is not None and conn.poll():
+                request = conn.recv()
+            if request is None:
+                return
+            call, *args = request
+            conn.send((call, _sweep_share(pairs, *args)))
 
 
 # ---------------------------------------------------------------------------

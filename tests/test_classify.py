@@ -315,14 +315,16 @@ class TestRunProtocol:
     def test_killed_worker_raises(self, monkeypatch):
         data = small_cohort(n_users=3, n_images=4, T=6, seed=5, family="scenewalk")
         protocol = EvalProtocol(n_splits=2, seed=0, max_k=1, c_grid=(1.0,), scenewalk_max_iter=8)
-        sweep, parent = scenewalk.loglik_and_grad, os.getpid()
+        sweep = scenewalk.loglik_and_grad
 
-        def killed_in_worker(path, saliency, params):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+        def kill_workers(path, saliency, params):
+            # the first sweep of the evaluating process kills its worker
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+                child.join(timeout=10.0)
             return sweep(path, saliency, params)
 
-        monkeypatch.setattr(scenewalk, "loglik_and_grad", killed_in_worker)
+        monkeypatch.setattr(scenewalk, "loglik_and_grad", kill_workers)
         with pytest.raises(RuntimeError, match=r"SceneWalk worker process \d+ exited with code -9"):
             classify.run_protocol(data, "fisher-svm-scenewalk", protocol, threads=2)
         assert multiprocessing.active_children() == []

@@ -7,6 +7,9 @@ step, sharing no state with the incremental implementation.
 
 import csv
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -656,6 +659,31 @@ class TestFit:
         assert stalled.grad_norm > 1e-5 and not stalled.converged
         loose = sw.fit(data, rho=1.0, gtol=1.0)
         assert loose.grad_norm <= 1.0 and loose.converged
+
+class TestSweepPool:
+    def test_stopped_worker_share_is_swept_here(self, rng):
+        # A stopped worker never answers: the pool sweeps its share in this
+        # process, and drops the late answer once the worker runs again.
+        sal = make_saliency(rng)
+        pairs = [(make_path(rng), sal) for _ in range(5)]
+        params = [make_walk_params(rng) for _ in range(3)]
+        serial = [[sw.loglik_and_grad(path, saliency, p) for path, saliency in pairs] for p in params]
+        pool = sw.SweepPool(pairs, 1)
+        try:
+            [worker] = multiprocessing.active_children()
+            os.kill(worker.pid, signal.SIGSTOP)
+            try:
+                got = [pool.sweeps(params[0], range(5))]
+            finally:
+                os.kill(worker.pid, signal.SIGCONT)
+            got += [pool.sweeps(p, range(5)) for p in params[1:]]
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+        for want, have in zip(serial, got):
+            assert [v for v, _ in have] == [v for v, _ in want]
+            np.testing.assert_array_equal([g for _, g in have], [g for _, g in want])
+
 
 class TestSampling:
     def test_zeta_one_uniform_frequencies(self, rng):
