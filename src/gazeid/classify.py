@@ -540,23 +540,40 @@ def run_protocol(
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every OpenBLAS mapped into this process set to one
-    thread, and restore the old counts on exit.
+    """Run the body with every OpenBLAS in this process set to one thread,
+    and restore the old counts on exit.
 
     Evaluation work is many small matrix products: with more BLAS threads
     each product is slower (OpenBLAS wakes threads that then spin on the
     cores the forked SceneWalk workers need), and the thread count changes
-    the order in which some sums are added. The libraries are found in
-    ``/proc/self/maps``; the ones numpy's and scipy's wheels bundle prefix
-    the names with ``scipy_`` and, for 64-bit integers, suffix ``64_``.
-    Does nothing where no OpenBLAS is found.
+    the order in which some sums are added. Does nothing where no OpenBLAS
+    is found.
     """
+    restore = [(set_threads, get_threads()) for get_threads, set_threads in _openblas_thread_controls()]
+    for set_threads, _ in restore:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in restore:
+            set_threads(count)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into
+    this process, from ``/proc/self/maps`` (none where it cannot be read).
+    The ones numpy's and scipy's wheels bundle prefix the names with
+    ``scipy_`` and, for 64-bit integers, suffix ``64_``. Both are loaded
+    once this module is imported (scipy's by ``scenewalk``'s optimizer),
+    so the first answer is kept: reading the map takes about a
+    millisecond."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line})
     except OSError:
-        paths = []
-    restore = []
+        return ()
+    controls = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -568,14 +585,9 @@ def _one_blas_thread():
             if get_threads is not None and set_threads is not None:
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                restore.append((set_threads, get_threads()))
-                set_threads(1)
+                controls.append((get_threads, set_threads))
                 break
-    try:
-        yield
-    finally:
-        for set_threads, count in restore:
-            set_threads(count)
+    return tuple(controls)
 
 
 def save_results_json(result: ProtocolResult, path: str | Path, extra: dict | None = None) -> None:

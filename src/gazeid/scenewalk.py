@@ -595,8 +595,9 @@ class SweepPool:
     per process and returns the results in index order, so they do not
     depend on ``workers``. Once this process has done its own share, it
     sweeps a worker's share itself, one path at a time, until the worker's
-    answer comes (a worker whose CPU is taken by others then delays no
-    call), and a worker skips the requests that newer ones replaced.
+    answer comes, so a worker whose CPU is taken by other programs makes a
+    call no slower than sweeping it here alone; a worker skips the requests
+    that newer ones replaced.
     Without POSIX fork, or with no workers, every sweep runs here. An error
     that a sweep raises is raised here, the one of the first failing index,
     once every share is in; a worker that dies raises RuntimeError with its
@@ -622,7 +623,7 @@ class SweepPool:
             raise
 
     def close(self) -> None:
-        for process, conn in self._workers:
+        for _, conn in self._workers:
             with contextlib.suppress(OSError):
                 conn.send(None)
             conn.close()

@@ -292,8 +292,8 @@ class TestRunProtocol:
             assert multiprocessing.active_children() == []
 
     def test_sweep_error_on_a_worker_matches_serial(self, monkeypatch):
-        # The last viewer's paths fall in the workers' shares; a sweep of
-        # one of them at c_f < 0.25 raises, as an overflow would, and the
+        # The last viewer's paths fall in the last worker's share; a sweep
+        # of one of them at c_f < 0.25 raises, as an overflow would, and the
         # fit's line search backs off from it wherever it was raised.
         data = small_cohort(n_users=3, n_images=4, T=6, seed=5, family="scenewalk")
         protocol = EvalProtocol(n_splits=2, seed=0, max_k=1, c_grid=(1.0,), scenewalk_max_iter=8)
@@ -428,8 +428,8 @@ class TestRunProtocol:
         # of gtol = 1e-5 and of the cap: each stall is warned, the fit that
         # converges is not.
         uncapped = dataclasses.replace(capped, scenewalk_max_iter=200)
-        stalled = r"split \d: scenewalk fit(?: of user\d+)? stopped after (\d+) iterations without converging " \
-                  r"\(grad_norm (\S+)\)"
+        stalled = (r"split \d: scenewalk fit(?: of user\d+)? stopped after (\d+) iterations without "
+                   r"converging \(grad_norm (\S+)\)")
         for family, patterns in expected.items():
             warnings = classify.run_protocol(data, family, capped).warnings
             assert len(warnings) == len(patterns)

@@ -660,6 +660,7 @@ class TestFit:
         loose = sw.fit(data, rho=1.0, gtol=1.0)
         assert loose.grad_norm <= 1.0 and loose.converged
 
+
 class TestSweepPool:
     def test_stopped_worker_share_is_swept_here(self, rng):
         # A stopped worker never answers: the pool sweeps its share in this
