@@ -43,10 +43,12 @@ FAMILIES = (
 
 @dataclass(frozen=True)
 class SolverReport:
-    """How ``train``'s solve ended: interior-point iterations, the duality gap
-    P - D summed over classes, and whether every class met its tolerance."""
+    """How ``train``'s solve ended: interior-point iterations, the primal
+    P(w) and the duality gap P - D, each summed over classes, and whether
+    every class met its tolerance."""
 
     iterations: int
+    primal: float
     duality_gap: float
     converged: bool
 
@@ -88,47 +90,101 @@ def train(features: np.ndarray, labels: Sequence[str], C: float = 1.0) -> Linear
     unit roundoff, |.| is entrywise, and sqrt(n) the usual growth of rounding
     error over n-term sums. After ``_MAX_ITERATIONS`` steps it stops unconverged.
     """
-    return _train_grid(features, labels, (C,))[0]
+    return _train_grid([(features, labels)], (C,))[0][0]
 
 
-def _train_grid(features: np.ndarray, labels: Sequence[str], Cs: Sequence[float]) -> list[LinearModel]:
-    """``train`` at each C of ``Cs``; all K len(Cs) duals share one stack."""
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
-    labels = list(labels)
-    if len(labels) != X.shape[0]:
-        raise ValueError("one label per feature row required")
-    classes = tuple(sorted(set(labels)))
-    if len(classes) < 2:
-        raise ValueError("training requires at least 2 classes")
+def _train_grid(
+    problems: Sequence[tuple[np.ndarray, Sequence[str]]], Cs: Sequence[float]
+) -> list[list[LinearModel]]:
+    """``train`` of each (features, labels) problem at each C of ``Cs``: one
+    list of models per problem, in C order. Problems whose designs have the
+    same shape share one interior-point stack, whose duals (one per problem,
+    C and class, in that order) each carry the index of their problem's
+    design; a dual that meets its tolerance is not stepped again."""
+    designs, classes, targets = [], [], []
+    for features, labels in problems:
+        X = np.asarray(features, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        labels = list(labels)
+        if len(labels) != X.shape[0]:
+            raise ValueError("one label per feature row required")
+        classes.append(tuple(sorted(set(labels))))
+        if len(classes[-1]) < 2:
+            raise ValueError("training requires at least 2 classes")
+        designs.append(np.hstack([X, np.ones((X.shape[0], 1))]))
+        targets.append(np.where(np.array(labels)[None, :] == np.array(classes[-1])[:, None], 1.0, -1.0))
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for p, Xb in enumerate(designs):
+        stacks.setdefault(Xb.shape, []).append(p)
+    models: list[list[LinearModel]] = [[] for _ in designs]
+    for members in stacks.values():
+        Y = np.concatenate([np.tile(targets[p], (len(Cs), 1)) for p in members])
+        C = np.concatenate([np.repeat(np.asarray(Cs, dtype=float), len(classes[p])) for p in members])[:, None]
+        block = np.repeat(np.arange(len(members)), [len(Cs) * len(classes[p]) for p in members])
+        W, steps, primal, gap, active = _solve_stack(np.stack([designs[p] for p in members]), Y, C, block)
+        start = 0
+        for p in members:
+            for c in Cs:
+                b = slice(start, start + len(classes[p]))
+                start = b.stop
+                report = SolverReport(int(steps[b].max()), float(primal[b].sum()), float(gap[b].sum()), not active[b].any())
+                models[p].append(LinearModel(W[b], classes[p], c, report))
+    return models
 
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    Y = np.tile(np.where(np.array(labels)[None, :] == np.array(classes)[:, None], 1.0, -1.0), (len(Cs), 1))
-    C = np.repeat(np.asarray(Cs, dtype=float), len(classes))[:, None]  # one row per (C, class) dual
-    n, abs_Xb, u = Xb.shape[0], np.abs(Xb), np.finfo(float).eps / 2
+
+def _solve_stack(Xb: np.ndarray, Y: np.ndarray, C: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The duals of ``train`` for the (P, n, m) stack of designs ``Xb``:
+    dual b has labels Y[b], bound C[b] and design Xb[block[b]], ``block``
+    sorted. Returns each dual's weights, steps, primal, duality gap and
+    whether it stopped short of its tolerance. A dual leaves the stack, with
+    the weights and gap of its last iterate, once it meets its tolerance."""
+    n, u = Xb.shape[1], np.finfo(float).eps / 2
+    abs_Xb = np.abs(Xb)
+    XbT, abs_XbT = Xb.transpose(0, 2, 1), abs_Xb.transpose(0, 2, 1)
+    weights, primal, gaps = np.empty((len(C), Xb.shape[2])), np.empty(len(C)), np.empty(len(C))
+    steps, short = np.zeros(len(C), dtype=int), np.zeros(len(C), dtype=bool)
+    live, runs = np.arange(len(C)), _runs(block)
     # Iterate (alpha, z, s, v): upper slack s = C - alpha, z and v the multipliers of alpha, s >= 0.
     alpha = np.full(Y.shape, 0.5) * C
-    grad = Y * ((alpha * Y) @ Xb @ Xb.T) - 1.0
+    grad = Y * _by_design(_by_design(alpha * Y, Xb, runs), XbT, runs) - 1.0
     state = np.stack([alpha, np.maximum(grad, 0.0) + 1.0, C - alpha, np.maximum(-grad, 0.0) + 1.0])
-    steps = np.zeros(len(C), dtype=int)
     for iterations in itertools.count():
         alpha = state[0]
-        W = (alpha * Y) @ Xb
-        e = 1.0 - Y * (W @ Xb.T)
+        W = _by_design(alpha * Y, Xb, runs)
+        e = 1.0 - Y * _by_design(W, XbT, runs)
         hinge = C * np.maximum(0.0, e)
         gap = (hinge - alpha * e).sum(axis=1)
-        delta = u * (1.0 + (np.abs(W) + alpha @ abs_Xb) @ abs_Xb.T)
+        delta = u * (1.0 + _by_design(np.abs(W) + _by_design(alpha, abs_Xb, runs), abs_XbT, runs))
         near_kink = np.abs(e) <= delta
         slope = np.where(near_kink, np.maximum(alpha, C - alpha), np.abs(np.where(e > 0.0, C, 0.0) - alpha))
         active = gap > math.sqrt(n) * (slope * delta + u * (hinge + alpha * np.abs(e))).sum(axis=1)
-        if not active.any() or iterations == _MAX_ITERATIONS:
-            break
-        state[:, active] = _mehrotra_step(Xb, Y[active], C[active], state[:, active], -e[active])
-        steps += active
-    blocks = [slice(j * len(classes), (j + 1) * len(classes)) for j in range(len(Cs))]
-    reports = [SolverReport(int(steps[b].max()), float(gap[b].sum()), not active[b].any()) for b in blocks]
-    return [LinearModel(W[b], classes, c, report) for c, b, report in zip(Cs, blocks, reports)]
+        done = ~active if iterations < _MAX_ITERATIONS else np.ones_like(active)
+        if done.any():
+            ids = live[done]
+            weights[ids], gaps[ids], short[ids] = W[done], gap[done], active[done]
+            primal[ids] = 0.5 * (W[done] * W[done]).sum(axis=1) + hinge[done].sum(axis=1)
+            if done.all():
+                return weights, steps, primal, gaps, short
+            live, Y, C, state, e = live[~done], Y[~done], C[~done], state[:, ~done], e[~done]
+            runs = _runs(block[live])
+        state = _mehrotra_step(Xb, runs, Y, C, state, -e)
+        steps[live] += 1
+
+
+def _runs(block: np.ndarray) -> list[tuple[int, slice]]:
+    """(design, rows) of each run of equal entries of the sorted ``block``."""
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1), len(block)]
+    return [(block[a], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
+def _by_design(V: np.ndarray, mats: np.ndarray, runs: list[tuple[int, slice]]) -> np.ndarray:
+    """Row b of the result is V[b] @ mats[p], p the design of dual b: one
+    product per run of ``runs``."""
+    out = np.empty((len(V), mats.shape[2]))
+    for p, rows in runs:
+        np.matmul(V[rows], mats[p], out=out[rows])
+    return out
 
 
 _MAX_ITERATIONS = 50
@@ -136,28 +192,48 @@ _MAX_ITERATIONS = 50
 _RHO = 1e-8
 
 
-def _mehrotra_step(Xb: np.ndarray, Y: np.ndarray, C: float, state: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _mehrotra_step(
+    Xb: np.ndarray, runs: list[tuple[int, slice]], Y: np.ndarray, C: np.ndarray, state: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
     """One Mehrotra (1992) predictor-corrector step on the (alpha, z, s, v)
     iterate of the duals min alpha^T Q alpha / 2 - sum alpha, Q = Z Z^T,
-    Z = diag(y) Xb, given their gradient. A Newton direction solves
-    (Q + D + rho I) d = r, D = z/alpha + v/s, by Sherman-Morrison-Woodbury
-    (Ferris & Munson 2002) through the m x m matrix M = I + Xb^T diag(1/(D + rho)) Xb,
-    m = d + 1, which y^2 = 1 makes label-free: one ``np.linalg.solve``."""
+    Z = diag(y) Xb, given their gradient; dual b's design is Xb[p] for its
+    run (p, rows) of ``runs``.
+    A Newton direction solves (Q + D + rho I) d = r, D = z/alpha + v/s, by
+    Sherman-Morrison-Woodbury (Ferris & Munson 2002) through the m x m
+    matrix M = I + Xb^T diag(1/(D + rho)) Xb, m = d + 1, which y^2 = 1 makes
+    label-free. M >= I is symmetric positive definite: one batched
+    ``np.linalg.cholesky`` factors every dual's M = L L^T once, and both
+    directions reuse it by forward and back substitution over all duals at
+    once. A ``LinAlgError`` from the factorization propagates."""
     alpha, z, s, v = state
     inv_alpha, inv_s, r_slack = 1.0 / alpha, 1.0 / s, C - alpha - s
     dinv = 1.0 / (z * inv_alpha + v * inv_s + _RHO)
-    M = (dinv[:, None, :] * Xb.T) @ Xb + np.eye(Xb.shape[1])
+    m = Xb.shape[2]
+    M = np.concatenate([(dinv[rows, None, :] * Xb[p].T) @ Xb[p] for p, rows in runs]) + np.eye(m)
+    L = np.linalg.cholesky(M)
+    # L = D U, D its diagonal: U[i, j] holds the entry of every dual, contiguous
+    diag = np.ascontiguousarray(L.diagonal(axis1=1, axis2=2).T)
+    U = np.divide(L.transpose(1, 2, 0), diag[:, None], order="C")
     dinv_y, shared = dinv * Y, z - v - grad + v * r_slack * inv_s
+
+    def solve(b):  # M^-1 b = D^-1 U^-T U^-1 D^-1 b, a column of the unit triangle U at a time
+        x = np.ascontiguousarray(b.T) / diag
+        for j in range(m - 1):
+            x[j + 1:] -= U[j + 1:, j] * x[j]
+        for j in range(m - 1, 0, -1):
+            x[:j] -= U[j, :j] * x[j]
+        return (x / diag).T
 
     def direction(r_z, r_v):
         r = shared + r_v * inv_s - r_z * inv_alpha
-        t = np.linalg.solve(M, ((dinv_y * r) @ Xb)[..., None])[..., 0]
-        d_alpha = dinv * r - dinv_y * (t @ Xb.T)
+        t = solve(_by_design(dinv_y * r, Xb, runs))
+        d_alpha = dinv * r - dinv_y * _by_design(t, Xb.transpose(0, 2, 1), runs)
         d_s = r_slack - d_alpha
         return np.stack([d_alpha, -(r_z + z * d_alpha) * inv_alpha, d_s, -(r_v + v * d_s) * inv_s])
 
     def max_step(d):
-        ratio = np.where(d < 0, state / np.where(d < 0, -d, 1.0), np.inf)
+        ratio = np.divide(state, -d, out=np.full(d.shape, np.inf), where=d < 0)
         return np.minimum(1.0, ratio.min(axis=(0, 2)))[:, None]
 
     def mu(x):  # mean complementarity per class
@@ -426,11 +502,13 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
         info = fisher.estimate_information(G, eps)
         return fisher.feature_map(G, info, norm), fisher.feature_map(other, info, norm)
 
-    def fitted(X, keys, Cs):
-        models = _train_grid(X, [s for s, _ in keys], Cs)
+    def fitted(problems, Cs):
+        """``_train_grid`` of (features, keys) problems; a warning for each
+        model that stopped short of its tolerance, in problem and C order."""
+        grids = _train_grid([(X, [s for s, _ in keys]) for X, keys in problems], Cs)
         notes.extend(f"svm train at C={m.C:g} stopped after {m.report.iterations} iterations without converging "
-                     f"(duality gap {m.report.duality_gap:.1e})" for m in models if not m.report.converged)
-        return models
+                     f"(duality gap {m.report.duality_gap:.1e})" for models in grids for m in models if not m.report.converged)
+        return grids
 
     if len(subjects) < 2:
         return _accuracy_from_rows(subjects, split, ks, np.zeros((len(test_keys), 1))), {"degenerate": True}, notes
@@ -438,30 +516,35 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     # Hyperparameter search: evaluated on single test images (k = 1) within
     # image-disjoint folds of the training portion. Candidates are ranked
     # by CV accuracy with ties broken toward smaller C, then smaller ridge,
-    # then normalization on.
+    # then normalization on. Every (eps, normalization, fold) is whitened
+    # first, and the SVMs of the whole CV are solved in one call.
     folds = {s: _cv_folds_of(split.train[s], protocol.cv_folds) for s in subjects}
+    cv_keys = []
+    for f in range(protocol.cv_folds):
+        fit_keys = [(s, img) for s in subjects for img in folds[s][f][0]]
+        val_keys = [(s, img) for s in subjects for img in folds[s][f][1]]
+        if fit_keys and val_keys and len({s for s, _ in fit_keys}) >= 2:
+            cv_keys.append((fit_keys, val_keys))
     c_grid = sorted(protocol.c_grid)
+    settings = list(itertools.product(sorted(protocol.eps_grid), protocol.normalize_grid))
+    cv = [(fit_keys, val_keys, *whitened(fit_keys, val_keys, eps, norm))
+          for eps, norm in settings for fit_keys, val_keys in cv_keys]
+    grids = fitted([(X_fit, fit_keys) for fit_keys, _, X_fit, _ in cv], c_grid)
+    accs = [  # per (eps, normalization, fold), the validation accuracy at each C of c_grid
+        [float(np.mean(np.array(m.classes)[np.argmax(decision_matrix(m, X_val), axis=1)] == np.array([s for s, _ in val_keys])))
+         for m in models]
+        for (_, val_keys, _, X_val), models in zip(cv, grids)
+    ]
     candidates = []
-    for eps, norm in itertools.product(sorted(protocol.eps_grid), protocol.normalize_grid):
-        accs = []  # per fold, the validation accuracy at each C of c_grid
-        for f in range(protocol.cv_folds):
-            fit_keys = [(s, img) for s in subjects for img in folds[s][f][0]]
-            val_keys = [(s, img) for s in subjects for img in folds[s][f][1]]
-            if not fit_keys or not val_keys or len({s for s, _ in fit_keys}) < 2:
-                continue
-            X_fit, X_val = whitened(fit_keys, val_keys, eps, norm)
-            val_labels = np.array([s for s, _ in val_keys])
-            accs.append([
-                float(np.mean(np.array(m.classes)[np.argmax(decision_matrix(m, X_val), axis=1)] == val_labels))
-                for m in fitted(X_fit, fit_keys, c_grid)
-            ])
-        candidates += [(float(np.mean([acc[i] for acc in accs])) if accs else -1.0, C, eps, norm)
+    for j, (eps, norm) in enumerate(settings):
+        fold_accs = accs[j * len(cv_keys):(j + 1) * len(cv_keys)]
+        candidates += [(float(np.mean([acc[i] for acc in fold_accs])) if fold_accs else -1.0, C, eps, norm)
                        for i, C in enumerate(c_grid)]
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], not c[3]))
     _, C, eps, norm = candidates[0]
 
     X_train, X_test = whitened(train_keys, test_keys, eps, norm)
-    model = fitted(X_train, train_keys, (C,))[0]
+    [[model]] = fitted([(X_train, train_keys)], (C,))
     decisions = decision_matrix(model, X_test)
     class_order = [model.classes.index(s) for s in subjects]
     chosen = {"C": C, "eps_reg": eps, "normalize": bool(norm)}
@@ -481,7 +564,10 @@ def run_protocol(
     pooled generative model per split on all training items, whiten the
     score vectors with the empirical information of the training scores,
     tune (C, ridge, normalization) by image-disjoint CV on the training
-    portion, and identify by summed decision scores. Accuracy at k
+    portion, and identify by summed decision scores. The CV's SVMs are
+    solved together: every fold, ridge, normalization, C and class whose
+    fold has the same number of training rows in one interior-point stack
+    (``_train_grid``). Accuracy at k
     averages over disjoint consecutive groups of k test images per
     subject; the curve reports mean and standard error across splits.
     Each SceneWalk fit and each SVM solve that stops without converging

@@ -83,9 +83,16 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
     stems = _item_stems([(it.subject_id, it.image_id) for it in data.items])
     for image_id in data.saliency or {}:
         _checked_id("image", image_id)
+    has_features = any(item.features is not None for item in data.items)
+    for it in data.items:
+        if has_features and it.features is None:
+            # the manifest records features for the whole dataset, so a
+            # loader could not tell this item's absent file from a lost one
+            raise ValueError(
+                f"subject {it.subject_id!r} image {it.image_id!r} has no features while other items do"
+            )
     out = Path(out_dir)
     (out / "scanpaths").mkdir(parents=True, exist_ok=True)
-    has_features = any(item.features is not None for item in data.items)
     if has_features:
         (out / "features").mkdir(exist_ok=True)
     if data.saliency:
@@ -125,8 +132,10 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     for (subject_id, image_id), stem in zip(pairs, _item_stems(pairs)):
         path = load_scanpath_csv(scan_dir / f"{stem}.csv", subject_id=subject_id, image_id=image_id)
         features = None
-        feat_path = feat_dir / f"{stem}.csv"
-        if manifest.get("has_features") and feat_path.exists():
+        if manifest.get("has_features"):
+            feat_path = feat_dir / f"{stem}.csv"
+            if not feat_path.exists():
+                raise FileNotFoundError(f"{feat_path}: missing, but the manifest says the dataset has features")
             features = load_features_csv(feat_path)
         items.append(
             DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path, features=features)

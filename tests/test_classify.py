@@ -1,6 +1,7 @@
 """Linear classifier and the evaluation protocol harness."""
 
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import re
@@ -175,15 +176,116 @@ class TestTrainParity:
             assert ovr_primal(model, X, labels) <= oracle * (1.0 + 1e-12), C
 
     def test_grid_solve_matches_single_solves(self):
-        # The CV solves a fold's whole C grid in one stack; each model must
-        # be the one train gives at that C.
+        # A problem's whole C grid shares one stack; each model must be the
+        # one train gives at that C.
         X, y = overlapping_classes()
         c_grid = EvalProtocol().c_grid
-        for C, model in zip(c_grid, classify._train_grid(X, y, c_grid)):
+        [grid] = classify._train_grid([(X, y)], c_grid)
+        for C, model in zip(c_grid, grid):
             single = classify.train(X, y, C=C)
             assert model.C == C and model.report.iterations == single.report.iterations
             assert model.report.converged == single.report.converged
             np.testing.assert_allclose(model.weights, single.weights, rtol=1e-12, atol=1e-12 * np.abs(single.weights).max())
+
+
+def ref_train_grid(features, labels, Cs):
+    """The interior-point solve that the stacked one replaced, kept as a
+    parity oracle: one stack per design holding its K len(Cs) duals, and
+    two LU solves of each Newton matrix per step (``ref_mehrotra_step``)."""
+    X = np.asarray(features, dtype=float)
+    classes = tuple(sorted(set(labels)))
+    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    Y = np.tile(np.where(np.array(labels)[None, :] == np.array(classes)[:, None], 1.0, -1.0), (len(Cs), 1))
+    C = np.repeat(np.asarray(Cs, dtype=float), len(classes))[:, None]
+    n, abs_Xb, u = Xb.shape[0], np.abs(Xb), np.finfo(float).eps / 2
+    alpha = np.full(Y.shape, 0.5) * C
+    grad = Y * ((alpha * Y) @ Xb @ Xb.T) - 1.0
+    state = np.stack([alpha, np.maximum(grad, 0.0) + 1.0, C - alpha, np.maximum(-grad, 0.0) + 1.0])
+    steps = np.zeros(len(C), dtype=int)
+    for iterations in itertools.count():
+        alpha = state[0]
+        W = (alpha * Y) @ Xb
+        e = 1.0 - Y * (W @ Xb.T)
+        hinge = C * np.maximum(0.0, e)
+        gap = (hinge - alpha * e).sum(axis=1)
+        delta = u * (1.0 + (np.abs(W) + alpha @ abs_Xb) @ abs_Xb.T)
+        near_kink = np.abs(e) <= delta
+        slope = np.where(near_kink, np.maximum(alpha, C - alpha), np.abs(np.where(e > 0.0, C, 0.0) - alpha))
+        active = gap > np.sqrt(n) * (slope * delta + u * (hinge + alpha * np.abs(e))).sum(axis=1)
+        if not active.any() or iterations == classify._MAX_ITERATIONS:
+            break
+        state[:, active] = ref_mehrotra_step(Xb, Y[active], C[active], state[:, active], -e[active])
+        steps += active
+    primal = 0.5 * (W * W).sum(axis=1) + hinge.sum(axis=1)
+    blocks = [slice(j * len(classes), (j + 1) * len(classes)) for j in range(len(Cs))]
+    return [
+        classify.LinearModel(W[b], classes, c, classify.SolverReport(
+            int(steps[b].max()), float(primal[b].sum()), float(gap[b].sum()), not active[b].any()))
+        for c, b in zip(Cs, blocks)
+    ]
+
+
+def ref_mehrotra_step(Xb, Y, C, state, grad):
+    alpha, z, s, v = state
+    inv_alpha, inv_s, r_slack = 1.0 / alpha, 1.0 / s, C - alpha - s
+    dinv = 1.0 / (z * inv_alpha + v * inv_s + classify._RHO)
+    M = (dinv[:, None, :] * Xb.T) @ Xb + np.eye(Xb.shape[1])
+    dinv_y, shared = dinv * Y, z - v - grad + v * r_slack * inv_s
+
+    def direction(r_z, r_v):
+        r = shared + r_v * inv_s - r_z * inv_alpha
+        t = np.linalg.solve(M, ((dinv_y * r) @ Xb)[..., None])[..., 0]
+        d_alpha = dinv * r - dinv_y * (t @ Xb.T)
+        d_s = r_slack - d_alpha
+        return np.stack([d_alpha, -(r_z + z * d_alpha) * inv_alpha, d_s, -(r_v + v * d_s) * inv_s])
+
+    def max_step(d):
+        ratio = np.where(d < 0, state / np.where(d < 0, -d, 1.0), np.inf)
+        return np.minimum(1.0, ratio.min(axis=(0, 2)))[:, None]
+
+    def mu(x):
+        return (x[0] * x[1] + x[2] * x[3]).sum(axis=1, keepdims=True) / (2 * x.shape[2])
+
+    affine = direction(alpha * z, s * v)
+    target = mu(state + max_step(affine) * affine) ** 3 / mu(state) ** 2
+    d = direction(alpha * z + affine[0] * affine[1] - target, s * v + affine[2] * affine[3] - target)
+    return state + 0.995 * max_step(d) * d
+
+
+def oracle_train_grid(problems, Cs):
+    """``classify._train_grid`` with every problem solved by the oracle."""
+    return [ref_train_grid(X, labels, Cs) for X, labels in problems]
+
+
+class TestStackedSolveParity:
+    """A CV's stacked solve against the oracle: on every C of the protocol
+    grid each model is converged, as the oracle's is, and its primal is not
+    above the oracle's by more than its own duality gap and 1e-12 relative.
+    Both solves stop once the gap is down to the rounding error of its
+    terms, which can be some 1e-11 of the primal, so either primal may be
+    the lower one by that much; the gap certifies P - P* <= P - D."""
+
+    @pytest.mark.parametrize("n_classes", [2, 6, 10])
+    @pytest.mark.parametrize("dim", [8, 20, 68], ids=lambda dim: f"m={dim + 1}")
+    @pytest.mark.parametrize("per_class", [(6, 6, 6), (6, 6, 7)], ids=["equal-folds", "unequal-folds"])
+    def test_primal_not_above_oracle(self, n_classes, dim, per_class):
+        # Three folds, each with and without unit-norm rows, as in the CV.
+        rng = np.random.default_rng(n_classes * 1000 + dim * 10 + per_class[-1])
+        centers = rng.standard_normal((n_classes, dim))
+        problems = []
+        for normalize, count in itertools.product((True, False), per_class):
+            n = n_classes * count
+            X = centers[np.arange(n) % n_classes] + 1.5 * rng.standard_normal((n, dim))
+            if normalize:
+                X /= np.linalg.norm(X, axis=1, keepdims=True)
+            problems.append((X, [f"c{i % n_classes}" for i in range(n)]))
+        c_grid = EvalProtocol().c_grid
+        for (X, labels), models, oracles in zip(problems, classify._train_grid(problems, c_grid), oracle_train_grid(problems, c_grid)):
+            for C, model, oracle in zip(c_grid, models, oracles):
+                assert model.C == C and model.report.converged, (C, model.report)
+                assert model.report.converged == oracle.report.converged
+                bound = ovr_primal(oracle, X, labels) * (1.0 + 1e-12) + model.report.duality_gap
+                assert ovr_primal(model, X, labels) <= bound, (C, model.report, oracle.report)
 
 
 class TestIdentify:
@@ -456,6 +558,48 @@ class TestRunProtocol:
         assert all(re.fullmatch(p, w) for p, w in zip(split0, result.warnings)), result.warnings
         assert all(w.startswith("split 1: ") for w in result.warnings[7:])
         assert classify.run_protocol(data, "fisher-svm-markov", protocol).warnings == result.warnings
+
+    def test_lopsided_cv_is_solved_in_stacks_of_equal_rows(self, monkeypatch):
+        # user003 keeps 2 of its 8 images: its one training image is the
+        # validation set of fold 0, which therefore fits 3 subjects on 6
+        # rows, while folds 1 and 2 fit all 4 on 10 rows. Each row count is
+        # one stack, holding every normalization of its folds.
+        full = small_cohort()
+        data = GazeDataset(items=tuple(
+            it for it in full.items if it.subject_id != "user003" or it.image_id in ("img000", "img001")
+        ))
+        protocol = EvalProtocol(n_splits=2, seed=1, max_k=1, c_grid=(0.1, 1.0))
+        stacks, solve_stack = [], classify._solve_stack
+
+        def recorded(Xb, Y, C, block):
+            stacks.append((Xb.shape[:2], len(Y)))
+            return solve_stack(Xb, Y, C, block)
+
+        monkeypatch.setattr(classify, "_solve_stack", recorded)
+        result = classify.run_protocol(data, "fisher-svm-markov", protocol, threads=1)
+        assert result.warnings == ()
+        # per split: 2 normalizations x 2 C x 3 classes on 6 rows,
+        # 2 x 2 folds x 2 C x 4 classes on 10 rows, then the final model
+        assert stacks == [((2, 6), 12), ((4, 10), 32), ((1, 13), 4)] * 2
+        assert classify.run_protocol(data, "fisher-svm-markov", protocol, threads=2).to_json_dict() == result.to_json_dict()
+
+        # Capped at one step, every solve warns: normalization, then fold,
+        # then C, then the final model, as the oracle, which solves one
+        # design at a time in that order, warns.
+        monkeypatch.setattr(classify, "_MAX_ITERATIONS", 1)
+        capped = classify.run_protocol(data, "fisher-svm-markov", protocol)
+        stopped = r"split {}: svm train at C={} stopped after 1 iterations without converging \(duality gap [^)]+\)"
+        expected = [
+            stopped.format(i, re.escape(f"{c:g}")) for i in range(2) for c in [0.1, 1.0] * 6 + [capped.hyperparams[i]["C"]]
+        ]
+        assert len(capped.warnings) == 26
+        assert all(re.fullmatch(p, w) for p, w in zip(expected, capped.warnings)), capped.warnings
+        monkeypatch.setattr(classify, "_train_grid", oracle_train_grid)
+        assert classify.run_protocol(data, "fisher-svm-markov", protocol).warnings == capped.warnings
+
+        monkeypatch.setattr(classify, "_MAX_ITERATIONS", 50)
+        oracle = classify.run_protocol(data, "fisher-svm-markov", protocol)
+        assert oracle.hyperparams == result.hyperparams and oracle.per_split == result.per_split
 
     def test_results_files(self, tmp_path):
         data = small_cohort()

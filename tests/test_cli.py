@@ -130,8 +130,27 @@ class TestFitScoresTrainIdentify:
         main(["scores", "--data", data, "--model-json", str(tmp_path / "m.json"), "--out", str(tmp_path / "phi.csv")])
         assert main(["train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json")]) == 0
         solver = json.loads((tmp_path / "clf.json").read_text())["solver"]
-        assert set(solver) == {"iterations", "duality_gap", "converged"}
-        assert solver["converged"] is True and solver["iterations"] > 0 and solver["duality_gap"] >= 0.0
+        assert set(solver) == {"iterations", "primal", "duality_gap", "converged"}
+        assert solver["converged"] is True and solver["iterations"] > 0
+        assert solver["primal"] > solver["duality_gap"] >= 0.0
+
+    def test_solver_report_shows_a_gap_near_the_primal(self, tmp_path):
+        # 30 x 4 Gaussian features times 1e6 at C = 100: the weights carry a
+        # rounding error that the stop rule counts as unresolvable, so the
+        # solve ends converged with a duality gap of the size of the primal.
+        # The primal in the report shows the gap for what it is: the 1e3-
+        # scaled data's primal, which bounds the optimum from above, is more
+        # than 15% below it.
+        X = np.random.default_rng(12345).standard_normal((30, 4))
+        subjects = [f"s{i % 3}" for i in range(30)]
+        rows = "".join(f"{s},img{i},{','.join(repr(float(v)) for v in x * 1e6)}\n" for i, (s, x) in enumerate(zip(subjects, X)))
+        (tmp_path / "phi.csv").write_text("subject_id,image_id,phi_1,phi_2,phi_3,phi_4\n" + rows)
+        assert main(["train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json"), "--C", "100"]) == 0
+        solver = json.loads((tmp_path / "clf.json").read_text())["solver"]
+        assert solver["converged"] is True
+        assert solver["primal"] == classify.train(X * 1e6, subjects, C=100.0).report.primal
+        assert 0.25 * solver["primal"] < solver["duality_gap"] < solver["primal"]
+        assert classify.train(X * 1e3, subjects, C=100.0).report.primal < 0.85 * solver["primal"]
 
     def test_scores_info_in_reproduces_features(self, tmp_path):
         data = self.make_data(tmp_path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,3 +187,20 @@ class TestDatasetRoundTrip:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path)
+
+    def test_missing_feature_file_is_an_error(self, tmp_path):
+        # The manifest says the dataset has features, so an item whose file
+        # is gone must not load as one without features.
+        data = generate_cohort(SyntheticCohortSpec(n_users=3, n_images=6, fixations_per_path=8, family="markov-dyn", seed=5)).data
+        save_dataset(data, tmp_path / "d")
+        missing = tmp_path / "d" / "features" / "user001__img002.csv"
+        missing.unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            load_dataset(tmp_path / "d")
+
+    def test_features_on_only_some_items_are_rejected(self, tmp_path):
+        data = generate_cohort(SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, seed=5)).data
+        first, second = data.items
+        with pytest.raises(ValueError, match="subject 'user000' image 'img001' has no features while other items do"):
+            save_dataset(GazeDataset(items=(first, dataclasses.replace(second, features=None))), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
