@@ -210,11 +210,10 @@ def _mehrotra_step(
     inv_alpha, inv_s, r_slack = 1.0 / alpha, 1.0 / s, C - alpha - s
     dinv = 1.0 / (z * inv_alpha + v * inv_s + _RHO)
     m = Xb.shape[2]
-    M = np.concatenate([(dinv[rows, None, :] * Xb[p].T) @ Xb[p] for p, rows in runs]) + np.eye(m)
-    L = np.linalg.cholesky(M)
+    U = np.linalg.cholesky(np.concatenate([(dinv[rows, None, :] * Xb[p].T) @ Xb[p] for p, rows in runs]) + np.eye(m))
     # L = D U, D its diagonal: U[i, j] holds the entry of every dual, contiguous
-    diag = np.ascontiguousarray(L.diagonal(axis1=1, axis2=2).T)
-    U = np.divide(L.transpose(1, 2, 0), diag[:, None], order="C")
+    diag = np.ascontiguousarray(U.diagonal(axis1=1, axis2=2).T)
+    U = np.divide(U.transpose(1, 2, 0), diag[:, None], order="C")
     dinv_y, shared = dinv * Y, z - v - grad + v * r_slack * inv_s
 
     def solve(b):  # M^-1 b = D^-1 U^-T U^-1 D^-1 b, a column of the unit triangle U at a time
