@@ -360,26 +360,30 @@ def make_splits(data: GazeDataset, protocol: EvalProtocol) -> list[Split]:
 
 
 class _FamilyOps:
-    """Per-family generative-model hooks. Markov families reduce every item
-    once to its ``markov.statistics`` row; fits, likelihoods and scores are
-    then sums and matrix products of those rows. SceneWalk families sweep
-    the items' paths in a ``scenewalk.SweepPool`` with ``threads - 1``
-    forked workers, which ``close`` stops."""
+    """Generative-model hooks of one model (markov, markov-dyn or
+    scenewalk), shared by the evaluation and ``gazeid fit``/``scores``.
+    Markov models reduce every item once to its ``markov.statistics`` row;
+    fits, likelihoods and scores are then sums and matrix products of those
+    rows. SceneWalk sweeps the items' paths in a ``scenewalk.SweepPool``
+    with ``threads - 1`` forked workers, which ``close`` (or leaving a
+    ``with`` block) stops."""
 
-    def __init__(self, data: GazeDataset, family: str, protocol: EvalProtocol, threads: int):
+    def __init__(self, data: GazeDataset, model: str, protocol: EvalProtocol, threads: int):
         self.data = data
         self.index = {(it.subject_id, it.image_id): it for it in data.items}
         self.row_of = {key: i for i, key in enumerate(self.index)}
-        if family in ("bayes-markov", "fisher-svm-markov"):
+        if model == "markov":
             self.kind, self.channels = "markov", BASE_CHANNELS
-        elif family in ("bayes-markov-dyn", "fisher-svm-markov-dyn"):
+        elif model == "markov-dyn":
             self.kind, self.channels = "markov", DYNAMICS_CHANNELS
-        elif family in ("bayes-scenewalk", "fisher-svm-scenewalk"):
+            if all(it.features is None for it in data.items):
+                raise ValueError("dynamics channels unavailable: dataset carries no per-saccade feature files")
+        elif model == "scenewalk":
             self.kind, self.channels = "scenewalk", None
             if not data.saliency:
-                raise ValueError("scenewalk families require saliency maps in the dataset")
+                raise ValueError("the scenewalk model requires saliency maps in the dataset")
         else:
-            raise ValueError(f"unknown model family {family!r}; choose one of {FAMILIES}")
+            raise ValueError(f"unknown model {model!r}; choose one of markov, markov-dyn, scenewalk")
         self.protocol = protocol
         if self.kind == "markov":
             self.rows = markov.statistics(
@@ -389,6 +393,12 @@ class _FamilyOps:
         else:
             pairs = [(it.scanpath, data.saliency[it.image_id]) for it in self.index.values()]
             self.pool = scenewalk.SweepPool(pairs, min(threads, len(pairs)) - 1)
+
+    def __enter__(self) -> "_FamilyOps":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def close(self) -> None:
         if self.kind == "scenewalk":
@@ -469,8 +479,8 @@ def _run_bayes_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     fits = ops.fit([[(s, img) for img in split.train[s]] for s in subjects])
     user_models = [model for model, _ in fits]
     notes = [note for s, (_, result) in zip(subjects, fits) for note in _unconverged(result, f" of {s}")]
-    # Per-item log-likelihood under every user model; group identification
-    # then sums rows, exactly matching bayes_identify's aggregation.
+    # Per-item log-likelihood under every user model; a group's
+    # log-likelihood under a model is the sum of its items' rows.
     test_keys = [(s, img) for s in subjects for img in split.test[s]]
     return _accuracy_from_rows(subjects, split, ks, ops.loglik_table(test_keys, user_models)), None, notes
 
@@ -600,12 +610,9 @@ def run_protocol(
             return _run_bayes_split(ops, split, ks)
         return _run_fisher_split(ops, split, ks)
 
-    with _one_blas_thread():
-        ops = _FamilyOps(data, family, protocol, threads)
-        try:
-            outcomes = [run_one(ops, split) for split in splits]
-        finally:
-            ops.close()
+    model = family.removeprefix("bayes-").removeprefix("fisher-svm-")
+    with _one_blas_thread(), _FamilyOps(data, model, protocol, threads) as ops:
+        outcomes = [run_one(ops, split) for split in splits]
 
     warnings += [f"split {idx}: {note}" for idx, (_, _, notes) in enumerate(outcomes) for note in notes]
     per_split = {k: tuple(acc[k] for acc, _, _ in outcomes) for k in ks}

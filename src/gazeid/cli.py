@@ -10,6 +10,7 @@ exact invocation. Outputs are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -18,11 +19,12 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, classify, fisher, markov, scenewalk, simulate
-from .core import detect_saccades, extract_features, load_recording_csv
+from .core import detect_saccades, load_recording_csv
 from .dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 
 
@@ -61,21 +63,24 @@ def _provenance(config: dict) -> dict:
     }
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write: Callable[[str], None]) -> None:
+    """Create ``path`` by ``write(tmp)`` on a dot-file beside it and a
+    rename, so readers never see a partial file; the dot-file is removed
+    if ``write`` or the rename fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(json.dumps(doc, indent=2) + "\n"))
 
 
 def _default_threads() -> int:
@@ -121,36 +126,20 @@ def _load_dataset_or_fail(data_dir: str) -> GazeDataset:
 
 def cmd_fit(args) -> int:
     config = _effective_config(args, ["data", "model", "out", "seed", "rho", "max_iter"], required=("data", "model", "out"))
-    if config["model"] not in ("markov", "markov-dyn", "scenewalk"):
-        raise ValueError("model must be one of markov, markov-dyn, scenewalk")
     data = _load_dataset_or_fail(config["data"])
-    out = Path(config["out"])
-
-    if config["model"] in ("markov", "markov-dyn"):
-        channels = (
-            markov.BASE_CHANNELS if config["model"] == "markov" else markov.DYNAMICS_CHANNELS
-        )
-        if config["model"] == "markov-dyn" and all(it.features is None for it in data.items):
-            raise ValueError(
-                "dynamics channels unavailable: dataset carries no per-saccade feature files"
-            )
-        feats = [
-            it.features if it.features is not None else extract_features(it.scanpath)
-            for it in data.items
-        ]
-        params = markov.fit(feats, channels)
+    protocol = classify.EvalProtocol(
+        scenewalk_rho=config["rho"] if config["rho"] is not None else 1.0,
+        scenewalk_max_iter=config["max_iter"] if config["max_iter"] is not None else 500,
+    )
+    with classify._FamilyOps(data, config["model"], protocol, threads=1) as ops:
+        [(params, result)] = ops.fit([list(ops.index)])
+    if result is None:
         doc = {"model": config["model"], **markov.params_to_json_dict(params)}
     else:
-        if not data.saliency:
-            raise ValueError("scenewalk fitting requires saliency maps in the dataset")
-        pairs = [(it.scanpath, data.saliency[it.image_id]) for it in data.items]
-        rho = config["rho"] if config["rho"] is not None else 1.0
-        max_iter = config["max_iter"] if config["max_iter"] is not None else 500
-        result = scenewalk.fit(pairs, rho=rho, max_iter=max_iter)
         doc = {"model": "scenewalk", **result.to_json_dict()}
     doc["provenance"] = _provenance(config)
-    _write_json(out, doc)
-    print(f"fitted {config['model']} on {len(data.items)} scanpaths -> {out}")
+    _write_json(Path(config["out"]), doc)
+    print(f"fitted {config['model']} on {len(data.items)} scanpaths -> {config['out']}")
     return 0
 
 
@@ -178,19 +167,9 @@ def cmd_scores(args) -> int:
     eps = config["eps_reg"] if config["eps_reg"] is not None else fisher.DEFAULT_RIDGE
     normalize = bool(config["normalize"]) if config["normalize"] is not None else False
 
-    if kind in ("markov", "markov-dyn"):
-        def grad_fn(item):
-            feats = item.features if item.features is not None else extract_features(item.scanpath)
-            return markov.grad_loglik(feats, params)
-    else:
-        if not data.saliency:
-            raise ValueError("scenewalk scoring requires saliency maps in the dataset")
-        def grad_fn(item):
-            return scenewalk.grad_loglik(item.scanpath, data.saliency[item.image_id], params)
-
-    scores = fisher.compute_scores(
-        data.items, grad_fn, model_tag=kind, ids=lambda it: (it.subject_id, it.image_id)
-    )
+    with classify._FamilyOps(data, kind, classify.EvalProtocol(), threads=1) as ops:
+        keys = list(ops.index)
+        scores = ops.grads(keys, params)
     if config["info_in"]:
         with open(config["info_in"]) as fh:
             info_doc = json.load(fh)
@@ -201,12 +180,8 @@ def cmd_scores(args) -> int:
         info = fisher.estimate_information(scores, eps)
 
     out = Path(config["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmpdir = out.parent
-    fd, tmp = tempfile.mkstemp(dir=tmpdir, prefix=f".{out.name}.")
-    os.close(fd)
-    fisher.export_features_csv(scores, info, tmp, normalize=normalize)
-    os.replace(tmp, out)
+    phi = fisher.feature_map(scores, info, normalize)
+    _atomic_write(out, lambda tmp: fisher.export_features_csv(keys, phi, tmp))
 
     info_out = config["info_out"] or str(out.with_suffix(".info.json"))
     _write_json(
@@ -265,15 +240,14 @@ def cmd_identify(args) -> int:
             predicted = classify.identify(model, X[group])
             rows.append((subject, images[group[0]], predicted, predicted == subject))
 
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["subject_id", "group_first_image", "predicted", "correct"])
+            writer.writerows([*row[:3], int(row[3])] for row in rows)
+
     out = Path(config["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=f".{out.name}.")
-    with os.fdopen(fd, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "group_first_image", "predicted", "correct"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], int(row[3])])
-    os.replace(tmp, out)
+    _atomic_write(out, write)
     _write_json(out.with_suffix(".provenance.json"), _provenance(config))
     accuracy = float(np.mean([r[3] for r in rows])) if rows else float("nan")
     print(f"identified {len(rows)} groups (k={k}), accuracy {accuracy:.4f} -> {out}")
@@ -354,10 +328,7 @@ def cmd_eval(args) -> int:
     doc = result.to_json_dict()
     doc["provenance"] = _provenance(config)
     _write_json(out_dir / "results.json", doc)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".results.csv.")
-    os.close(fd)
-    classify.save_results_csv(result, tmp)
-    os.replace(tmp, out_dir / "results.csv")
+    _atomic_write(out_dir / "results.csv", lambda tmp: classify.save_results_csv(result, tmp))
     k1 = result.curve.mean_at(1) if result.curve.entries else float("nan")
     print(f"evaluated {config['family']}: k=1 accuracy {k1:.4f} -> {out_dir}")
     return 0

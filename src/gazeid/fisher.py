@@ -25,8 +25,6 @@ class FisherScore:
 
     g: np.ndarray
     model_tag: str
-    subject_id: str = ""
-    image_id: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -95,27 +93,10 @@ def estimate_information(
 
 
 def compute_scores(
-    items: Iterable[Any],
-    grad_fn: Callable[[Any], np.ndarray],
-    model_tag: str,
-    ids: Callable[[Any], tuple[str, str]] | None = None,
+    items: Iterable[Any], grad_fn: Callable[[Any], np.ndarray], model_tag: str
 ) -> list[FisherScore]:
-    """One FisherScore per item via the model's log-likelihood gradient.
-
-    ``ids`` optionally extracts (subject_id, image_id) for export.
-    """
-    out = []
-    for item in items:
-        subject_id, image_id = ids(item) if ids is not None else ("", "")
-        out.append(
-            FisherScore(
-                g=np.asarray(grad_fn(item), dtype=float),
-                model_tag=model_tag,
-                subject_id=subject_id,
-                image_id=image_id,
-            )
-        )
-    return out
+    """One FisherScore per item via the model's log-likelihood gradient."""
+    return [FisherScore(g=np.asarray(grad_fn(item), dtype=float), model_tag=model_tag) for item in items]
 
 
 def feature_map(score: FisherScore | np.ndarray, info: FisherInformation, normalize: bool = False) -> np.ndarray:
@@ -148,18 +129,20 @@ def kernel(
 
 
 def export_features_csv(
-    scores: Sequence[FisherScore],
-    info: FisherInformation,
-    csv_path: str | Path,
-    normalize: bool = False,
+    ids: Sequence[tuple[str, str]], phi: np.ndarray, csv_path: str | Path
 ) -> None:
-    """One row per item: subject_id, image_id, phi_1..phi_dim."""
+    """One row per item: subject_id, image_id, phi_1..phi_dim, from the
+    (subject_id, image_id) of each row of the feature matrix ``phi``.
+
+    Written with the ``csv`` module rather than ``core``'s numeric CSV
+    helpers: dataset ids may contain commas, which it quotes."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or len(phi) != len(ids):
+        raise ValueError("need one (subject_id, image_id) per row of a 2-D feature matrix")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject_id", "image_id"] + [f"phi_{k + 1}" for k in range(info.dim)])
-        for s in scores:
-            phi = feature_map(s, info, normalize)
-            writer.writerow([s.subject_id, s.image_id] + [repr(float(v)) for v in phi])
+        writer.writerow(["subject_id", "image_id"] + [f"phi_{k + 1}" for k in range(phi.shape[1])])
+        writer.writerows([*key, *map(repr, row)] for key, row in zip(ids, phi.tolist()))
 
 
 def load_features_csv(csv_path: str | Path) -> tuple[list[str], list[str], np.ndarray]:

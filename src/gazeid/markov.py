@@ -258,34 +258,14 @@ def fit(
     return fit_from_statistics(statistics(SaccadeTable.concat(data), channels), channels, b_star)
 
 
-@dataclass
-class LikelihoodDiagnostics:
-    """Counts of channel values skipped as non-positive or undefined."""
-
-    skipped: dict[str, int] = field(default_factory=dict)
-
-    def add(self, channel: str, n: int) -> None:
-        self.skipped[channel] = self.skipped.get(channel, 0) + n
-
-
-def loglik(
-    features: SaccadeTable,
-    params: MarkovModelParams,
-    diagnostics: LikelihoodDiagnostics | None = None,
-) -> float:
+def loglik(features: SaccadeTable, params: MarkovModelParams) -> float:
     """Scanpath log-likelihood under the factorized model.
 
     Uses the categorical form sum_t ln pi_{u_t}; the parameter-free
     multinomial coefficient is omitted, so values are comparable across
     parameter settings but are not normalized counts-likelihoods.
     """
-    row = statistics(features, params.channel_names)
-    if diagnostics is not None:
-        kept_per_channel = _unpack(row, len(params.channels))[1][..., 0].sum(axis=1)
-        for ch, kept in zip(params.channel_names, kept_per_channel):
-            if kept < len(features):
-                diagnostics.add(ch, len(features) - int(kept))
-    return float(row @ coef(params))
+    return float(statistics(features, params.channel_names) @ coef(params))
 
 
 def grad_from_statistics(rows: np.ndarray, params: MarkovModelParams) -> np.ndarray:
@@ -370,24 +350,6 @@ def sample_scanpath(
         positions=positions, durations=durations, subject_id=subject_id, image_id=image_id
     )
     return path, SaccadeTable(types=types, values=values)
-
-
-def bayes_identify(
-    per_image_features: Sequence[SaccadeTable],
-    user_params: Sequence[MarkovModelParams],
-) -> int:
-    """Index of the user whose model maximizes the summed log-likelihood.
-
-    All user models must share one channel set. Ties break toward the
-    lowest user index.
-    """
-    if not user_params or not per_image_features:
-        raise ValueError("need at least one user model and one scanpath")
-    names = user_params[0].channel_names
-    if any(m.channel_names != names for m in user_params):
-        raise ValueError("user models must share one channel set")
-    rows = statistics(per_image_features, names)
-    return int(np.argmax((rows @ np.array([coef(m) for m in user_params]).T).sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ decay terms.
 from __future__ import annotations
 
 import contextlib
-import enum
 import json
 import math
 import multiprocessing
@@ -37,14 +36,6 @@ SALIENCY_FLOOR = 1e-12
 # the log-likelihood stays finite even at zeta = 0.
 POTENTIAL_EPS = 1e-12
 _TINY = 1e-300
-
-
-class InitPolicy(enum.Enum):
-    """How the first fixation enters the likelihood."""
-
-    EXCLUDED = "excluded"
-    UNIFORM = "uniform"
-    SALIENCY = "saliency"
 
 
 @dataclass(frozen=True)
@@ -334,13 +325,6 @@ def step(
     return SceneWalkState(walk.fields, state.t + 1), walk.potential, prob
 
 
-@dataclass
-class WalkDiagnostics:
-    """Fixations that fell outside the grid extent and were clamped."""
-
-    clamped: int = 0
-
-
 # grad[1:] (c_f, lam, gamma, omega_a, omega_f, sigma_a, sigma_f) as the
 # (field, factor) entries of the sweep's gradient terms.
 _GRAD_FIELD = [1, 0, 1, 0, 1, 0, 1]
@@ -352,7 +336,6 @@ def _sweep(
     saliency: SaliencyMap,
     params: SceneWalkParams,
     with_grad: bool,
-    diagnostics: WalkDiagnostics | None = None,
 ) -> tuple[float, np.ndarray]:
     """Transition log-likelihood (first fixation excluded) and, if
     ``with_grad``, its gradient in PARAM_NAMES order, from one field sweep.
@@ -369,12 +352,7 @@ def _sweep(
     T = len(path)
     if T < 2:
         raise ValueError("scanpath must contain at least 2 fixations")
-    cells = np.empty((T, 2), dtype=int)
-    for t, q in enumerate(path.positions):
-        i, j, clamped = saliency.position_to_cell(q)
-        if clamped and diagnostics is not None:
-            diagnostics.clamped += 1
-        cells[t] = i, j
+    cells = np.array([saliency.position_to_cell(q)[:2] for q in path.positions])
 
     windows = _windows(cells[:-1], path.durations[:-1], params, saliency)
     walk = _Walk(initial_state(saliency).fields, saliency, params, with_grad)
@@ -421,24 +399,10 @@ def _sweep(
     return total, grad
 
 
-def loglik(
-    path: Scanpath,
-    saliency: SaliencyMap,
-    params: SceneWalkParams,
-    init: InitPolicy = InitPolicy.EXCLUDED,
-    diagnostics: WalkDiagnostics | None = None,
-) -> float:
-    """Sum over transitions of the log next-fixation probability.
-
-    The first-fixation term follows ``init``: excluded (default, matching
-    the gradient which sums over transitions only), uniform, or saliency.
-    """
-    total, _ = _sweep(path, saliency, params, with_grad=False, diagnostics=diagnostics)
-    if init is InitPolicy.UNIFORM:
-        return -math.log(saliency.n_cells) + total
-    if init is InitPolicy.SALIENCY:
-        return math.log(saliency.grid[saliency.position_to_cell(path.positions[0])[:2]]) + total
-    return total
+def loglik(path: Scanpath, saliency: SaliencyMap, params: SceneWalkParams) -> float:
+    """Sum over transitions of the log next-fixation probability; the first
+    fixation is excluded, as in the gradient."""
+    return _sweep(path, saliency, params, with_grad=False)[0]
 
 
 def grad_loglik(path: Scanpath, saliency: SaliencyMap, params: SceneWalkParams) -> np.ndarray:

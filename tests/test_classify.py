@@ -10,6 +10,7 @@ import signal
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from test_markov import bayes_oracle
 
 from gazeid import classify, markov, scenewalk, simulate
 from gazeid.classify import EvalProtocol
@@ -433,7 +434,7 @@ class TestRunProtocol:
 
     def test_bayes_matches_bayes_identify_composition(self):
         # Cross-module consistency: the harness's per-group predictions for
-        # the markov Bayes family equal direct bayes_identify calls.
+        # the markov Bayes family equal a per-group summed-likelihood oracle.
         data = small_cohort()
         protocol = EvalProtocol(n_splits=1, seed=4, max_k=2)
         result = classify.run_protocol(data, "bayes-markov", protocol)
@@ -453,7 +454,7 @@ class TestRunProtocol:
                 test = split.test[subject]
                 for g in range(0, len(test) - k + 1, k):
                     group = [index[(subject, img)].features for img in test[g : g + k]]
-                    correct += markov.bayes_identify(group, models) == s_idx
+                    correct += bayes_oracle(group, models) == s_idx
                     total += 1
             assert result.per_split[k][0] == pytest.approx(correct / total)
 

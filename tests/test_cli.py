@@ -1,14 +1,16 @@
 """Command-line interface: pipelines, determinism, error reporting."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gazeid import classify, simulate
+from gazeid import classify, cli, fisher, markov, scenewalk, simulate
 from gazeid.cli import main
 from gazeid.core import GazeRecording, save_recording_csv
+from gazeid.dataset import GazeDataset, load_dataset, save_dataset
 
 
 def write_spec(path, **overrides):
@@ -202,6 +204,96 @@ class TestFitScoresTrainIdentify:
         code = main(["fit", "--config", str(tmp_path / "cfg.json"), "--model", "markov", "--out", str(tmp_path / "m.json")])
         assert code != 0
         assert "bogus_key" in capsys.readouterr().err
+
+
+TINY_COHORTS = {
+    "markov": {"family": "markov"},
+    "markov-dyn": {"family": "markov-dyn"},
+    "scenewalk": {"family": "scenewalk", "grid_shape": [8, 8], "extent": [8.0, 8.0]},
+}
+
+
+def simulate_tiny(tmp_path, model):
+    """A 2-viewer x 3-image cohort of 5-fixation paths of the model's family."""
+    write_spec(tmp_path / "spec.json", n_users=2, n_images=3, fixations_per_path=5, **TINY_COHORTS[model])
+    assert main(["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == 0
+    return tmp_path / "data"
+
+
+class TestOneCodePath:
+    """``fit`` and ``scores`` run the evaluation's model operations."""
+
+    @pytest.mark.parametrize("model", ["markov", "markov-dyn", "scenewalk"])
+    def test_fit_and_scores_equal_the_family_ops(self, tmp_path, model):
+        data_dir = simulate_tiny(tmp_path, model)
+        fit = ["fit", "--data", str(data_dir), "--model", model, "--out", str(tmp_path / "m.json"), "--max-iter", "50"]
+        assert main(fit) == 0
+        assert main(["scores", "--data", str(data_dir), "--model-json", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "phi.csv")]) == 0
+
+        data = load_dataset(data_dir)
+        protocol = classify.EvalProtocol(scenewalk_max_iter=50)
+        with classify._FamilyOps(data, model, protocol, threads=1) as ops:
+            keys = list(ops.index)
+            [(params, result)] = ops.fit([keys])
+            G = ops.grads(keys, params)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["model"] == model
+        if model == "scenewalk":
+            assert doc["params"] == dict(zip(scenewalk.PARAM_NAMES, params.to_vector().tolist()))
+            assert doc["iterations"] == result.iterations and doc["converged"] == result.converged
+        else:
+            np.testing.assert_array_equal(
+                markov.params_to_vector(markov.params_from_json_dict(doc)), markov.params_to_vector(params)
+            )
+        subjects, images, X = fisher.load_features_csv(tmp_path / "phi.csv")
+        assert list(zip(subjects, images)) == keys
+        np.testing.assert_array_equal(X, fisher.feature_map(G, fisher.estimate_information(G)))
+
+    def test_dynamics_without_feature_files_is_named(self, tmp_path, capsys):
+        data = load_dataset(simulate_tiny(tmp_path, "markov-dyn"))
+        items = tuple(dataclasses.replace(it, features=None) for it in data.items)
+        save_dataset(GazeDataset(items, data.saliency, data.meta), tmp_path / "stripped")
+        stripped = str(tmp_path / "stripped")
+        for argv in (
+            ["eval", "--data", stripped, "--family", "bayes-markov-dyn", "--out", str(tmp_path / "res"), "--threads", "1"],
+            ["eval", "--data", stripped, "--family", "fisher-svm-markov-dyn", "--out", str(tmp_path / "res")],
+            ["fit", "--data", stripped, "--model", "markov-dyn", "--out", str(tmp_path / "m.json")],
+        ):
+            assert main(argv) == 2
+            assert "dynamics channels unavailable: dataset carries no per-saccade feature files" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    def test_a_raising_writer_leaves_no_dot_file(self, tmp_path):
+        def write(tmp):
+            with open(tmp, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(tmp_path / "out" / "x.csv", write)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["eval", "scores"])
+    def test_failed_csv_writes_leave_no_dot_file(self, tmp_path, monkeypatch, command):
+        data = str(simulate_tiny(tmp_path, "markov"))
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        if command == "eval":
+            monkeypatch.setattr(classify, "save_results_csv", fail)
+            argv = ["eval", "--data", data, "--family", "bayes-markov", "--out", str(tmp_path / "res"), "--splits", "1"]
+            out_dir = tmp_path / "res"
+        else:
+            assert main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")]) == 0
+            monkeypatch.setattr(fisher, "export_features_csv", fail)
+            argv = ["scores", "--data", data, "--model-json", str(tmp_path / "m.json"),
+                    "--out", str(tmp_path / "res" / "phi.csv")]
+            out_dir = tmp_path / "res"
+        assert main(argv) == 2
+        assert [p.name for p in out_dir.iterdir() if p.name.startswith(".")] == []
 
 
 def write_recordings(raw, ids):

@@ -181,19 +181,14 @@ class TestKernel:
 
 class TestExport:
     def test_round_trip(self, rng, tmp_path):
-        scores = [
-            fisher.FisherScore(
-                g=rng.standard_normal(4), model_tag="m", subject_id=f"s{i%2}", image_id=f"i{i}"
-            )
-            for i in range(6)
-        ]
-        info = fisher.estimate_information(scores, 1e-3)
-        fisher.export_features_csv(scores, info, tmp_path / "phi.csv")
+        # ids may hold commas, which the csv module quotes
+        ids = [(f"s{i % 2}", f"i{i}" if i else "a,b") for i in range(6)]
+        G = rng.standard_normal((6, 4))
+        phi = fisher.feature_map(G, fisher.estimate_information(G, 1e-3))
+        fisher.export_features_csv(ids, phi, tmp_path / "phi.csv")
         subjects, images, X = fisher.load_features_csv(tmp_path / "phi.csv")
-        assert subjects == [s.subject_id for s in scores]
-        assert images == [s.image_id for s in scores]
-        expected = np.array([fisher.feature_map(s, info) for s in scores])
-        np.testing.assert_array_equal(X, expected)
+        assert list(zip(subjects, images)) == ids
+        np.testing.assert_array_equal(X, phi)
 
     def test_malformed_row_detected(self, tmp_path):
         (tmp_path / "phi.csv").write_text("subject_id,image_id,phi_1\ns0,i0,1.0\ns1,i1\n")

@@ -156,18 +156,9 @@ def ref_step(state, q, duration_ms, params, saliency):
     return new, target["potential"], target["prob"]
 
 
-def ref_loglik(path, saliency, params, init=sw.InitPolicy.EXCLUDED, diagnostics=None):
-    cells = []
-    for t in range(len(path)):
-        i, j, clamped = saliency.position_to_cell(path.positions[t])
-        if clamped and diagnostics is not None:
-            diagnostics.clamped += 1
-        cells.append((i, j))
+def ref_loglik(path, saliency, params):
+    cells = [saliency.position_to_cell(q)[:2] for q in path.positions]
     total = 0.0
-    if init is sw.InitPolicy.UNIFORM:
-        total += -math.log(saliency.n_cells)
-    elif init is sw.InitPolicy.SALIENCY:
-        total += math.log(saliency.grid[cells[0]])
     state = sw.initial_state(saliency)
     for t in range(len(path) - 1):
         state, _, prob = ref_step(
@@ -399,17 +390,6 @@ class TestLoglik:
             sw.loglik(flipped, mirrored, params), rel=1e-12
         )
 
-    def test_init_policies(self, rng):
-        sal = make_saliency(rng)
-        params = make_walk_params(rng)
-        path = make_path(rng, n_fixations=5)
-        base = sw.loglik(path, sal, params, init=sw.InitPolicy.EXCLUDED)
-        uniform = sw.loglik(path, sal, params, init=sw.InitPolicy.UNIFORM)
-        saliency = sw.loglik(path, sal, params, init=sw.InitPolicy.SALIENCY)
-        assert uniform == pytest.approx(base - math.log(sal.n_cells), rel=1e-12)
-        i, j, _ = sal.position_to_cell(path.positions[0])
-        assert saliency == pytest.approx(base + math.log(sal.grid[i, j]), rel=1e-12)
-
     def test_out_of_extent_clamped_and_counted(self, rng):
         sal = make_saliency(rng)
         params = make_walk_params(rng)
@@ -417,10 +397,8 @@ class TestLoglik:
             positions=np.array([[8.0, 8.0], [99.0, -5.0], [4.0, 4.0]]),
             durations=np.array([200.0, 220.0, 240.0]),
         )
-        diag = sw.WalkDiagnostics()
-        val = sw.loglik(path, sal, params, diagnostics=diag)
-        assert np.isfinite(val)
-        assert diag.clamped == 1
+        assert np.isfinite(sw.loglik(path, sal, params))
+        assert [sal.position_to_cell(q)[2] for q in path.positions] == [False, True, False]
 
 
 class TestIncrementalState:
@@ -559,12 +537,9 @@ class TestFusedSweepParity:
             np.testing.assert_allclose(
                 sw.grad_loglik(path, sal, params), ref_grad, rtol=1e-10, atol=atol, err_msg=label
             )
-            for init in sw.InitPolicy:
-                diag, ref_diag = sw.WalkDiagnostics(), sw.WalkDiagnostics()
-                got = sw.loglik(path, sal, params, init=init, diagnostics=diag)
-                want = ref_loglik(path, sal, params, init=init, diagnostics=ref_diag)
-                assert got == pytest.approx(want, rel=1e-12), (label, init)
-                assert diag.clamped == ref_diag.clamped == (label == "clamped")
+            assert sw.loglik(path, sal, params) == pytest.approx(ref_value, rel=1e-12), label
+            clamped = any(sal.position_to_cell(q)[2] for q in path.positions)
+            assert clamped == (label == "clamped")
 
     def test_step_matches_reference(self, rng, shape, extent):
         sal = make_saliency(rng, shape=shape, extent=extent)
