@@ -148,7 +148,10 @@ def _load_model_json(path: str):
         doc = json.load(fh)
     kind = doc.get("model")
     if kind in ("markov", "markov-dyn"):
-        return kind, markov.params_from_json_dict(doc)
+        params = markov.params_from_json_dict(doc)
+        if params.config != ("base" if kind == "markov" else "dynamics"):
+            raise ValueError(f"{path}: a {kind} model cannot have the channels {list(params.channel_names)}")
+        return kind, params
     if kind == "scenewalk":
         return kind, scenewalk.SceneWalkParams.from_vector(
             [doc["params"][name] for name in scenewalk.PARAM_NAMES]

@@ -136,13 +136,10 @@ def export_features_csv(
 
     Written with the ``csv`` module rather than ``core``'s numeric CSV
     helpers: dataset ids may contain commas, which it quotes."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or len(phi) != len(ids):
-        raise ValueError("need one (subject_id, image_id) per row of a 2-D feature matrix")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "image_id"] + [f"phi_{k + 1}" for k in range(phi.shape[1])])
-        writer.writerows([*key, *map(repr, row)] for key, row in zip(ids, phi.tolist()))
+        writer.writerows([*key, *map(repr, row)] for key, row in zip(ids, phi.tolist(), strict=True))
 
 
 def load_features_csv(csv_path: str | Path) -> tuple[list[str], list[str], np.ndarray]:

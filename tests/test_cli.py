@@ -250,6 +250,15 @@ class TestOneCodePath:
         assert list(zip(subjects, images)) == keys
         np.testing.assert_array_equal(X, fisher.feature_map(G, fisher.estimate_information(G)))
 
+    def test_scores_rejects_a_model_whose_channels_are_not_its_kind(self, tmp_path, capsys):
+        data_dir = simulate_tiny(tmp_path, "markov-dyn")
+        assert main(["fit", "--data", str(data_dir), "--model", "markov-dyn", "--out", str(tmp_path / "m.json")]) == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(json.dumps({**doc, "model": "markov"}))
+        assert main(["scores", "--data", str(data_dir), "--model-json", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "phi.csv")]) == 2
+        assert "a markov model cannot have the channels ['amplitude', 'duration', 'velocity'" in capsys.readouterr().err
+
     def test_dynamics_without_feature_files_is_named(self, tmp_path, capsys):
         data = load_dataset(simulate_tiny(tmp_path, "markov-dyn"))
         items = tuple(dataclasses.replace(it, features=None) for it in data.items)
