@@ -14,7 +14,6 @@ import csv
 import ctypes
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -680,14 +679,6 @@ def _openblas_thread_controls() -> tuple:
                 controls.append((get_threads, set_threads))
                 break
     return tuple(controls)
-
-
-def save_results_json(result: ProtocolResult, path: str | Path, extra: dict | None = None) -> None:
-    doc = result.to_json_dict()
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
 
 
 def save_results_csv(result: ProtocolResult, path: str | Path) -> None:

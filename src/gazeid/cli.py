@@ -79,6 +79,12 @@ def _atomic_write(path: Path, write: Callable[[str], None]) -> None:
         raise
 
 
+def _protocol(config: dict, defaults: classify.EvalProtocol, **options: str) -> classify.EvalProtocol:
+    """``defaults`` with each field named in ``options`` replaced by the
+    value of its config key, where that key is set."""
+    return dataclasses.replace(defaults, **{f: config[key] for f, key in options.items() if config[key] is not None})
+
+
 def _write_json(path: Path, doc: dict) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(json.dumps(doc, indent=2) + "\n"))
 
@@ -127,9 +133,8 @@ def _load_dataset_or_fail(data_dir: str) -> GazeDataset:
 def cmd_fit(args) -> int:
     config = _effective_config(args, ["data", "model", "out", "seed", "rho", "max_iter"], required=("data", "model", "out"))
     data = _load_dataset_or_fail(config["data"])
-    protocol = classify.EvalProtocol(
-        scenewalk_rho=config["rho"] if config["rho"] is not None else 1.0,
-        scenewalk_max_iter=config["max_iter"] if config["max_iter"] is not None else 500,
+    protocol = _protocol(
+        config, classify.EvalProtocol(scenewalk_max_iter=500), scenewalk_rho="rho", scenewalk_max_iter="max_iter"
     )
     with classify._FamilyOps(data, config["model"], protocol, threads=1) as ops:
         [(params, result)] = ops.fit([list(ops.index)])
@@ -313,15 +318,9 @@ def cmd_eval(args) -> int:
     if config["family"] not in classify.FAMILIES:
         raise ValueError(f"family must be one of {classify.FAMILIES}")
     data = _load_dataset_or_fail(config["data"])
-    defaults = classify.EvalProtocol()
-    protocol = classify.EvalProtocol(
-        train_fraction=config["train_fraction"] if config["train_fraction"] is not None else defaults.train_fraction,
-        n_splits=config["splits"] if config["splits"] is not None else defaults.n_splits,
-        cv_folds=config["cv_folds"] if config["cv_folds"] is not None else defaults.cv_folds,
-        max_k=config["max_k"] if config["max_k"] is not None else defaults.max_k,
-        seed=config["seed"] if config["seed"] is not None else defaults.seed,
-        scenewalk_rho=config["scenewalk_rho"] if config["scenewalk_rho"] is not None else defaults.scenewalk_rho,
-        scenewalk_max_iter=config["scenewalk_max_iter"] if config["scenewalk_max_iter"] is not None else defaults.scenewalk_max_iter,
+    protocol = _protocol(
+        config, classify.EvalProtocol(), train_fraction="train_fraction", n_splits="splits", cv_folds="cv_folds",
+        max_k="max_k", seed="seed", scenewalk_rho="scenewalk_rho", scenewalk_max_iter="scenewalk_max_iter",
     )
     threads = config["threads"] if config["threads"] is not None else _default_threads()
     result = classify.run_protocol(data, config["family"], protocol, threads=threads)

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-SACCADE_TYPE_NAMES = {1: "maintain", 2: "right", 3: "left", 4: "reverse"}
 
 # Feature channels in their fixed model order. The first two form the base
 # model configuration; all eight form the saccade-dynamics configuration.
@@ -61,10 +59,6 @@ CHANNEL_ROWS = {
 
 class DegenerateRecordingError(ValueError):
     """Recording yields fewer than two fixations."""
-
-
-class ChannelUnavailableError(ValueError):
-    """A requested feature channel cannot be computed from the given inputs."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,9 @@ class SaccadeTable:
     ``values`` (len(FEATURE_ROWS), S), one row per ``FEATURE_ROWS`` entry.
 
     ``duration_ms`` is the duration of the fixation *following* the
-    saccade. Values that could not be computed (no raw samples, undefined
-    ratio, zero displacement) are NaN and get skipped by model likelihoods.
+    saccade. Values that could not be computed (the dynamics rows of a table
+    extracted from a scanpath, an undefined ratio, a zero displacement)
+    are NaN and get skipped by model likelihoods.
     """
 
     types: np.ndarray
@@ -174,26 +169,6 @@ class SaccadeTable:
             types=np.concatenate([t.types for t in tables]),
             values=np.concatenate([t.values for t in tables], axis=1),
         )
-
-
-@dataclass(frozen=True)
-class VigorFit:
-    """Main-sequence rate fit v_max = g * (1 - exp(-a / b)).
-
-    ``b_star`` is the across-subject mean of the per-subject rates and is
-    the value used when computing vigor channels at feature extraction.
-    """
-
-    b_per_subject: dict[str, float]
-    b_star: float
-    g_values: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.b_star > 0:
-            raise ValueError("b_star must be positive")
-        mean_b = float(np.mean(list(self.b_per_subject.values())))
-        if abs(mean_b - self.b_star) > 1e-9 * max(1.0, abs(mean_b)):
-            raise ValueError("b_star must equal the mean of per-subject rates")
 
 
 def wrap_angle_deg(angle):
@@ -249,70 +224,6 @@ def _median_based_sd(v: np.ndarray) -> float:
     return msd
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """Sample-index spans of fixations and of the saccades between them."""
-
-    fixation_spans: tuple[tuple[int, int], ...]
-    saccade_spans: tuple[tuple[int, int], ...]
-    vx: np.ndarray
-    vy: np.ndarray
-    thresholds: tuple[float, float]
-
-
-def segment_recording(
-    rec: GazeRecording,
-    vel_threshold_multiplier: float = 6.0,
-    min_saccade_duration_ms: float = 6.0,
-) -> Segmentation:
-    """Split samples into fixation and saccade spans.
-
-    Per-axis thresholds are ``multiplier`` times a median-based velocity
-    standard deviation; samples where the elliptic criterion
-    (vx/eta_x)^2 + (vy/eta_y)^2 > 1 holds in runs of at least
-    ``min_saccade_duration_ms`` form saccades.
-    """
-    if len(rec) < 3:
-        raise ValueError("saccade detection needs at least 3 samples")
-    vx, vy = smoothed_velocity(rec.x_deg, rec.y_deg, rec.sampling_rate)
-    sd_x = _median_based_sd(vx)
-    sd_y = _median_based_sd(vy)
-    if sd_x < 1e-10 or sd_y < 1e-10:
-        # Zero velocity spread on an axis: nothing can cross the threshold.
-        criterion = np.zeros(len(rec), dtype=bool)
-        eta = (math.inf, math.inf)
-    else:
-        eta = (vel_threshold_multiplier * sd_x, vel_threshold_multiplier * sd_y)
-        criterion = (vx / eta[0]) ** 2 + (vy / eta[1]) ** 2 > 1.0
-
-    min_samples = max(1, int(round(min_saccade_duration_ms * rec.sampling_rate / 1000.0)))
-    padded = np.concatenate(([False], criterion, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    runs = [(int(s), int(e)) for s, e in zip(starts, ends) if e - s + 1 >= min_samples]
-
-    fix_spans: list[tuple[int, int]] = []
-    cursor = 0
-    for s, e in runs:
-        if s > cursor:
-            fix_spans.append((cursor, s - 1))
-        cursor = e + 1
-    if cursor <= len(rec) - 1:
-        fix_spans.append((cursor, len(rec) - 1))
-
-    sacc_spans = tuple(
-        (fix_spans[j][1] + 1, fix_spans[j + 1][0] - 1) for j in range(len(fix_spans) - 1)
-    )
-    return Segmentation(
-        fixation_spans=tuple(fix_spans),
-        saccade_spans=sacc_spans,
-        vx=vx,
-        vy=vy,
-        thresholds=eta,
-    )
-
-
 def detect_saccades(
     rec: GazeRecording,
     vel_threshold_multiplier: float = 6.0,
@@ -320,19 +231,62 @@ def detect_saccades(
 ) -> Scanpath:
     """Velocity-threshold saccade detection; returns the fixation sequence.
 
-    Fixations take the mean sample position over their span and the span
-    length (in ms) as duration. Raises DegenerateRecordingError if fewer
-    than two fixations are found.
+    Per-axis thresholds are ``multiplier`` times a median-based velocity
+    standard deviation; samples where the elliptic criterion
+    (vx/eta_x)^2 + (vy/eta_y)^2 > 1 holds in runs of at least
+    ``min_saccade_duration_ms`` form saccades, and the spans between them
+    fixations. Fixations take the mean sample position over their span and
+    the span length (in ms) as duration.
+
+    Velocities are differences by sample index at the nominal rate, so a
+    recording whose consecutive timestamps differ by more than 1.5 sample
+    periods (samples dropped at load time, say) raises ValueError. Raises
+    DegenerateRecordingError if fewer than two fixations are found.
     """
-    seg = segment_recording(rec, vel_threshold_multiplier, min_saccade_duration_ms)
-    if len(seg.fixation_spans) < 2:
-        raise DegenerateRecordingError(
-            f"recording produced {len(seg.fixation_spans)} fixation(s); need at least 2"
-        )
+    n = len(rec)
+    if n < 3:
+        raise ValueError("saccade detection needs at least 3 samples")
     dt_nominal = 1000.0 / rec.sampling_rate
+    steps = np.diff(rec.t_ms)
+    gaps = np.flatnonzero(steps > 1.5 * dt_nominal)
+    if gaps.size:
+        k = int(gaps[0])
+        raise ValueError(
+            f"recording subject {rec.subject_id!r} image {rec.image_id!r}: timestamps jump by "
+            f"{float(steps[k])!r} ms between samples {k} and {k + 1}, more than 1.5 sample "
+            f"periods of {dt_nominal!r} ms; split the recording at the gap"
+        )
+    vx, vy = smoothed_velocity(rec.x_deg, rec.y_deg, rec.sampling_rate)
+    sd_x = _median_based_sd(vx)
+    sd_y = _median_based_sd(vy)
+    if sd_x < 1e-10 or sd_y < 1e-10:
+        # Zero velocity spread on an axis: nothing can cross the threshold.
+        criterion = np.zeros(n, dtype=bool)
+    else:
+        eta_x, eta_y = vel_threshold_multiplier * sd_x, vel_threshold_multiplier * sd_y
+        criterion = (vx / eta_x) ** 2 + (vy / eta_y) ** 2 > 1.0
+
+    min_samples = max(1, int(round(min_saccade_duration_ms * rec.sampling_rate / 1000.0)))
+    padded = np.concatenate(([False], criterion, [False]))
+    edges = np.diff(padded.astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    fix_spans: list[tuple[int, int]] = []
+    cursor = 0
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        if e - s + 1 < min_samples:
+            continue
+        if s > cursor:
+            fix_spans.append((cursor, s - 1))
+        cursor = e + 1
+    if cursor <= n - 1:
+        fix_spans.append((cursor, n - 1))
+
+    if len(fix_spans) < 2:
+        raise DegenerateRecordingError(f"recording produced {len(fix_spans)} fixation(s); need at least 2")
     positions = []
     durations = []
-    for s, e in seg.fixation_spans:
+    for s, e in fix_spans:
         positions.append((float(np.mean(rec.x_deg[s : e + 1])), float(np.mean(rec.y_deg[s : e + 1]))))
         durations.append(float(rec.t_ms[e] - rec.t_ms[s]) + dt_nominal)
     return Scanpath(
@@ -343,75 +297,19 @@ def detect_saccades(
     )
 
 
-def _dynamics_from_recording(
-    rec: GazeRecording,
-    n_saccades: int,
-    vel_threshold_multiplier: float,
-    min_saccade_duration_ms: float,
-):
-    """Per-saccade velocity/acceleration summaries from the raw trace."""
-    seg = segment_recording(rec, vel_threshold_multiplier, min_saccade_duration_ms)
-    if len(seg.saccade_spans) != n_saccades:
-        raise ChannelUnavailableError(
-            f"recording segments into {len(seg.saccade_spans)} saccades but the "
-            f"scanpath implies {n_saccades}; dynamics channels unavailable"
-        )
-    dt = 1.0 / rec.sampling_rate
-    speed = np.hypot(seg.vx, seg.vy)
-    accel_speed = np.gradient(speed, dt)
-    accel_x = np.gradient(seg.vx, dt)
-    accel_y = np.gradient(seg.vy, dt)
-
-    out = np.empty((6, n_saccades))
-    for t, (s, e) in enumerate(seg.saccade_spans):
-        sl = slice(s, e + 1)
-        pos_ax, neg_ax = np.max(accel_x[sl]), np.min(accel_x[sl])
-        pos_ay, neg_ay = np.max(accel_y[sl]), np.min(accel_y[sl])
-        out[:, t] = (
-            np.mean(speed[sl]),
-            np.mean(np.abs(accel_speed[sl])),
-            np.max(np.abs(seg.vx[sl])),
-            np.max(np.abs(seg.vy[sl])),
-            pos_ax / -neg_ax if pos_ax > 0 and neg_ax < 0 else math.nan,
-            pos_ay / -neg_ay if pos_ay > 0 and neg_ay < 0 else math.nan,
-        )
-    return out
-
-
-def extract_features(
-    path: Scanpath,
-    rec: GazeRecording | None = None,
-    vigor: VigorFit | None = None,
-    channels: Sequence[str] = BASE_CHANNELS,
-    vel_threshold_multiplier: float = 6.0,
-    min_saccade_duration_ms: float = 6.0,
-) -> SaccadeTable:
+def extract_features(path: Scanpath) -> SaccadeTable:
     """Per-saccade feature table of a scanpath of T >= 2 fixations.
 
     Saccade t runs from fixation t to fixation t+1 and is paired with the
     duration of fixation t+1. Its type is classified from the direction
     change relative to the previous saccade; the first saccade's reference
-    direction is the positive x axis. Velocity/acceleration rows need
-    ``rec`` (the raw recording the scanpath was detected from, with the
-    same detection parameters); vigor rows additionally need ``vigor``.
-    Rows that are not computed stay NaN.
+    direction is the positive x axis. A scanpath gives the amplitude,
+    duration and direction rows; the dynamics rows stay NaN, because they
+    come only from feature files (``load_features_csv``).
     """
     T = len(path)
     if T < 2:
         raise ValueError("scanpath must contain at least 2 fixations")
-    unknown = set(channels) - set(DYNAMICS_CHANNELS)
-    if unknown:
-        raise ValueError(f"unknown channels: {sorted(unknown)}")
-
-    needs_rec = {"velocity", "acceleration", "ratio_x", "ratio_y", "vigor_x", "vigor_y"}
-    needs_vigor = {"vigor_x", "vigor_y"}
-    if needs_rec & set(channels) and rec is None:
-        raise ChannelUnavailableError(
-            "dynamics channels requested but no raw recording was provided"
-        )
-    if needs_vigor & set(channels) and vigor is None:
-        raise ChannelUnavailableError("vigor channels requested but no vigor fit was provided")
-
     steps = np.diff(path.positions, axis=0)
     amplitudes = np.hypot(steps[:, 0], steps[:, 1])
     directions = np.degrees(np.arctan2(steps[:, 1], steps[:, 0]))
@@ -420,84 +318,8 @@ def extract_features(
     values[0] = np.where(amplitudes > 0, amplitudes, math.nan)
     values[1] = path.durations[1:]
     values[2] = directions
-    if rec is not None:
-        values[3:9] = _dynamics_from_recording(
-            rec, T - 1, vel_threshold_multiplier, min_saccade_duration_ms
-        )
-        if vigor is not None:
-            denom = 1.0 - np.exp(-np.abs(steps.T) / vigor.b_star)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                values[9:11] = np.where(denom > 0, values[5:7] / denom, math.nan)
     deltas = wrap_angle_deg(np.diff(directions, prepend=0.0))
     return SaccadeTable(types=[classify_saccade_type(d) for d in deltas], values=values)
-
-
-def _profiled_vigor_residual(b: float, vmax: np.ndarray, amp: np.ndarray) -> float:
-    """Residual of the shared-vigor least-squares fit at rate b."""
-    z = 1.0 - np.exp(-amp / b)
-    zz = float(z @ z)
-    if zz <= 0:
-        return float(vmax @ vmax)
-    g = float(vmax @ z) / zz
-    r = vmax - g * z
-    return float(r @ r)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def fit_vigor_rate(
-    training: Mapping[str, Sequence[tuple[float, float]]],
-    b_range: tuple[float, float] = (0.1, 100.0),
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> VigorFit:
-    """Fit the main-sequence rate parameter per subject, then average.
-
-    ``training`` maps subject id -> (peak velocity, amplitude) pairs. For
-    each subject the profiled least-squares residual (one shared vigor per
-    subject) is minimized over b by golden-section search; per-saccade
-    vigor estimates then follow from the subject's fitted rate.
-    """
-    if not training:
-        raise ValueError("no training subjects given")
-    b_per_subject: dict[str, float] = {}
-    g_values: dict[str, np.ndarray] = {}
-    for subject, pairs in training.items():
-        arr = np.asarray(pairs, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 5:
-            raise ValueError(f"subject {subject!r} needs at least 5 (v_max, a) pairs")
-        vmax, amp = arr[:, 0], arr[:, 1]
-        if np.any(vmax <= 0) or np.any(amp <= 0):
-            raise ValueError(f"subject {subject!r} has non-positive v_max or amplitude")
-
-        lo, hi = b_range
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        fc = _profiled_vigor_residual(c, vmax, amp)
-        fd = _profiled_vigor_residual(d, vmax, amp)
-        for _ in range(max_iter):
-            if hi - lo < tol * max(1.0, abs(hi)):
-                break
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - _GOLDEN * (hi - lo)
-                fc = _profiled_vigor_residual(c, vmax, amp)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _GOLDEN * (hi - lo)
-                fd = _profiled_vigor_residual(d, vmax, amp)
-        else:
-            raise RuntimeError(
-                f"vigor rate search for subject {subject!r} did not converge after "
-                f"{max_iter} iterations; bracket [{lo}, {hi}]"
-            )
-        b = (lo + hi) / 2.0
-        b_per_subject[subject] = b
-        g_values[subject] = vmax / (1.0 - np.exp(-amp / b))
-
-    b_star = float(np.mean(list(b_per_subject.values())))
-    return VigorFit(b_per_subject=b_per_subject, b_star=b_star, g_values=g_values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ PROB_FLOOR = 1e-6
 
 N_SACCADE_TYPES = 4
 
+_EPS = np.finfo(float).eps
+
 
 class DegenerateSampleError(ValueError):
     """Sample set carries no information for the requested estimate."""
@@ -91,9 +93,14 @@ def gamma_mle_from_sums(n, sum_x, sum_log_x, tol: float = 1e-10, max_iter: int =
     positive samples, one per cell of the broadcast arrays n (sample size),
     sum_x (sum of x) and sum_log_x (sum of ln x).
 
-    A vectorised Newton iteration on the shapes solves ln(a) - psi(a) =
-    ln(mean(x)) - mean(ln x); a cell stops at the first step that moves its
-    shape by less than tol * max(1, a), and then scale = mean(x) / a.
+    A vectorised Newton iteration on the shapes solves the residual
+    r(a) = ln(a) - psi(a) - s = 0, s = ln(mean(x)) - mean(ln x); a cell
+    stops at the first step that moves its shape by less than
+    tol * max(1, a), or that is no larger than the step the rounding of r
+    alone can cause, eps * (|ln a| + |psi(a)| + s) / |r'(a)|, and then
+    scale = mean(x) / a. The second bound binds only above shapes of about
+    1e4, where ln(a) - psi(a) ~ 1/(2a) is the difference of two numbers
+    near ln(a) and the steps wander by more than tol * a.
     Returns the arrays (shape, scale, converged). A degenerate cell, with
     fewer than 2 samples or samples (numerically) all identical, so that
     the shape is unidentifiable, has NaN shape and scale; a cell still
@@ -113,9 +120,12 @@ def gamma_mle_from_sums(n, sum_x, sum_log_x, tol: float = 1e-10, max_iter: int =
     for _ in range(max_iter):
         if not active.size:
             break
-        a_new = a - (np.log(a) - digamma(a) - s) / (1.0 / a - polygamma(1, a))
-        a_new = np.where(a_new <= 0, a / 2.0, a_new)
-        done = np.abs(a_new - a) < tol * np.maximum(1.0, a)
+        log_a, psi_a = np.log(a), digamma(a)
+        slope = 1.0 / a - polygamma(1, a)
+        step = (log_a - psi_a - s) / slope
+        a_new = np.where(a - step <= 0, a / 2.0, a - step)
+        rounding = _EPS * (np.abs(log_a) + np.abs(psi_a) + s) / np.abs(slope)
+        done = (np.abs(a_new - a) < tol * np.maximum(1.0, a)) | (np.abs(step) <= rounding)
         shape.flat[active[done]] = a_new[done]
         converged.flat[active[done]] = True
         active, a, s = active[~done], a_new[~done], s[~done]

@@ -66,7 +66,6 @@ class MarkovModelParams:
 
     pi: np.ndarray
     channels: dict[str, tuple[GammaParams, ...]]
-    b_star: float | None = None
     fit_report: MarkovFitReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -108,9 +107,7 @@ def params_to_vector(params: MarkovModelParams) -> np.ndarray:
     return _per_type_blocks(params.pi, *_cell_arrays(params))
 
 
-def vector_to_params(
-    vec: np.ndarray, channel_names: Sequence[str], b_star: float | None = None
-) -> MarkovModelParams:
+def vector_to_params(vec: np.ndarray, channel_names: Sequence[str]) -> MarkovModelParams:
     names = canonical_channels(channel_names)
     vec = np.asarray(vec, dtype=float)
     size = N_SACCADE_TYPES * (1 + 2 * len(names))
@@ -124,7 +121,6 @@ def vector_to_params(
             ch: tuple(GammaParams(shape=float(a), scale=float(b)) for a, b in cells[:, i])
             for i, ch in enumerate(names)
         },
-        b_star=b_star,
     )
 
 
@@ -204,9 +200,7 @@ def coef(params: MarkovModelParams) -> np.ndarray:
     return np.concatenate([np.log(params.pi), cells.ravel()])
 
 
-def fit_from_statistics(
-    rows: np.ndarray, channels: Sequence[str], b_star: float | None = None
-) -> MarkovModelParams | list[MarkovModelParams]:
+def fit_from_statistics(rows: np.ndarray, channels: Sequence[str]) -> MarkovModelParams | list[MarkovModelParams]:
     """``fit`` from the summed ``statistics`` rows of the training scanpaths.
     A (models, row) stack of such sums gives one model per row, with every
     Gamma cell of every model in one batched Newton iteration."""
@@ -232,7 +226,6 @@ def fit_from_statistics(
         models.append(MarkovModelParams(
             pi=multinomial_mle(model_counts).pi,
             channels=cells,
-            b_star=b_star,
             fit_report=MarkovFitReport(
                 fallback_cells=tuple(fallbacks),
                 skipped_values=int(model_counts.sum() * len(names) - stats[m, ..., 0].sum()),
@@ -241,11 +234,7 @@ def fit_from_statistics(
     return models if rows.ndim == 2 else models[0]
 
 
-def fit(
-    data: Sequence[SaccadeTable],
-    channels: Sequence[str] = BASE_CHANNELS,
-    b_star: float | None = None,
-) -> MarkovModelParams:
+def fit(data: Sequence[SaccadeTable], channels: Sequence[str] = BASE_CHANNELS) -> MarkovModelParams:
     """Factorized maximum likelihood over pooled training scanpaths.
 
     Type probabilities come from pooled type counts; each (channel, type)
@@ -255,7 +244,7 @@ def fit(
     """
     if not sum(len(t) for t in data):
         raise ValueError("no saccades in training data")
-    return fit_from_statistics(statistics(SaccadeTable.concat(data), channels), channels, b_star)
+    return fit_from_statistics(statistics(SaccadeTable.concat(data), channels), channels)
 
 
 def loglik(features: SaccadeTable, params: MarkovModelParams) -> float:
@@ -365,7 +354,6 @@ def params_to_json_dict(params: MarkovModelParams) -> dict:
             ch: [{"alpha": c.shape, "beta": c.scale} for c in cells]
             for ch, cells in params.channels.items()
         },
-        "b_star": params.b_star,
     }
 
 
@@ -374,11 +362,7 @@ def params_from_json_dict(doc: dict) -> MarkovModelParams:
         ch: tuple(GammaParams(shape=c["alpha"], scale=c["beta"]) for c in cells)
         for ch, cells in doc["channels"].items()
     }
-    return MarkovModelParams(
-        pi=np.asarray(doc["pi"], dtype=float),
-        channels=channels,
-        b_star=doc.get("b_star"),
-    )
+    return MarkovModelParams(pi=np.asarray(doc["pi"], dtype=float), channels=channels)
 
 
 def default_params(channels: Sequence[str] = BASE_CHANNELS) -> MarkovModelParams:
@@ -401,8 +385,4 @@ def default_params(channels: Sequence[str] = BASE_CHANNELS) -> MarkovModelParams
     cells = {
         ch: tuple(GammaParams(shape=a, scale=b) for a, b in per_type[ch]) for ch in names
     }
-    return MarkovModelParams(
-        pi=np.array([0.45, 0.22, 0.21, 0.12]),
-        channels=cells,
-        b_star=3.0 if set(names) >= {"vigor_x"} else None,
-    )
+    return MarkovModelParams(pi=np.array([0.45, 0.22, 0.21, 0.12]), channels=cells)

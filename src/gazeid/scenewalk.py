@@ -127,10 +127,6 @@ class SaliencyMap:
         per map and read-only."""
         return self._centers
 
-    def cell_area(self) -> float:
-        rows, cols = self.grid.shape
-        return (self.extent[0] / cols) * (self.extent[1] / rows)
-
     def position_to_cell(self, q) -> tuple[int, int, bool]:
         """(row, col, clamped) of the cell containing position q = (x, y)."""
         rows, cols = self.grid.shape
@@ -714,40 +710,6 @@ def sample_scanpath(
         i, j = divmod(idx, cols)
         positions[t + 1] = saliency.cell_center(i, j)
     return Scanpath(positions=positions, durations=durs, subject_id=subject_id, image_id=image_id)
-
-
-def estimate_saliency(
-    fixations,
-    shape: tuple[int, int] = (128, 128),
-    extent: tuple[float, float] = (32.0, 32.0),
-) -> SaliencyMap:
-    """Gaussian kernel density of pooled fixations on the grid.
-
-    Per-axis bandwidths follow Scott's rule for two dimensions,
-    h_k = std_k * n^(-1/6). Entries are floored at the saliency floor and
-    renormalized.
-    """
-    pts = np.asarray(fixations, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least 2 fixation positions of shape (n, 2)")
-    n = pts.shape[0]
-    sd = pts.std(axis=0, ddof=1)
-    if np.any(sd <= 0):
-        raise ValueError("fixations are coincident along an axis; bandwidth is degenerate")
-    h = sd * n ** (-1.0 / 6.0)
-
-    rows, cols = shape
-    xs = (np.arange(cols) + 0.5) * float(extent[0]) / cols
-    ys = (np.arange(rows) + 0.5) * float(extent[1]) / rows
-    # (rows, cols) accumulation of separable Gaussian kernels.
-    kx = np.exp(-((xs[None, :] - pts[:, 0][:, None]) ** 2) / (2.0 * h[0] ** 2))
-    ky = np.exp(-((ys[None, :] - pts[:, 1][:, None]) ** 2) / (2.0 * h[1] ** 2))
-    grid = ky.T @ kx
-    grid /= grid.sum()
-    grid = np.maximum(grid, SALIENCY_FLOOR)
-    grid /= grid.sum()
-    grid = np.maximum(grid, SALIENCY_FLOOR)
-    return SaliencyMap(grid=grid, extent=extent)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def jitter_markov_params(
         )
         for ch, cells in base.channels.items()
     }
-    return markov.MarkovModelParams(pi=pi, channels=channels, b_star=base.b_star)
+    return markov.MarkovModelParams(pi=pi, channels=channels)
 
 
 def jitter_scenewalk_params(

@@ -1,4 +1,4 @@
-"""Saccade detection, feature extraction, vigor fitting, and CSV files."""
+"""Saccade detection, feature extraction, and CSV files."""
 
 import copy
 import csv
@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 from gazeid.core import (
     CHANNEL_ROWS,
     FEATURE_ROWS,
-    ChannelUnavailableError,
     DegenerateRecordingError,
     GazeRecording,
     SaccadeTable,
     Scanpath,
-    VigorFit,
     classify_saccade_type,
     detect_saccades,
     extract_features,
-    fit_vigor_rate,
     load_features_csv,
     load_recording_csv,
     load_scanpath_csv,
@@ -156,6 +153,29 @@ class TestDetectSaccades:
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.durations, b.durations)
 
+    def test_timestamp_gap_rejected(self, tmp_path):
+        # 30 samples inside the second fixation are NaN (a blink), so the
+        # loaded recording jumps from t = 299 to 330 ms; velocities taken by
+        # sample index would read the jump as one sample.
+        rec = ramp_recording([(200, 0.0, 0.0), (20, 5.0, 0.0), (200, 5.0, 0.0)], noise=0.01)
+        x = rec.x_deg.copy()
+        x[300:330] = np.nan
+        rows = "".join(f"{t!r},{xi!r},{yi!r}\n" for t, xi, yi in zip(rec.t_ms.tolist(), x.tolist(), rec.y_deg.tolist()))
+        (tmp_path / "rec.csv").write_text("t_ms,x_deg,y_deg\n" + rows)
+        (tmp_path / "rec.json").write_text('{"subject_id": "s01", "image_id": "img2", "sampling_rate": 1000}')
+        cut = load_recording_csv(tmp_path / "rec.csv")
+        assert len(cut) == len(rec) - 30
+        with pytest.raises(ValueError, match=r"subject 's01' image 'img2': timestamps jump by 31\.0 ms between samples 299 and 300"):
+            detect_saccades(cut)
+        # a jitter of up to 1.5 sample periods is not a gap
+        jittered = GazeRecording(
+            t_ms=rec.t_ms + np.where(np.arange(len(rec)) % 2, 0.25, 0.0),
+            x_deg=rec.x_deg,
+            y_deg=rec.y_deg,
+            sampling_rate=RATE,
+        )
+        assert len(detect_saccades(jittered)) == 2
+
 
 class TestExtractFeatures:
     def path_of(self, points, durations=None):
@@ -196,52 +216,6 @@ class TestExtractFeatures:
         feats = extract_features(path)
         assert feats.values[CHANNEL_ROWS["duration"]][0] == 150.0
         assert feats.values[CHANNEL_ROWS["duration"]][1] == 250.0
-
-    def test_dynamics_require_recording(self):
-        path = self.path_of([(0, 0), (1, 0)])
-        with pytest.raises(ChannelUnavailableError):
-            extract_features(path, channels=("amplitude", "duration", "velocity"))
-
-    def test_vigor_requires_fit(self):
-        rec = ramp_recording([(200, 0.0, 0.0), (20, 5.0, 0.0), (200, 5.0, 0.0)], noise=0.01)
-        path = detect_saccades(rec)
-        with pytest.raises(ChannelUnavailableError):
-            extract_features(path, rec=rec, channels=("amplitude", "duration", "vigor_x"))
-
-    def test_dynamics_channels_from_ramp(self):
-        rec = ramp_recording([(200, 0.0, 0.0), (20, 5.0, 0.0), (200, 5.0, 0.0)], noise=0.005)
-        path = detect_saccades(rec)
-        vigor = VigorFit(b_per_subject={"s": 3.0}, b_star=3.0)
-        feats = extract_features(
-            path,
-            rec=rec,
-            vigor=vigor,
-            channels=(
-                "amplitude",
-                "duration",
-                "velocity",
-                "acceleration",
-                "ratio_x",
-                "ratio_y",
-                "vigor_x",
-                "vigor_y",
-            ),
-        )
-        f = dict(zip(FEATURE_ROWS, feats.values[:, 0]))
-        # mean speed across the threshold-crossing window of a 250 deg/s ramp
-        assert 100.0 < f["mean_velocity"] <= 260.0
-        assert f["mean_abs_acceleration"] > 0
-        assert f["accel_ratio_x"] > 0
-        assert f["peak_velocity_x"] == pytest.approx(250.0, rel=0.1)
-        # vigor: v_max / (1 - exp(-|dx|/b*)) with dx ~ 5, b* = 3
-        expected = f["peak_velocity_x"] / (1.0 - math.exp(-abs(5.0) / 3.0))
-        assert f["vigor_x"] == pytest.approx(expected, rel=0.05)
-
-    def test_mismatched_recording_rejected(self):
-        rec = ramp_recording([(200, 0.0, 0.0), (20, 5.0, 0.0), (200, 5.0, 0.0)], noise=0.01)
-        path = self.path_of([(0, 0), (1, 0), (2, 0), (3, 0)])
-        with pytest.raises(ChannelUnavailableError):
-            extract_features(path, rec=rec, channels=("amplitude", "duration", "velocity"))
 
 
 def oracle_extract(path):
@@ -306,41 +280,6 @@ class TestValueEquality:
             assert value != changed(value)
         assert item != item.scanpath and item.scanpath != item.features
         assert Scanpath([[0.0, 0.0], [1.0, 1.0]], [100.0, 200.0]) != Scanpath([[0.0, 0.0], [1.0, 1.0]], [100.0, 201.0])
-
-
-class TestVigorFit:
-    def test_noiseless_recovery(self):
-        rng = np.random.default_rng(0)
-        b_true, g_true = 3.0, 500.0
-        amp = rng.uniform(0.5, 12.0, 40)
-        vmax = g_true * (1.0 - np.exp(-amp / b_true))
-        fit = fit_vigor_rate({"s1": list(zip(vmax, amp))})
-        assert fit.b_per_subject["s1"] == pytest.approx(b_true, rel=0.01)
-        assert fit.b_star == pytest.approx(b_true, rel=0.01)
-        np.testing.assert_allclose(fit.g_values["s1"], g_true, rtol=1e-6)
-
-    def test_single_subject_mean(self):
-        rng = np.random.default_rng(1)
-        amp = rng.uniform(1, 10, 20)
-        vmax = 400.0 * (1.0 - np.exp(-amp / 2.0))
-        fit = fit_vigor_rate({"only": list(zip(vmax, amp))})
-        assert fit.b_star == fit.b_per_subject["only"]
-
-    def test_two_subject_mean(self):
-        rng = np.random.default_rng(2)
-        amp = rng.uniform(1, 10, 30)
-        data = {
-            "a": list(zip(450.0 * (1.0 - np.exp(-amp / 2.0)), amp)),
-            "b": list(zip(450.0 * (1.0 - np.exp(-amp / 4.0)), amp)),
-        }
-        fit = fit_vigor_rate(data)
-        assert fit.b_per_subject["a"] == pytest.approx(2.0, rel=0.01)
-        assert fit.b_per_subject["b"] == pytest.approx(4.0, rel=0.01)
-        assert fit.b_star == pytest.approx(3.0, rel=0.01)
-
-    def test_too_few_saccades(self):
-        with pytest.raises(ValueError):
-            fit_vigor_rate({"s": [(100.0, 1.0)] * 4})
 
 
 class TestPersistence:

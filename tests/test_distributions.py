@@ -136,7 +136,8 @@ def oracle_gamma_from_sums(n, sum_x, sum_log_x, tol=1e-10, max_iter=100):
         a_new = a - step
         if a_new <= 0:
             a_new = a / 2.0
-        if abs(a_new - a) < tol * max(1.0, a):
+        rounding = np.finfo(float).eps * (abs(np.log(a)) + abs(digamma(a)) + s) / abs(fprime)
+        if abs(a_new - a) < tol * max(1.0, a) or abs(step) <= rounding:
             return GammaParams(shape=float(a_new), scale=float(mean / a_new))
         a = a_new
     raise ConvergenceError("did not converge", last_iterate=a)
@@ -172,6 +173,17 @@ class TestGammaMleFromSums:
                     assert converged[i] and (shape[i], scale[i]) == (want.shape, want.scale)
             assert {"degenerate", "fitted"} <= kinds
         assert "unconverged" in kinds
+
+    def test_large_shape_stops_at_rounding_limit(self):
+        # Two nearly equal samples: ln a - psi(a) ~ 1/(2a) is a difference of
+        # two numbers near ln a, so above a ~ 1e4 the Newton steps wander by
+        # more than tol * a. The fit still ends at the root of the
+        # asymptotic expansion ln a - psi(a) = 1/(2a) + 1/(12 a^2) + O(a^-4).
+        for xs in ([1.0, 1.003], [1.0, 1.01]):
+            fit = gamma_mle(xs)
+            s = np.log(np.mean(xs)) - np.mean(np.log(xs))
+            assert fit.shape == pytest.approx(0.5 / s + 1.0 / 6.0, rel=1e-8)
+            assert fit.mean == pytest.approx(np.mean(xs), rel=1e-12)
 
     def test_gamma_mle_raises_for_unfitted_cells(self):
         with pytest.raises(ConvergenceError) as info:

