@@ -171,6 +171,25 @@ def initial_state(saliency: SaliencyMap) -> SceneWalkState:
     return SceneWalkState(fields)
 
 
+def _separable_factors(i, j, params: SceneWalkParams, saliency: SaliencyMap):
+    """The window factors that depend only on a fixated row or column:
+    for rows ``i`` the squared distances dy^2 (I, rows) and the row
+    exponentials ey (I, 2, rows) of both fields, for columns ``j`` dx^2
+    (J, cols), ex (J, 2, cols) and the normaliser's column moments c (J,
+    2 fields, 2 moments, rows): c0 = W ex and c1 = W (ex dx^2)."""
+    xs, ys = saliency.cell_centers()
+    dx2 = (xs - xs[j, None]) ** 2
+    dy2 = (ys - ys[i, None]) ** 2
+    neg_two_var = np.array([[-2.0 * params.sigma_a**2], [-2.0 * params.sigma_f**2]])
+    ex = np.exp(dx2[:, None] / neg_two_var)
+    ey = np.exp(dy2[:, None] / neg_two_var)
+    moments = np.stack([ex, ex * dx2[:, None]], axis=2)
+    c = np.empty(moments.shape[:3] + ys.shape)
+    np.matmul(moments[:, 0], saliency.grid.T, out=c[:, 0])
+    c[:, 1] = moments[:, 1].sum(axis=-1, keepdims=True)
+    return dy2, ey, dx2, ex, c
+
+
 def _windows(cells: np.ndarray, durations_ms, params: SceneWalkParams, saliency: SaliencyMap):
     """Factors of the field updates past fixations on ``cells`` (K, 2) of
     the given durations, all K at once.
@@ -184,25 +203,16 @@ def _windows(cells: np.ndarray, durations_ms, params: SceneWalkParams, saliency:
     is target times the outer sum of wy = (dy^2 - E[r^2]) (1 - decay) /
     sigma^3 and wx = dx^2 (1 - decay) / sigma^3.
 
-    Returns (ey / Z, ex, wy, wx, decay, duration in s); indexed by k, the
-    first four are (2, rows, 1) or (2, 1, cols) factors of both fields and
-    the decays (2, 1, 1, 1). Finite factors keep a finite state finite.
+    Returns (ey / Z, ex, decay, wy, wx, duration in s), the arguments of
+    ``_Walk.advance`` indexed by k: the factors of both fields are (2,
+    rows, 1) or (2, 1, cols) and the decays (2, 1, 1, 1). Finite factors
+    keep a finite state finite.
     """
     d_s = np.asarray(durations_ms, dtype=float) / 1000.0
     if not (d_s > 0).all():
         raise ValueError("duration must be positive")
-    xs, ys = saliency.cell_centers()
-    dx2 = (xs - xs[cells[:, 1], None]) ** 2
-    dy2 = (ys - ys[cells[:, 0], None]) ** 2
-    neg_two_var = np.array([[-2.0 * params.sigma_a**2], [-2.0 * params.sigma_f**2]])
-    ex = np.exp(dx2[:, None] / neg_two_var)
-    ey = np.exp(dy2[:, None] / neg_two_var)
-    # sum w = ey . c0 and sum w r^2 = ey . (dy^2 c0 + c1) for the column
-    # moments c0 = W ex and c1 = W (ex dx^2): (K, fields, moments, rows).
-    moments = np.stack([ex, ex * dx2[:, None]], axis=2)
-    c = np.empty(moments.shape[:3] + ys.shape)
-    np.matmul(moments[:, 0], saliency.grid.T, out=c[:, 0])
-    c[:, 1] = moments[:, 1].sum(axis=-1, keepdims=True)
+    dy2, ey, dx2, ex, c = _separable_factors(cells[:, 0], cells[:, 1], params, saliency)
+    # sum w = ey . c0 and sum w r^2 = ey . (dy^2 c0 + c1).
     z = (ey * c[:, :, 0]).sum(axis=-1)
     mean_r2 = (ey * (dy2[:, None] * c[:, :, 0] + c[:, :, 1])).sum(axis=-1) / z
     decay = np.exp(np.multiply.outer(d_s, [-params.omega_a, -params.omega_f]))
@@ -212,16 +222,17 @@ def _windows(cells: np.ndarray, durations_ms, params: SceneWalkParams, saliency:
     # ex is finite where ey is: any NaN or inf reaches one of these sums.
     if not math.isfinite(rows.sum() + d_rows.sum() + d_cols.sum()):
         raise FloatingPointError(f"non-finite field update for parameters {params}")
-    return (rows[..., None], ex[:, :, None], d_rows[..., None], d_cols[:, :, None],
-            decay[:, :, None, None, None], d_s)
+    return (rows[..., None], ex[:, :, None], decay[:, :, None, None, None],
+            d_rows[..., None], d_cols[:, :, None], d_s)
 
 
 class _Walk:
-    """One field sweep's work arrays, allocated once as one block and
-    updated in place.
+    """One walk's work arrays, allocated once as one block and updated in
+    place.
 
-    The fields (a copy of the given ones), the two update targets, scratch
-    space, the potential and its positive mask m, and per field the
+    The fields (a copy of the given ones: (2, 3, rows, cols) with their
+    partials, or (2, 1, rows, cols) values only), the two update targets,
+    scratch space, the potential and its positive mask m, and per field the
     ``powers`` [a^lam, m a^lam] and the gradient ``factors`` [1, ln a,
     (dA/d omega) / a, (dA/d sigma) / a], with a the attention A floored at
     _TINY; likewise with f, gamma and the inhibition F. ``powers @
@@ -231,44 +242,47 @@ class _Walk:
     def __init__(self, fields: np.ndarray, saliency: SaliencyMap, params: SceneWalkParams,
                  with_grad: bool):
         shape = saliency.shape
-        work = np.empty((24,) + shape)
-        self.fields = work[:6].reshape((2, 3) + shape)
+        n_fields = fields.shape[1]
+        work = np.empty((2 * n_fields + 18,) + shape)
+        self.fields = work[:2 * n_fields].reshape(fields.shape)
         self.fields[...] = fields
-        self.target, self.scratch = work[6:8], work[8:10]
-        self.potential, self.mask = work[10], work[11]
-        self.powers = work[12:16].reshape((2, 2) + shape)
-        self.factors = work[16:].reshape((2, 4) + shape)
+        work = work[2 * n_fields:]
+        self.target, self.scratch = work[0:2], work[2:4]
+        self.potential, self.mask = work[4], work[5]
+        self.powers = work[6:10].reshape((2, 2) + shape)
+        self.factors = work[10:].reshape((2, 4) + shape)
         if with_grad:
             self.factors[:, 0] = 1.0
         self.params = params
+        self.partials = n_fields > 1
         self.with_grad = with_grad
         self.saliency = saliency
         self.exponents = np.array([params.lam, params.gamma])[:, None, None]
         self.weights = np.array([1.0, -params.c_f])
 
-    def advance(self, windows, k: int) -> None:
-        """The field recursion past fixation k of ``windows``: both fields
-        and their four parameter partials."""
-        rows, cols, d_rows, d_cols, decay, d_s = windows
+    def advance(self, rows, cols, decay, d_rows=None, d_cols=None, d_s=None) -> None:
+        """The field recursion past one fixation, from its ``_windows``
+        factors: both fields and, if the walk carries them, their four
+        parameter partials (which need the last three factors)."""
         fields, target, scratch = self.fields, self.target, self.scratch
-        np.multiply(rows[k], cols[k], out=target)
+        np.multiply(rows, cols, out=target)
         target[0] *= self.saliency.grid
         values = fields[:, 0]
         values -= target
-        np.multiply(values, d_s[k], out=scratch)
-        fields[:, 1] -= scratch
-        fields *= decay[k]
+        if self.partials:
+            np.multiply(values, d_s, out=scratch)
+            fields[:, 1] -= scratch
+        fields *= decay
         values += target
-        np.add(d_rows[k], d_cols[k], out=scratch)
-        scratch *= target
-        fields[:, 2] += scratch
+        if self.partials:
+            np.add(d_rows, d_cols, out=scratch)
+            scratch *= target
+            fields[:, 2] += scratch
 
-    def next_fixation(self, q, duration_ms: float) -> np.ndarray:
-        """Advance past the fixation at q and return the next-fixation
-        distribution (1 - zeta) (u + eps) / (sum u + n eps) + zeta / n, u
-        the potential's positive part, in the mask's buffer."""
-        cell = np.array([self.saliency.position_to_cell(q)[:2]])
-        self.advance(_windows(cell, [duration_ms], self.params, self.saliency), 0)
+    def next_fixation(self) -> np.ndarray:
+        """The next-fixation distribution of the current fields, (1 - zeta)
+        (u + eps) / (sum u + n eps) + zeta / n with u the potential's
+        positive part, in the mask's buffer."""
         _, u_sum = self.distribution()
         n, zeta = self.potential.size, self.params.zeta
         scale = (1.0 - zeta) / (u_sum + n * POTENTIAL_EPS)
@@ -317,7 +331,9 @@ def step(
     state is not modified.
     """
     walk = _Walk(state.fields, saliency, params, with_grad=False)
-    prob = walk.next_fixation(q, duration_ms)
+    cell = np.array([saliency.position_to_cell(q)[:2]])
+    walk.advance(*(factor[0] for factor in _windows(cell, [duration_ms], params, saliency)))
+    prob = walk.next_fixation()
     return SceneWalkState(walk.fields, state.t + 1), walk.potential, prob
 
 
@@ -361,7 +377,7 @@ def _sweep(
         at_obs = np.empty((T - 1, 2, 4))
         powers, factors = walk.powers.reshape(2, 2, -1), walk.factors.reshape(2, 4, -1).transpose(0, 2, 1)
     for k, (i, j) in enumerate(cells[1:].tolist()):
-        walk.advance(windows, k)
+        walk.advance(*(factor[k] for factor in windows))
         sums[k], positive_sum[k] = walk.distribution()
         potential_obs[k] = walk.potential[i, j]
         if with_grad:
@@ -668,6 +684,15 @@ def _serve(conn, pairs) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """An index drawn with probabilities ``p`` (1-D, summing to one), as
+    ``rng.choice(p.size, p=p)`` draws it: the same random double and the
+    same index. The cumulative sum overwrites ``p``."""
+    cdf = np.cumsum(p, out=p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
 def sample_scanpath(
     saliency: SaliencyMap,
     params: SceneWalkParams,
@@ -679,14 +704,25 @@ def sample_scanpath(
     image_id: str = "",
 ) -> Scanpath:
     """Iteratively sample fixations from the next-fixation distribution,
-    advancing one walk in place (the field recursion of ``step``).
+    advancing one walk of the two value fields in place (the field
+    recursion of ``step``, from window factors tabled once per path for
+    every row and column) and drawing each cell as ``rng.choice`` would.
 
-    ``durations`` supplies fixation durations in ms: a scalar constant, a
-    sequence of length ``n_fixations``, or GammaParams to draw from.
-    Deterministic for a given seed.
+    ``start`` is the first fixation's position, inside the saliency extent;
+    it snaps to its cell's center. ``durations`` supplies fixation
+    durations in ms: a scalar constant, a sequence of length
+    ``n_fixations``, or GammaParams to draw from. Deterministic for a given
+    seed.
     """
     if n_fixations < 2:
         raise ValueError("need at least 2 fixations")
+    x, y = float(start[0]), float(start[1])
+    width, height = saliency.extent
+    if not (0.0 <= x <= width and 0.0 <= y <= height):
+        raise ValueError(
+            f"start {(x, y)} must be finite and lie within the saliency extent "
+            f"[0, {width}] x [0, {height}]"
+        )
     rng = as_rng(seed_or_rng)
     if isinstance(durations, GammaParams):
         durs = rng.gamma(durations.shape, durations.scale, size=n_fixations)
@@ -696,18 +732,27 @@ def sample_scanpath(
         durs = np.asarray(durations, dtype=float)
         if durs.shape != (n_fixations,):
             raise ValueError("durations sequence must have length n_fixations")
-    if np.any(durs <= 0):
+    if not (durs > 0).all():
         raise ValueError("durations must be positive")
 
     rows, cols = saliency.shape
-    i, j, _ = saliency.position_to_cell(start)
+    i, j, _ = saliency.position_to_cell((x, y))
     positions = np.empty((n_fixations, 2))
     positions[0] = saliency.cell_center(i, j)
-    walk = _Walk(initial_state(saliency).fields, saliency, params, with_grad=False)
+    # _windows' factors for every fixated row i and column j: Z = ey[i] . c[j].
+    # Copying c0 frees the full moments at once: a path that holds less heap
+    # keeps glibc from trimming it and faulting it back in on the next path.
+    _, ey, _, ex, c = _separable_factors(np.arange(rows), np.arange(cols), params, saliency)
+    ex, c = ex[:, :, None], c[:, :, 0].copy()
+    decay = np.exp(np.multiply.outer(durs[:-1] / 1000.0, [-params.omega_a, -params.omega_f]))
+    decay = decay[:, :, None, None, None]
+    walk = _Walk(initial_state(saliency).fields[:, :1], saliency, params, with_grad=False)
+    p = walk.scratch[0].reshape(-1)
     for t in range(n_fixations - 1):
-        flat = walk.next_fixation(positions[t], durs[t]).ravel()
-        idx = int(rng.choice(flat.size, p=flat / flat.sum()))
-        i, j = divmod(idx, cols)
+        z = (ey[i] * c[j]).sum(axis=-1)
+        walk.advance((ey[i] / z[:, None])[..., None], ex[j], decay[t])
+        flat = walk.next_fixation().ravel()
+        i, j = divmod(_draw(rng, np.divide(flat, flat.sum(), out=p)), cols)
         positions[t + 1] = saliency.cell_center(i, j)
     return Scanpath(positions=positions, durations=durs, subject_id=subject_id, image_id=image_id)
 

@@ -207,9 +207,7 @@ def generate_cohort(
             durations = GammaParams(shape=7.0, scale=34.0)
             for image in images:
                 sal = saliency[image]
-                start_idx = int(
-                    path_rng.choice(sal.n_cells, p=(sal.grid / sal.grid.sum()).ravel())
-                )
+                start_idx = scenewalk._draw(path_rng, (sal.grid / sal.grid.sum()).ravel())
                 i, j = divmod(start_idx, sal.shape[1])
                 path = scenewalk.sample_scanpath(
                     sal,

@@ -635,6 +635,27 @@ class TestSweepPool:
             np.testing.assert_array_equal([g for _, g in have], [g for _, g in want])
 
 
+def oracle_sample_scanpath(saliency, params, n_fixations, start, durations, seed):
+    """Positions and durations from the sampler without window tables: one
+    six-grid ``step`` per fixation (``_windows`` each time) and
+    ``rng.choice`` on the normalised distribution."""
+    rng = np.random.default_rng(seed)
+    if isinstance(durations, GammaParams):
+        durs = rng.gamma(durations.shape, durations.scale, size=n_fixations)
+    else:
+        durs = np.broadcast_to(np.asarray(durations, dtype=float), (n_fixations,))
+    i, j, _ = saliency.position_to_cell(start)
+    positions = np.empty((n_fixations, 2))
+    positions[0] = saliency.cell_center(i, j)
+    state = sw.initial_state(saliency)
+    for t in range(n_fixations - 1):
+        state, _, prob = sw.step(state, positions[t], durs[t], params, saliency)
+        flat = prob.ravel()
+        i, j = divmod(int(rng.choice(flat.size, p=flat / flat.sum())), saliency.shape[1])
+        positions[t + 1] = saliency.cell_center(i, j)
+    return positions, durs
+
+
 class TestSampling:
     def test_zeta_one_uniform_frequencies(self, rng):
         sal = make_saliency(rng, shape=(8, 8))
@@ -683,6 +704,47 @@ class TestSampling:
         )
         assert np.all(path.durations > 0)
         assert path.durations.std() > 0
+
+    # The non-square grid (12 rows of 0.75 deg, 20 columns of 1 deg) catches
+    # a row/column mix-up in the per-path window tables.
+    @pytest.mark.parametrize("shape, extent, n_fixations", [
+        ((8, 8), (16.0, 16.0), 40), ((16, 16), (16.0, 16.0), 40),
+        ((12, 20), (20.0, 9.0), 40), ((64, 64), (32.0, 32.0), 15),
+    ])
+    def test_matches_six_grid_sampler(self, rng, shape, extent, n_fixations):
+        sal = make_saliency(rng, shape=shape, extent=extent)
+        base = make_walk_params(rng).to_vector()
+        for label, name, value in (("random", None, None), ("zeta0", "zeta", 0.0),
+                                   ("zeta1", "zeta", 1.0), ("c_f0", "c_f", 0.0)):
+            params = sw.SceneWalkParams.from_vector(np.where(np.array(sw.PARAM_NAMES) == name, value, base))
+            for durations in (250.0, rng.uniform(120.0, 400.0, n_fixations), GammaParams(7.0, 34.0)):
+                start = (rng.uniform(0.0, extent[0]), rng.uniform(0.0, extent[1]))
+                seed = int(rng.integers(2**31))
+                path = sw.sample_scanpath(sal, params, n_fixations, start, durations, seed_or_rng=seed)
+                positions, durs = oracle_sample_scanpath(sal, params, n_fixations, start, durations, seed)
+                np.testing.assert_array_equal(path.positions, positions, err_msg=label)
+                np.testing.assert_array_equal(path.durations, durs, err_msg=label)
+
+    def test_long_path_matches_six_grid_sampler(self, rng):
+        sal = make_saliency(rng, shape=(8, 8))
+        params = make_walk_params(rng)
+        path = sw.sample_scanpath(sal, params, 10_000, (3.0, 11.0), GammaParams(7.0, 34.0), seed_or_rng=31)
+        positions, durs = oracle_sample_scanpath(sal, params, 10_000, (3.0, 11.0), GammaParams(7.0, 34.0), 31)
+        np.testing.assert_array_equal(path.positions, positions)
+        np.testing.assert_array_equal(path.durations, durs)
+
+    @pytest.mark.parametrize("start", [
+        (40.0, -5.0), (-0.5, 8.0), (8.0, 16.5), (math.nan, 8.0), (8.0, math.inf), (-math.inf, 2.0),
+    ])
+    def test_start_outside_extent_rejected(self, rng, start):
+        sal = make_saliency(rng, shape=(8, 8))
+        with pytest.raises(ValueError, match=r"start .* saliency extent \[0, 16.0\] x \[0, 16.0\]"):
+            sw.sample_scanpath(sal, make_walk_params(rng), 5, start, 200.0)
+
+    def test_start_on_extent_edge_snaps_to_corner_cell(self, rng):
+        sal = make_saliency(rng, shape=(8, 8))
+        path = sw.sample_scanpath(sal, make_walk_params(rng), 3, (16.0, 0.0), 200.0)
+        assert tuple(path.positions[0]) == sal.cell_center(0, 7)
 
 
 class TestPersistence:
