@@ -332,7 +332,8 @@ def step(
     """
     walk = _Walk(state.fields, saliency, params, with_grad=False)
     cell = np.array([saliency.position_to_cell(q)[:2]])
-    walk.advance(*(factor[0] for factor in _windows(cell, [duration_ms], params, saliency)))
+    (window,) = zip(*_windows(cell, [duration_ms], params, saliency))
+    walk.advance(*window)
     prob = walk.next_fixation()
     return SceneWalkState(walk.fields, state.t + 1), walk.potential, prob
 
@@ -376,8 +377,8 @@ def _sweep(
         products = np.empty((T - 1, 2, 2, 4))
         at_obs = np.empty((T - 1, 2, 4))
         powers, factors = walk.powers.reshape(2, 2, -1), walk.factors.reshape(2, 4, -1).transpose(0, 2, 1)
-    for k, (i, j) in enumerate(cells[1:].tolist()):
-        walk.advance(*(factor[k] for factor in windows))
+    for k, ((i, j), window) in enumerate(zip(cells[1:].tolist(), zip(*windows))):
+        walk.advance(*window)
         sums[k], positive_sum[k] = walk.distribution()
         potential_obs[k] = walk.potential[i, j]
         if with_grad:
