@@ -212,6 +212,8 @@ def cmd_train(args) -> int:
     subjects, _, X = fisher.load_features_csv(config["features"])
     C = config["C"] if config["C"] is not None else 1.0
     model = classify.train(X, subjects, C=C)
+    for note in classify._unconverged_train(model):
+        print(f"warning: {note}", file=sys.stderr)
     _write_json(
         Path(config["out"]),
         {

@@ -11,6 +11,7 @@ from gazeid import classify, cli, fisher, markov, scenewalk, simulate
 from gazeid.cli import main
 from gazeid.core import GazeRecording, save_recording_csv
 from gazeid.dataset import GazeDataset, load_dataset, save_dataset
+from test_classify import overlapping_classes
 
 
 def write_spec(path, **overrides):
@@ -153,6 +154,20 @@ class TestFitScoresTrainIdentify:
         assert solver["primal"] == classify.train(X * 1e6, subjects, C=100.0).report.primal
         assert 0.25 * solver["primal"] < solver["duality_gap"] < solver["primal"]
         assert classify.train(X * 1e3, subjects, C=100.0).report.primal < 0.85 * solver["primal"]
+
+    def test_train_warns_when_the_solve_stops_short(self, tmp_path, capsys):
+        # C = 1e6 on the overlapping classes stops at the step cap.
+        X, subjects = overlapping_classes()
+        rows = "".join(f"{s},img{i},{','.join(repr(float(v)) for v in x)}\n" for i, (s, x) in enumerate(zip(subjects, X)))
+        (tmp_path / "phi.csv").write_text("subject_id,image_id,phi_1,phi_2,phi_3,phi_4\n" + rows)
+        assert main(["train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json"), "--C", "1e6"]) == 0
+        solver = json.loads((tmp_path / "clf.json").read_text())["solver"]
+        assert solver["converged"] is False
+        err = capsys.readouterr().err
+        assert err == (
+            f"warning: svm train at C=1e+06 stopped after {solver['iterations']} iterations without "
+            f"converging (duality gap {solver['duality_gap']:.1e})\n"
+        )
 
     def test_scores_info_in_reproduces_features(self, tmp_path):
         data = self.make_data(tmp_path)
@@ -345,6 +360,13 @@ class TestDetect:
         write_recordings(raw, ids)
         assert main(["detect", "--raw", str(raw), "--out", str(tmp_path / "ds")]) != 0
         assert "cannot name a dataset file" in capsys.readouterr().err
+
+    def test_unusable_multiplier_rejected(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        write_recordings(raw, [("s0", "img0")])
+        assert main(["detect", "--raw", str(raw), "--out", str(tmp_path / "ds"), "--multiplier", "-6"]) == 2
+        assert "velocity threshold multiplier must be finite and positive, got -6.0" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_detect_no_files(self, tmp_path, capsys):
         raw = tmp_path / "raw"

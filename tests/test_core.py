@@ -3,6 +3,7 @@
 import copy
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gazeid.core import (
     CHANNEL_ROWS,
+    _median_based_sd,
     FEATURE_ROWS,
     DegenerateRecordingError,
     GazeRecording,
@@ -25,6 +27,7 @@ from gazeid.core import (
     save_features_csv,
     save_recording_csv,
     save_scanpath_csv,
+    smoothed_velocity,
     wrap_angle_deg,
 )
 from gazeid.dataset import DatasetItem, GazeDataset, save_dataset
@@ -113,8 +116,6 @@ class TestDetectSaccades:
         # Hand-computed velocity: the ramp moves 5 deg in 20 ms = 250 deg/s;
         # the smoothed trace must peak near 250 and stay ~0 elsewhere.
         rec = ramp_recording([(200, 0.0, 0.0), (20, 5.0, 0.0), (200, 5.0, 0.0)])
-        from gazeid.core import smoothed_velocity
-
         vx, _ = smoothed_velocity(rec.x_deg, rec.y_deg, rec.sampling_rate)
         assert vx.max() == pytest.approx(250.0, rel=0.02)
         assert abs(vx[:150]).max() < 1e-9
@@ -175,6 +176,214 @@ class TestDetectSaccades:
             sampling_rate=RATE,
         )
         assert len(detect_saccades(jittered)) == 2
+
+
+TWO_RAMPS = [(200, 0.0, 0.0), (20, 5.0, 0.0), (300, 5.0, 0.0), (20, 5.0, 4.0), (200, 5.0, 4.0)]
+
+
+class TestDetectionInputs:
+    @pytest.mark.parametrize(
+        "kwargs, shown",
+        [
+            ({"vel_threshold_multiplier": -6.0}, "-6.0"),  # squared by the criterion: detected as 6
+            ({"vel_threshold_multiplier": math.nan}, "nan"),  # ended as a degenerate recording
+            ({"vel_threshold_multiplier": 0.0}, "0.0"),  # divided by zero
+            ({"vel_threshold_multiplier": math.inf}, "inf"),
+            ({"min_saccade_duration_ms": -5.0}, "-5.0"),  # became one sample
+            ({"min_saccade_duration_ms": math.nan}, "nan"),  # failed converting NaN to int
+            ({"min_saccade_duration_ms": math.inf}, "inf"),
+        ],
+    )
+    def test_unusable_thresholds_rejected(self, kwargs, shown):
+        rec = ramp_recording(TWO_RAMPS, noise=0.01)
+        with pytest.raises(ValueError, match=re.escape(f"got {shown}")) as excinfo:
+            detect_saccades(rec, **kwargs)
+        assert excinfo.type is ValueError
+
+    def test_zero_minimum_duration_accepted(self):
+        rec = ramp_recording(TWO_RAMPS, noise=0.01)
+        assert len(detect_saccades(rec, min_saccade_duration_ms=0.0)) >= 3
+
+    def test_degenerate_error_names_the_recording(self):
+        rec = GazeRecording(
+            t_ms=np.arange(300.0), x_deg=np.zeros(300), y_deg=np.zeros(300), sampling_rate=RATE,
+            subject_id="s01", image_id="img2",
+        )
+        with pytest.raises(
+            DegenerateRecordingError,
+            match=r"^recording subject 's01' image 'img2' produced 1 fixation\(s\); need at least 2$",
+        ):
+            detect_saccades(rec)
+
+
+# The velocity-threshold detector as a loop over the runs, before it ran in
+# array operations: the oracle the array version must equal bit for bit.
+def ref_smoothed_velocity(x, y, sampling_rate):
+    n = x.size
+    vx = np.zeros(n)
+    vy = np.zeros(n)
+    if n >= 5:
+        vx[2 : n - 2] = sampling_rate / 6.0 * (x[4:] + x[3:-1] - x[1:-3] - x[:-4])
+        vy[2 : n - 2] = sampling_rate / 6.0 * (y[4:] + y[3:-1] - y[1:-3] - y[:-4])
+    if n >= 3:
+        vx[1] = sampling_rate / 2.0 * (x[2] - x[0])
+        vy[1] = sampling_rate / 2.0 * (y[2] - y[0])
+        vx[n - 2] = sampling_rate / 2.0 * (x[n - 1] - x[n - 3])
+        vy[n - 2] = sampling_rate / 2.0 * (y[n - 1] - y[n - 3])
+    return vx, vy
+
+
+def ref_median_based_sd(v):
+    med = np.median(v)
+    msd = math.sqrt(float(np.median((v - med) ** 2)))
+    if msd < 1e-10:
+        # Degenerate median spread; fall back to the ordinary deviation.
+        msd = math.sqrt(max(float(np.mean(v**2) - np.mean(v) ** 2), 0.0))
+    return msd
+
+
+def ref_detect_saccades(rec, vel_threshold_multiplier=6.0, min_saccade_duration_ms=6.0):
+    n = len(rec)
+    if n < 3:
+        raise ValueError("saccade detection needs at least 3 samples")
+    dt_nominal = 1000.0 / rec.sampling_rate
+    steps = np.diff(rec.t_ms)
+    gaps = np.flatnonzero(steps > 1.5 * dt_nominal)
+    if gaps.size:
+        k = int(gaps[0])
+        raise ValueError(
+            f"recording subject {rec.subject_id!r} image {rec.image_id!r}: timestamps jump by "
+            f"{float(steps[k])!r} ms between samples {k} and {k + 1}, more than 1.5 sample "
+            f"periods of {dt_nominal!r} ms; split the recording at the gap"
+        )
+    vx, vy = ref_smoothed_velocity(rec.x_deg, rec.y_deg, rec.sampling_rate)
+    sd_x = ref_median_based_sd(vx)
+    sd_y = ref_median_based_sd(vy)
+    if sd_x < 1e-10 or sd_y < 1e-10:
+        # Zero velocity spread on an axis: nothing can cross the threshold.
+        criterion = np.zeros(n, dtype=bool)
+    else:
+        eta_x, eta_y = vel_threshold_multiplier * sd_x, vel_threshold_multiplier * sd_y
+        criterion = (vx / eta_x) ** 2 + (vy / eta_y) ** 2 > 1.0
+
+    min_samples = max(1, int(round(min_saccade_duration_ms * rec.sampling_rate / 1000.0)))
+    padded = np.concatenate(([False], criterion, [False]))
+    edges = np.diff(padded.astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    fix_spans = []
+    cursor = 0
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        if e - s + 1 < min_samples:
+            continue
+        if s > cursor:
+            fix_spans.append((cursor, s - 1))
+        cursor = e + 1
+    if cursor <= n - 1:
+        fix_spans.append((cursor, n - 1))
+
+    if len(fix_spans) < 2:
+        raise DegenerateRecordingError(f"recording produced {len(fix_spans)} fixation(s); need at least 2")
+    positions = []
+    durations = []
+    for s, e in fix_spans:
+        positions.append((float(np.mean(rec.x_deg[s : e + 1])), float(np.mean(rec.y_deg[s : e + 1]))))
+        durations.append(float(rec.t_ms[e] - rec.t_ms[s]) + dt_nominal)
+    return Scanpath(
+        positions=np.array(positions),
+        durations=np.array(durations),
+        subject_id=rec.subject_id,
+        image_id=rec.image_id,
+    )
+
+
+@st.composite
+def detection_cases(draw):
+    """A ramp recording of still segments and ramps in any order, so a
+    ramp may start at the first sample or end at the last, ramps may be
+    shorter than the minimum duration, the y axis may be noise-free, still
+    for most samples (the fallback spread) or still throughout, and the
+    timestamps may be jittered."""
+    rate = draw(st.sampled_from([250.0, 500.0, 1000.0]))
+    dt = 1000.0 / rate
+    still_y = draw(st.booleans())
+    x = y = 0.0
+    segments = []
+    for ramp in draw(st.lists(st.booleans(), min_size=1, max_size=8).filter(any)):
+        if ramp:
+            x += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.0, 10.0))
+            y += draw(st.floats(-8.0, 8.0))
+            segments.append((dt * draw(st.integers(1, 12)), x, y))
+        else:
+            segments.append((dt * draw(st.integers(1, 150)), x, y))
+    n = 1 + sum(int(round(d / dt)) for d, _, _ in segments)
+    if n % 2 != draw(st.integers(0, 1)):
+        segments.append((dt, x, y))
+    noise = draw(st.sampled_from([0.0, 0.002, 0.02]))
+    seed = draw(st.integers(0, 2**16))
+    rec = ramp_recording(segments, rate=rate, noise=noise, seed=seed)
+    y = ramp_recording(segments, rate=rate).y_deg if still_y else rec.y_deg
+    # timestamps late by up to 0.4 sample periods: off the millisecond grid, never a gap
+    jitter = draw(st.sampled_from([0.0, 0.4])) * dt * np.random.default_rng(seed).random(len(rec))
+    rec = GazeRecording(rec.t_ms + jitter, rec.x_deg, y, rate)
+    return rec, draw(st.sampled_from([6.0, 3.0, 10.0])), draw(st.floats(0.0, 20.0))
+
+
+def outcome(detect, *args):
+    try:
+        return detect(*args)
+    except Exception as exc:  # the type is compared
+        return type(exc)
+
+
+def infinite_rows(n, seed):
+    """Two rows of n normal draws; 20, 50, 60 or 70% (by seed) of the first
+    is +inf, and as much of the second is -inf or +inf, two to one."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((2, n))
+    for row, values in zip(rows, ([math.inf], [-math.inf, -math.inf, math.inf])):
+        cut = rng.permutation(n)[: int((0.2, 0.5, 0.6, 0.7)[seed] * n)]
+        row[cut] = rng.choice(values, cut.size)
+    return rows.tolist()
+
+
+class TestDetectionParity:
+    @given(detection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop_oracle(self, case):
+        got, want = outcome(detect_saccades, *case), outcome(ref_detect_saccades, *case)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.durations, want.durations)
+
+    def test_velocity_equals_per_axis_oracle(self):
+        rec = ramp_recording(TWO_RAMPS, noise=0.01)
+        v = smoothed_velocity(rec.x_deg, rec.y_deg, rec.sampling_rate)
+        assert np.array_equal(v, np.stack(ref_smoothed_velocity(rec.x_deg, rec.y_deg, rec.sampling_rate)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.3, -1.2, 4.0, 2.2, -0.7, 0.1, 9.5], [1.0, 2.0, -3.0, 0.5, 0.25, -8.0, 4.0]],  # odd
+            [[0.3, -1.2, 4.0, 2.2, -0.7, 0.1, 9.5, 5.0], [1.0, 2.0, -3.0, 0.5, 0.25, -8.0, 4.0, 0.0]],  # even
+            [[2.5] * 6, [0.0, 1.0, 0.0, 0.0, 3.0, 0.0]],  # constant, and mostly still: both fall back
+            [[0.3, -1.2, 4.0, math.inf, -0.7, 0.1], [1.0, -math.inf, -3.0, 0.5, 0.25, -8.0]],  # finite medians
+            [[math.inf] * 5 + [0.3, -1.2, 4.0], [-math.inf] * 4 + [1.0, 2.0, -3.0, 0.5]],  # inf - inf
+            [[-math.inf] * 3 + [math.inf] * 3, [math.inf] * 3 + [1.0, 2.0, -3.0]],  # inf + -inf
+            *[infinite_rows(n, seed) for n in (101, 100) for seed in range(4)],
+        ],
+    )
+    def test_spreads_equal_median_formula(self, rows):
+        v = np.array(rows)
+        with np.errstate(invalid="ignore"):
+            want = [ref_median_based_sd(row) for row in v]
+            got = _median_based_sd(v)
+            infinite_median = ~np.isfinite(np.median(v, axis=1))
+        assert np.array_equal(got, want, equal_nan=True)
+        # an infinite or NaN median leaves NaN deviations in the middle
+        assert np.array_equal(np.isnan(got), infinite_median)
 
 
 class TestExtractFeatures:
