@@ -293,7 +293,8 @@ def detect_saccades(
 
     if len(spans) < 2:
         raise DegenerateRecordingError(
-            f"recording subject {rec.subject_id!r} image {rec.image_id!r} produced {len(spans)} fixation(s); need at least 2"
+            f"recording subject {rec.subject_id!r} image {rec.image_id!r} produced "
+            f"{len(spans)} fixation(s); need at least 2"
         )
     xy = np.stack((rec.x_deg, rec.y_deg))
     return Scanpath(

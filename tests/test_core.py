@@ -185,12 +185,12 @@ class TestDetectionInputs:
     @pytest.mark.parametrize(
         "kwargs, shown",
         [
-            ({"vel_threshold_multiplier": -6.0}, "-6.0"),  # squared by the criterion: detected as 6
-            ({"vel_threshold_multiplier": math.nan}, "nan"),  # ended as a degenerate recording
-            ({"vel_threshold_multiplier": 0.0}, "0.0"),  # divided by zero
+            ({"vel_threshold_multiplier": -6.0}, "-6.0"),  # the criterion squares it: it would act as 6
+            ({"vel_threshold_multiplier": math.nan}, "nan"),  # no sample crosses a NaN threshold
+            ({"vel_threshold_multiplier": 0.0}, "0.0"),  # the criterion divides by it
             ({"vel_threshold_multiplier": math.inf}, "inf"),
-            ({"min_saccade_duration_ms": -5.0}, "-5.0"),  # became one sample
-            ({"min_saccade_duration_ms": math.nan}, "nan"),  # failed converting NaN to int
+            ({"min_saccade_duration_ms": -5.0}, "-5.0"),  # would round up to one sample
+            ({"min_saccade_duration_ms": math.nan}, "nan"),  # has no sample count
             ({"min_saccade_duration_ms": math.inf}, "inf"),
         ],
     )
