@@ -364,11 +364,12 @@ def make_splits(data: GazeDataset, protocol: EvalProtocol) -> list[Split]:
 class _FamilyOps:
     """Generative-model hooks of one model (markov, markov-dyn or
     scenewalk), shared by the evaluation and ``gazeid fit``/``scores``.
-    Markov models reduce every item once to its ``markov.statistics`` row;
-    fits, likelihoods and scores are then sums and matrix products of those
-    rows. SceneWalk sweeps the items' paths in a ``scenewalk.SweepPool``
-    with ``threads - 1`` forked workers, which ``close`` (or leaving a
-    ``with`` block) stops."""
+    Markov models reduce every item once to its ``markov.statistics`` row,
+    the base model from the item's scanpath and markov-dyn from its feature
+    table; fits, likelihoods and scores are then sums and matrix products
+    of those rows. SceneWalk sweeps the items' paths in a
+    ``scenewalk.SweepPool`` with ``threads - 1`` forked workers, which
+    ``close`` (or leaving a ``with`` block) stops."""
 
     def __init__(self, data: GazeDataset, model: str, protocol: EvalProtocol, threads: int):
         self.data = data
@@ -378,7 +379,7 @@ class _FamilyOps:
             self.kind, self.channels = "markov", BASE_CHANNELS
         elif model == "markov-dyn":
             self.kind, self.channels = "markov", DYNAMICS_CHANNELS
-            if all(it.features is None for it in data.items):
+            if any(it.features is None for it in data.items):
                 raise ValueError("dynamics channels unavailable: dataset carries no per-saccade feature files")
         elif model == "scenewalk":
             self.kind, self.channels = "scenewalk", None
@@ -387,11 +388,10 @@ class _FamilyOps:
         else:
             raise ValueError(f"unknown model {model!r}; choose one of markov, markov-dyn, scenewalk")
         self.protocol = protocol
-        if self.kind == "markov":
-            self.rows = markov.statistics(
-                [it.features if it.features is not None else extract_features(it.scanpath) for it in self.index.values()],
-                self.channels,
-            )
+        if model == "markov":
+            self.rows = markov.statistics([extract_features(it.scanpath) for it in self.index.values()], self.channels)
+        elif model == "markov-dyn":
+            self.rows = markov.statistics([it.features for it in self.index.values()], self.channels)
         else:
             pairs = [(it.scanpath, data.saliency[it.image_id]) for it in self.index.values()]
             self.pool = scenewalk.SweepPool(pairs, min(threads, len(pairs)) - 1)

@@ -138,6 +138,8 @@ def cmd_fit(args) -> int:
     )
     with classify._FamilyOps(data, config["model"], protocol, threads=1) as ops:
         [(params, result)] = ops.fit([list(ops.index)])
+    for note in classify._unconverged(result):
+        print(f"warning: {note}", file=sys.stderr)
     if result is None:
         doc = {"model": config["model"], **markov.params_to_json_dict(params)}
     else:

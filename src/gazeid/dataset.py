@@ -8,6 +8,10 @@ optional per-image saliency grids:
     scanpaths/<subject>__<image>.csv
     features/<subject>__<image>.csv
     saliency/<image>.csv + <image>.json
+
+Only markov-dyn's dynamics channels need feature files, so ``simulate``
+writes them for markov-dyn cohorts only. The other models read scanpaths
+and ignore the feature files that ``load_dataset`` parses all the same.
 """
 
 from __future__ import annotations

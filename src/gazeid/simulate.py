@@ -193,14 +193,8 @@ def generate_cohort(
                     subject_id=subject,
                     image_id=image,
                 )
-                items.append(
-                    DatasetItem(
-                        subject_id=subject,
-                        image_id=image,
-                        scanpath=path,
-                        features=feats,
-                    )
-                )
+                # only the dynamics channels need a table beside the scanpath
+                items.append(DatasetItem(subject, image, path, feats if spec.family == "markov-dyn" else None))
         else:
             params = jitter_scenewalk_params(base_params, spec.jitter, param_rng)
             user_params[subject] = params

@@ -15,6 +15,7 @@ from test_markov import bayes_oracle
 
 from gazeid import classify, markov, scenewalk, simulate
 from gazeid.classify import EvalProtocol
+from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset
 
 
@@ -356,7 +357,7 @@ class TestSplits:
     def test_subject_with_one_image_rejected(self):
         data = small_cohort()
         extra = GazeDataset(
-            items=data.items + (DatasetItem("lonely", "only", data.items[0].scanpath, data.items[0].features),),
+            items=data.items + (DatasetItem("lonely", "only", data.items[0].scanpath),),
         )
         with pytest.raises(ValueError, match="lonely"):
             classify.make_splits(extra, EvalProtocol())
@@ -370,6 +371,25 @@ class TestAccuracyFromRows:
         # k=1: a wins its first two items (the second by the tie), b none;
         # k=2: one group each, the remainder dropped; k=3: both groups lost
         assert acc == {1: 2 / 6, 2: 1 / 2, 3: 0.0}
+
+
+class TestFamilyOpsInputs:
+    def test_base_rows_come_from_scanpaths_and_dynamics_rows_from_features(self):
+        # a markov-dyn cohort carries both copies of amplitude and duration,
+        # which differ in their last bits; the base model reads the scanpath's
+        data = small_cohort(family="markov-dyn")
+        base = classify._FamilyOps(data, "markov", EvalProtocol(), threads=1)
+        dyn = classify._FamilyOps(data, "markov-dyn", EvalProtocol(), threads=1)
+        np.testing.assert_array_equal(
+            base.rows, markov.statistics([extract_features(it.scanpath) for it in data.items], BASE_CHANNELS)
+        )
+        np.testing.assert_array_equal(dyn.rows, markov.statistics([it.features for it in data.items], DYNAMICS_CHANNELS))
+
+    def test_dynamics_reject_an_item_without_features(self):
+        data = small_cohort(family="markov-dyn")
+        partial = GazeDataset(items=(dataclasses.replace(data.items[0], features=None),) + data.items[1:])
+        with pytest.raises(ValueError, match="dynamics channels unavailable"):
+            classify._FamilyOps(partial, "markov-dyn", EvalProtocol(), threads=1)
 
 
 class TestRunProtocol:
@@ -444,7 +464,7 @@ class TestRunProtocol:
         index = {(i.subject_id, i.image_id): i for i in data.items}
         models = [
             markov.fit(
-                [index[(s, img)].features for img in split.train[s]],
+                [extract_features(index[(s, img)].scanpath) for img in split.train[s]],
                 ("amplitude", "duration"),
             )
             for s in data.subjects
@@ -454,7 +474,7 @@ class TestRunProtocol:
             for s_idx, subject in enumerate(data.subjects):
                 test = split.test[subject]
                 for g in range(0, len(test) - k + 1, k):
-                    group = [index[(subject, img)].features for img in test[g : g + k]]
+                    group = [extract_features(index[(subject, img)].scanpath) for img in test[g : g + k]]
                     correct += bayes_oracle(group, models) == s_idx
                     total += 1
             assert result.per_split[k][0] == pytest.approx(correct / total)
@@ -470,7 +490,6 @@ class TestRunProtocol:
                 subject_id=new_subject,
                 image_id=f"item{i:03d}",
                 scanpath=item.scanpath,
-                features=item.features,
             )
             for i, (item, new_subject) in enumerate(zip(data.items, permuted))
         )

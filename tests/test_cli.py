@@ -265,6 +265,18 @@ class TestOneCodePath:
         assert list(zip(subjects, images)) == keys
         np.testing.assert_array_equal(X, fisher.feature_map(G, fisher.estimate_information(G)))
 
+    def test_fit_warns_when_the_scenewalk_fit_stops_short(self, tmp_path, capsys):
+        data_dir = simulate_tiny(tmp_path, "scenewalk")
+        capsys.readouterr()
+        fit = ["fit", "--data", str(data_dir), "--model", "scenewalk", "--out", str(tmp_path / "m.json"), "--max-iter", "3"]
+        assert main(fit) == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["converged"] is False
+        assert capsys.readouterr().err == (
+            f"warning: scenewalk fit stopped after {doc['iterations']} iterations without "
+            f"converging (grad_norm {doc['grad_norm']:.1e})\n"
+        )
+
     def test_scores_rejects_a_model_whose_channels_are_not_its_kind(self, tmp_path, capsys):
         data_dir = simulate_tiny(tmp_path, "markov-dyn")
         assert main(["fit", "--data", str(data_dir), "--model", "markov-dyn", "--out", str(tmp_path / "m.json")]) == 0

@@ -224,17 +224,19 @@ def oracle_fit_from_statistics(row, channels):
 class TestTableParity:
     @pytest.mark.parametrize("family, channels", [("markov", BASE_CHANNELS), ("markov-dyn", DYNAMICS_CHANNELS)])
     def test_rows_equal_object_oracle(self, tmp_path, family, channels):
-        # a simulated cohort, half of its tables corrupted with NaN, inf,
-        # zero and negative values, plus paths of other lengths; saved,
-        # then read both ways
+        # the tables the family reads from a simulated cohort (a base
+        # cohort's come from its scanpaths), half of them corrupted with
+        # NaN, inf, zero and negative values, plus paths of other lengths;
+        # saved as feature files, then read both ways
         spec = simulate.SyntheticCohortSpec(
             n_users=3, n_images=6, fixations_per_path=25, family=family, jitter=0.3, seed=8
         )
         data = simulate.generate_cohort(spec).data
         rng = np.random.default_rng(9)
+        read = [it.features if family == "markov-dyn" else extract_features(it.scanpath) for it in data.items]
         items = [
-            dataclasses.replace(it, features=corrupt(it.features, rng) if i % 2 else it.features)
-            for i, it in enumerate(data.items)
+            dataclasses.replace(it, features=corrupt(table, rng) if i % 2 else table)
+            for i, (it, table) in enumerate(zip(data.items, read))
         ]
         gen = markov.default_params(channels)
         for n in (2, 3, 17, 25, 40, 41):

@@ -75,7 +75,7 @@ class TestGenerateCohort:
         true_means = {s: mean_amplitude(p) for s, p in cohort.user_params.items()}
         fit_means = {}
         for subject in cohort.data.subjects:
-            feats = [i.features for i in cohort.data.items if i.subject_id == subject]
+            feats = [extract_features(i.scanpath) for i in cohort.data.items if i.subject_id == subject]
             fit_means[subject] = mean_amplitude(markov.fit(feats, ("amplitude", "duration")))
         order_true = sorted(true_means, key=true_means.get)
         order_fit = sorted(fit_means, key=fit_means.get)
@@ -96,7 +96,7 @@ class TestGenerateCohort:
 
 
 class TestDatasetRoundTrip:
-    @pytest.mark.parametrize("family", ["markov-dyn", "scenewalk"])
+    @pytest.mark.parametrize("family", ["markov-dyn", "scenewalk", "markov"])
     def test_save_load(self, tmp_path, family):
         spec = SyntheticCohortSpec(
             n_users=2, n_images=2, fixations_per_path=6, family=family,
@@ -116,6 +116,10 @@ class TestDatasetRoundTrip:
         if family == "scenewalk":
             for image_id, sal in data.saliency.items():
                 np.testing.assert_array_equal(loaded.saliency[image_id].grid, sal.grid)
+        if family == "markov":
+            # the base model reads amplitudes and durations from the scanpaths
+            assert not (tmp_path / "d" / "features").exists()
+            assert json.loads((tmp_path / "d" / "manifest.json").read_text())["has_features"] is False
 
     @pytest.mark.parametrize(
         "ids",
@@ -199,7 +203,8 @@ class TestDatasetRoundTrip:
             load_dataset(tmp_path / "d")
 
     def test_features_on_only_some_items_are_rejected(self, tmp_path):
-        data = generate_cohort(SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, seed=5)).data
+        spec = SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, family="markov-dyn", seed=5)
+        data = generate_cohort(spec).data
         first, second = data.items
         with pytest.raises(ValueError, match="subject 'user000' image 'img001' has no features while other items do"):
             save_dataset(GazeDataset(items=(first, dataclasses.replace(second, features=None))), tmp_path / "d")
