@@ -102,7 +102,11 @@ def _train_grid(
     list of models per problem, in C order. Problems whose designs have the
     same shape share one interior-point stack, whose duals (one per problem,
     C and class, in that order) each carry the index of their problem's
-    design; a dual that meets its tolerance is not stepped again."""
+    design; a dual that meets its tolerance is not stepped again. Each C
+    must be finite and positive."""
+    for c in Cs:
+        if not (c > 0 and math.isfinite(c)):
+            raise ValueError(f"C must be finite and positive, got {c}")
     designs, classes, targets = [], [], []
     for features, labels in problems:
         X = np.asarray(features, dtype=float)
@@ -277,7 +281,6 @@ class EvalProtocol:
     n_splits: int = 5
     cv_folds: int = 3
     c_grid: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
-    eps_grid: tuple[float, ...] = (1e-3,)
     normalize_grid: tuple[bool, ...] = (True, False)
     max_k: int = 10
     seed: int = 0
@@ -289,8 +292,10 @@ class EvalProtocol:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.n_splits < 1 or self.cv_folds < 1 or self.max_k < 1:
             raise ValueError("n_splits, cv_folds, and max_k must be positive")
-        if not (self.c_grid and self.eps_grid and self.normalize_grid):
+        if not (self.c_grid and self.normalize_grid):
             raise ValueError("hyperparameter grids must be non-empty")
+        if not all(c > 0 and math.isfinite(c) for c in self.c_grid):
+            raise ValueError(f"c_grid entries must be finite and positive, got {self.c_grid}")
 
 
 @dataclass(frozen=True)
@@ -517,10 +522,10 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     scores = ops.grads(train_keys + test_keys, pooled)
     row = {key: i for i, key in enumerate(train_keys + test_keys)}
 
-    def whitened(fit_keys, other_keys, eps, norm):
+    def whitened(fit_keys, other_keys, norm):
         """Features of both key lists, whitened by the information of the first."""
         G, other = (scores[[row[key] for key in keys]] for keys in (fit_keys, other_keys))
-        info = fisher.estimate_information(G, eps)
+        info = fisher.estimate_information(G)
         return fisher.feature_map(G, info, norm), fisher.feature_map(other, info, norm)
 
     def fitted(problems, Cs):
@@ -534,10 +539,11 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
         return _accuracy_from_rows(subjects, split, ks, np.zeros((len(test_keys), 1))), {"degenerate": True}, notes
 
     # Hyperparameter search: evaluated on single test images (k = 1) within
-    # image-disjoint folds of the training portion. Candidates are ranked
-    # by CV accuracy with ties broken toward smaller C, then smaller ridge,
-    # then normalization on. Every (eps, normalization, fold) is whitened
-    # first, and the SVMs of the whole CV are solved in one call.
+    # image-disjoint folds of the training portion, at the fixed ridge
+    # fisher.DEFAULT_RIDGE. Candidates are ranked by CV accuracy with ties
+    # broken toward smaller C, then normalization on. Every (normalization,
+    # fold) is whitened first, and the SVMs of the whole CV are solved in
+    # one call.
     folds = {s: _cv_folds_of(split.train[s], protocol.cv_folds) for s in subjects}
     cv_keys = []
     for f in range(protocol.cv_folds):
@@ -546,28 +552,27 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
         if fit_keys and val_keys and len({s for s, _ in fit_keys}) >= 2:
             cv_keys.append((fit_keys, val_keys))
     c_grid = sorted(protocol.c_grid)
-    settings = list(itertools.product(sorted(protocol.eps_grid), protocol.normalize_grid))
-    cv = [(fit_keys, val_keys, *whitened(fit_keys, val_keys, eps, norm))
-          for eps, norm in settings for fit_keys, val_keys in cv_keys]
+    cv = [(fit_keys, val_keys, *whitened(fit_keys, val_keys, norm))
+          for norm in protocol.normalize_grid for fit_keys, val_keys in cv_keys]
     grids = fitted([(X_fit, fit_keys) for fit_keys, _, X_fit, _ in cv], c_grid)
-    accs = [  # per (eps, normalization, fold), the validation accuracy at each C of c_grid
+    accs = [  # per (normalization, fold), the validation accuracy at each C of c_grid
         [float(np.mean(np.array(m.classes)[np.argmax(decision_matrix(m, X_val), axis=1)] == np.array([s for s, _ in val_keys])))
          for m in models]
         for (_, val_keys, _, X_val), models in zip(cv, grids)
     ]
     candidates = []
-    for j, (eps, norm) in enumerate(settings):
+    for j, norm in enumerate(protocol.normalize_grid):
         fold_accs = accs[j * len(cv_keys):(j + 1) * len(cv_keys)]
-        candidates += [(float(np.mean([acc[i] for acc in fold_accs])) if fold_accs else -1.0, C, eps, norm)
+        candidates += [(float(np.mean([acc[i] for acc in fold_accs])) if fold_accs else -1.0, C, norm)
                        for i, C in enumerate(c_grid)]
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], not c[3]))
-    _, C, eps, norm = candidates[0]
+    candidates.sort(key=lambda c: (-c[0], c[1], not c[2]))
+    _, C, norm = candidates[0]
 
-    X_train, X_test = whitened(train_keys, test_keys, eps, norm)
+    X_train, X_test = whitened(train_keys, test_keys, norm)
     [[model]] = fitted([(X_train, train_keys)], (C,))
     decisions = decision_matrix(model, X_test)
     class_order = [model.classes.index(s) for s in subjects]
-    chosen = {"C": C, "eps_reg": eps, "normalize": bool(norm)}
+    chosen = {"C": C, "eps_reg": fisher.DEFAULT_RIDGE, "normalize": bool(norm)}
     return _accuracy_from_rows(subjects, split, ks, decisions[:, class_order]), chosen, notes
 
 
@@ -582,12 +587,12 @@ def run_protocol(
     Bayes families fit one generative model per subject on its training
     images and identify by summed log-likelihood. Fisher families fit one
     pooled generative model per split on all training items, whiten the
-    score vectors with the empirical information of the training scores,
-    tune (C, ridge, normalization) by image-disjoint CV on the training
-    portion, and identify by summed decision scores. The CV's SVMs are
-    solved together: every fold, ridge, normalization, C and class whose
-    fold has the same number of training rows in one interior-point stack
-    (``_train_grid``). Accuracy at k
+    score vectors with the empirical information of the training scores
+    at the fixed ridge ``fisher.DEFAULT_RIDGE``, tune (C, normalization)
+    by image-disjoint CV on the training portion, and identify by summed
+    decision scores. The CV's SVMs are solved together: every fold,
+    normalization, C and class whose fold has the same number of training
+    rows in one interior-point stack (``_train_grid``). Accuracy at k
     averages over disjoint consecutive groups of k test images per
     subject; the curve reports mean and standard error across splits.
     Each SceneWalk fit and each SVM solve that stops without converging
@@ -604,6 +609,8 @@ def run_protocol(
     protocol = protocol or EvalProtocol()
     if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}; choose one of {FAMILIES}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     splits = make_splits(data, protocol)
 
     warnings: list[str] = []

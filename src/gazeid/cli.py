@@ -2,9 +2,11 @@
 
 One binary with subcommands (detect, fit, scores, train, identify,
 simulate, eval). Options come from an optional JSON config file plus
-flags; flags win. Every artifact embeds the tool version, a hash of the
-effective configuration, and the seed, so results are attributable to an
-exact invocation. Outputs are written atomically (temp file + rename).
+flags; flags win. Each option is declared once, as a flag, and its dest
+is its config key. Every artifact embeds the tool version, a hash of the
+effective configuration, and the seed (``eval``'s; ``simulate`` takes
+its seed from the cohort spec), so results are attributable to an exact
+invocation. Outputs are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from .core import detect_saccades, load_recording_csv
 from .dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 
 
-def _effective_config(
-    args: argparse.Namespace, keys: list[str], required: tuple[str, ...] = ()
-) -> dict:
+def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> dict:
     """Merge the JSON config file with CLI flags; flags win.
 
-    Unknown config keys are rejected; options in ``required`` must be
-    present after the merge.
+    The config keys are the subcommand's option dests, in the order they
+    are declared. Unknown config keys are rejected; options in
+    ``required`` must be present after the merge.
     """
+    keys = [key for key in vars(args) if key not in ("command", "func", "config")]
     config = {}
     if args.config:
         with open(args.config) as fh:
@@ -45,7 +47,7 @@ def _effective_config(
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
     for key in keys:
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         merged[key] = flag_val if flag_val is not None else config.get(key)
     missing = [key for key in required if merged.get(key) is None]
     if missing:
@@ -104,7 +106,7 @@ def _default_threads() -> int:
 
 
 def cmd_detect(args) -> int:
-    config = _effective_config(args, ["raw", "out", "multiplier", "min_dur", "seed"], required=("raw", "out"))
+    config = _effective_config(args, required=("raw", "out"))
     raw_dir = Path(config["raw"])
     out_dir = Path(config["out"])
     multiplier = config["multiplier"] if config["multiplier"] is not None else 6.0
@@ -131,7 +133,7 @@ def _load_dataset_or_fail(data_dir: str) -> GazeDataset:
 
 
 def cmd_fit(args) -> int:
-    config = _effective_config(args, ["data", "model", "out", "seed", "rho", "max_iter"], required=("data", "model", "out"))
+    config = _effective_config(args, required=("data", "model", "out"))
     data = _load_dataset_or_fail(config["data"])
     protocol = _protocol(
         config, classify.EvalProtocol(scenewalk_max_iter=500), scenewalk_rho="rho", scenewalk_max_iter="max_iter"
@@ -167,11 +169,7 @@ def _load_model_json(path: str):
 
 
 def cmd_scores(args) -> int:
-    config = _effective_config(
-        args,
-        ["data", "model_json", "out", "seed", "eps_reg", "normalize", "info_in", "info_out"],
-        required=("data", "model_json", "out"),
-    )
+    config = _effective_config(args, required=("data", "model_json", "out"))
     data = _load_dataset_or_fail(config["data"])
     kind, params = _load_model_json(config["model_json"])
     eps = config["eps_reg"] if config["eps_reg"] is not None else fisher.DEFAULT_RIDGE
@@ -210,7 +208,7 @@ def cmd_scores(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _effective_config(args, ["features", "out", "C", "seed"], required=("features", "out"))
+    config = _effective_config(args, required=("features", "out"))
     subjects, _, X = fisher.load_features_csv(config["features"])
     C = config["C"] if config["C"] is not None else 1.0
     model = classify.train(X, subjects, C=C)
@@ -231,7 +229,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    config = _effective_config(args, ["features", "classifier", "out", "group_k", "seed"], required=("features", "classifier", "out"))
+    config = _effective_config(args, required=("features", "classifier", "out"))
+    k = config["group_k"] if config["group_k"] is not None else 1
+    if k < 1:
+        raise ValueError(f"group_k must be at least 1, got {k}")
     subjects, images, X = fisher.load_features_csv(config["features"])
     with open(config["classifier"]) as fh:
         doc = json.load(fh)
@@ -240,7 +241,6 @@ def cmd_identify(args) -> int:
         classes=tuple(doc["classes"]),
         C=float(doc["C"]),
     )
-    k = config["group_k"] if config["group_k"] is not None else 1
 
     rows = []
     by_subject: dict[str, list[int]] = {}
@@ -266,23 +266,10 @@ def cmd_identify(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError as exc:
-        raise ValueError(f"--grid expects ROWSxCOLS, got {text!r}") from exc
-
-
 def cmd_simulate(args) -> int:
-    config = _effective_config(args, ["spec", "out", "seed", "grid"], required=("spec", "out"))
+    config = _effective_config(args, required=("spec", "out"))
     with open(config["spec"]) as fh:
-        spec_doc = json.load(fh)
-    if config["seed"] is not None:
-        spec_doc["seed"] = config["seed"]
-    if config["grid"] is not None:
-        spec_doc["grid_shape"] = list(_parse_grid(config["grid"]))
-    spec = simulate.SyntheticCohortSpec.from_json_dict(spec_doc)
+        spec = simulate.SyntheticCohortSpec.from_json_dict(json.load(fh))
     cohort = simulate.generate_cohort(spec)
     out_dir = Path(config["out"])
     data = GazeDataset(
@@ -296,29 +283,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _effective_config(
-        args,
-        [
-            "data",
-            "family",
-            "model",
-            "classifier",
-            "out",
-            "seed",
-            "threads",
-            "splits",
-            "cv_folds",
-            "train_fraction",
-            "max_k",
-            "scenewalk_rho",
-            "scenewalk_max_iter",
-        ],
-        required=("data", "out"),
-    )
-    if config["family"] is None:
-        if config["model"] is None or config["classifier"] is None:
-            raise ValueError("give either --family or both --model and --classifier")
-        config["family"] = f"{config['classifier']}-{config['model']}"
+    config = _effective_config(args, required=("data", "family", "out"))
     if config["family"] not in classify.FAMILIES:
         raise ValueError(f"family must be one of {classify.FAMILIES}")
     data = _load_dataset_or_fail(config["data"])
@@ -352,29 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gazeid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        """A subcommand that runs ``func``; its options after ``--config``
+        are its config keys (``_effective_config``)."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("detect", help="raw recording CSVs -> scanpath dataset")
-    common(p)
+    p = command("detect", cmd_detect, "raw recording CSVs -> scanpath dataset")
     p.add_argument("--raw", default=None, help="directory of recording CSVs + sidecar JSON")
     p.add_argument("--out", default=None)
     p.add_argument("--multiplier", type=float, default=None, help="velocity threshold multiplier")
     p.add_argument("--min-dur", dest="min_dur", type=float, default=None, help="min saccade ms")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("fit", help="fit a generative model on a dataset")
-    common(p)
+    p = command("fit", cmd_fit, "fit a generative model on a dataset")
     p.add_argument("--data", default=None, help="dataset directory")
     p.add_argument("--model", choices=["markov", "markov-dyn", "scenewalk"], default=None)
     p.add_argument("--out", default=None, help="output model JSON")
     p.add_argument("--rho", type=float, default=None, help="scenewalk regularization")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("scores", help="Fisher feature matrix from a fitted model")
-    common(p)
+    p = command("scores", cmd_scores, "Fisher feature matrix from a fitted model")
     p.add_argument("--data", default=None)
     p.add_argument("--model-json", dest="model_json", default=None)
     p.add_argument("--out", default=None, help="output feature CSV")
@@ -382,38 +346,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_const", const=True, default=None)
     p.add_argument("--info-in", dest="info_in", default=None, help="reuse a stored information matrix")
     p.add_argument("--info-out", dest="info_out", default=None)
-    p.set_defaults(func=cmd_scores)
 
-    p = sub.add_parser("train", help="train the linear classifier on features")
-    common(p)
+    p = command("train", cmd_train, "train the linear classifier on features")
     p.add_argument("--features", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--C", type=float, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("identify", help="predict viewers for feature groups")
-    common(p)
+    p = command("identify", cmd_identify, "predict viewers for feature groups")
     p.add_argument("--features", default=None)
     p.add_argument("--classifier", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--group-k", dest="group_k", type=int, default=None)
-    p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("simulate", help="generate a synthetic cohort dataset")
-    common(p)
+    p = command("simulate", cmd_simulate, "generate a synthetic cohort dataset")
     p.add_argument("--spec", default=None, help="cohort spec JSON")
     p.add_argument("--out", default=None)
-    p.add_argument("--grid", default=None, help="ROWSxCOLS saliency grid override")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="run the evaluation protocol on a dataset")
-    common(p)
+    p = command("eval", cmd_eval, "run the evaluation protocol on a dataset")
     p.add_argument("--data", default=None)
     p.add_argument("--family", default=None, help="|".join(classify.FAMILIES))
-    p.add_argument("--model", choices=["markov", "markov-dyn", "scenewalk"], default=None,
-                   help="generative model (with --classifier, alternative to --family)")
-    p.add_argument("--classifier", choices=["bayes", "fisher-svm"], default=None)
     p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=None, help="split seed")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--splits", type=int, default=None)
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=None)
@@ -421,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", dest="max_k", type=int, default=None)
     p.add_argument("--scenewalk-rho", dest="scenewalk_rho", type=float, default=None)
     p.add_argument("--scenewalk-max-iter", dest="scenewalk_max_iter", type=int, default=None)
-    p.set_defaults(func=cmd_eval)
 
     return parser
 

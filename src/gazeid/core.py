@@ -416,11 +416,11 @@ def save_recording_csv(rec: GazeRecording, csv_path: str | Path) -> None:
         )
 
 
-def load_recording_csv(csv_path: str | Path, sidecar_path: str | Path | None = None) -> GazeRecording:
-    """Read a recording CSV; rows with a NaN (blinks) are dropped."""
+def load_recording_csv(csv_path: str | Path) -> GazeRecording:
+    """Read a recording CSV and its sidecar JSON (same stem, ``.json``);
+    rows with a NaN (blinks) are dropped."""
     csv_path = Path(csv_path)
-    sidecar = Path(sidecar_path) if sidecar_path is not None else csv_path.with_suffix(".json")
-    with open(sidecar) as fh:
+    with open(csv_path.with_suffix(".json")) as fh:
         meta = json.load(fh)
     arr = _read_csv(csv_path, _RECORDING_COLUMNS)
     arr = arr[~np.isnan(arr).any(axis=1)]

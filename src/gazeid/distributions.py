@@ -20,6 +20,9 @@ N_SACCADE_TYPES = 4
 
 _EPS = np.finfo(float).eps
 
+# Relative step at which the Gamma shape Newton iteration stops.
+_SHAPE_TOL = 1e-10
+
 
 class DegenerateSampleError(ValueError):
     """Sample set carries no information for the requested estimate."""
@@ -77,7 +80,7 @@ def gamma_logpdf(x, params: GammaParams):
     return (a - 1.0) * np.log(x) - x / b - gammaln(a) - a * np.log(b)
 
 
-def gamma_mle(xs, tol: float = 1e-10, max_iter: int = 100) -> GammaParams:
+def gamma_mle(xs, max_iter: int = 100) -> GammaParams:
     """Maximum-likelihood Gamma fit of a sample; see ``gamma_mle_from_sums``.
     Requires at least two distinct positive samples."""
     xs = np.asarray(xs, dtype=float)
@@ -85,10 +88,10 @@ def gamma_mle(xs, tol: float = 1e-10, max_iter: int = 100) -> GammaParams:
         raise DegenerateSampleError("need at least 2 samples for a Gamma fit")
     if np.any(xs <= 0) or not np.all(np.isfinite(xs)):
         raise DegenerateSampleError("Gamma samples must be strictly positive and finite")
-    return checked_gamma(*gamma_mle_from_sums(xs.size, xs.sum(), np.log(xs).sum(), tol, max_iter))
+    return checked_gamma(*gamma_mle_from_sums(xs.size, xs.sum(), np.log(xs).sum(), max_iter))
 
 
-def gamma_mle_from_sums(n, sum_x, sum_log_x, tol: float = 1e-10, max_iter: int = 100):
+def gamma_mle_from_sums(n, sum_x, sum_log_x, max_iter: int = 100):
     """Maximum-likelihood Gamma fits from the sufficient statistics of
     positive samples, one per cell of the broadcast arrays n (sample size),
     sum_x (sum of x) and sum_log_x (sum of ln x).
@@ -96,11 +99,12 @@ def gamma_mle_from_sums(n, sum_x, sum_log_x, tol: float = 1e-10, max_iter: int =
     A vectorised Newton iteration on the shapes solves the residual
     r(a) = ln(a) - psi(a) - s = 0, s = ln(mean(x)) - mean(ln x); a cell
     stops at the first step that moves its shape by less than
-    tol * max(1, a), or that is no larger than the step the rounding of r
-    alone can cause, eps * (|ln a| + |psi(a)| + s) / |r'(a)|, and then
-    scale = mean(x) / a. The second bound binds only above shapes of about
-    1e4, where ln(a) - psi(a) ~ 1/(2a) is the difference of two numbers
-    near ln(a) and the steps wander by more than tol * a.
+    tol * max(1, a), tol = ``_SHAPE_TOL``, or that is no larger than the
+    step the rounding of r alone can cause,
+    eps * (|ln a| + |psi(a)| + s) / |r'(a)|, and then scale = mean(x) / a.
+    The second bound binds only above shapes of about 1e4, where
+    ln(a) - psi(a) ~ 1/(2a) is the difference of two numbers near ln(a)
+    and the steps wander by more than tol * a.
     Returns the arrays (shape, scale, converged). A degenerate cell, with
     fewer than 2 samples or samples (numerically) all identical, so that
     the shape is unidentifiable, has NaN shape and scale; a cell still
@@ -125,7 +129,7 @@ def gamma_mle_from_sums(n, sum_x, sum_log_x, tol: float = 1e-10, max_iter: int =
         step = (log_a - psi_a - s) / slope
         a_new = np.where(a - step <= 0, a / 2.0, a - step)
         rounding = _EPS * (np.abs(log_a) + np.abs(psi_a) + s) / np.abs(slope)
-        done = (np.abs(a_new - a) < tol * np.maximum(1.0, a)) | (np.abs(step) <= rounding)
+        done = (np.abs(a_new - a) < _SHAPE_TOL * np.maximum(1.0, a)) | (np.abs(step) <= rounding)
         shape.flat[active[done]] = a_new[done]
         converged.flat[active[done]] = True
         active, a, s = active[~done], a_new[~done], s[~done]

@@ -110,17 +110,14 @@ def jitter_scenewalk_params(
 
 
 def random_saliency(
-    shape: tuple[int, int],
-    extent: tuple[float, float],
-    rng: np.random.Generator,
-    n_blobs: tuple[int, int] = (3, 6),
+    shape: tuple[int, int], extent: tuple[float, float], rng: np.random.Generator
 ) -> scenewalk.SaliencyMap:
-    """Smooth random saliency: a mixture of Gaussian blobs on the grid."""
+    """Smooth random saliency: a mixture of 3 to 6 Gaussian blobs on the grid."""
     rows, cols = shape
     xs = (np.arange(cols) + 0.5) * extent[0] / cols
     ys = (np.arange(rows) + 0.5) * extent[1] / rows
     grid = np.zeros(shape)
-    for _ in range(rng.integers(n_blobs[0], n_blobs[1] + 1)):
+    for _ in range(rng.integers(3, 7)):
         cx = rng.uniform(0.15 * extent[0], 0.85 * extent[0])
         cy = rng.uniform(0.15 * extent[1], 0.85 * extent[1])
         width = rng.uniform(0.05, 0.15) * min(extent)
@@ -143,11 +140,9 @@ class SyntheticCohort:
     user_params: dict[str, object] = field(compare=False)
 
 
-def generate_cohort(
-    spec: SyntheticCohortSpec,
-    base_params=None,
-) -> SyntheticCohort:
-    """Sample a labeled cohort; deterministic for a given spec seed.
+def generate_cohort(spec: SyntheticCohortSpec) -> SyntheticCohort:
+    """Sample a labeled cohort; deterministic for a given spec seed. Users
+    jitter the family's default parameters.
 
     Users are generated from independently spawned seed streams, so the
     per-user data does not depend on generation order.
@@ -168,13 +163,12 @@ def generate_cohort(
             for image in images
         }
 
-    if base_params is None:
-        if spec.family == "markov":
-            base_params = markov.default_params(BASE_CHANNELS)
-        elif spec.family == "markov-dyn":
-            base_params = markov.default_params(DYNAMICS_CHANNELS)
-        else:
-            base_params = scenewalk.default_params()
+    if spec.family == "markov":
+        base_params = markov.default_params(BASE_CHANNELS)
+    elif spec.family == "markov-dyn":
+        base_params = markov.default_params(DYNAMICS_CHANNELS)
+    else:
+        base_params = scenewalk.default_params()
 
     items = []
     user_params: dict[str, object] = {}

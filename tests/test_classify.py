@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -107,6 +108,14 @@ class TestTrain:
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError):
             classify.train(rng.standard_normal((5, 2)), ["a"] * 5)
+
+    @pytest.mark.parametrize("C", [-1.0, 0.0, math.nan, math.inf])
+    def test_C_that_is_not_finite_and_positive_rejected(self, C):
+        X, y = overlapping_classes()
+        with pytest.raises(ValueError, match=f"C must be finite and positive, got {C}"):
+            classify.train(X, y, C=C)
+        with pytest.raises(ValueError, match=r"c_grid entries must be finite and positive, got \(1.0, "):
+            EvalProtocol(c_grid=(1.0, C))
 
     def test_large_C_reaches_certified_optimum(self):
         # C = 1e4 on the overlapping classes: the optimum is about 1.1706e6.
@@ -513,6 +522,11 @@ class TestRunProtocol:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             classify.run_protocol(small_cohort(), "nonsense")
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            classify.run_protocol(small_cohort(), "bayes-markov", threads=threads)
 
     def test_fisher_family_end_to_end(self):
         data = small_cohort(n_users=4, n_images=10, T=20, jitter=0.5, seed=3)

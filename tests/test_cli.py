@@ -1,8 +1,10 @@
 """Command-line interface: pipelines, determinism, error reporting."""
 
+import argparse
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ class TestFitScoresTrainIdentify:
         ]) == 0
         assert main([
             "train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json"),
-            "--C", "1.0", "--seed", "0",
+            "--C", "1.0",
         ]) == 0
         assert main([
             "identify", "--features", str(tmp_path / "phi.csv"),
@@ -169,6 +171,29 @@ class TestFitScoresTrainIdentify:
             f"converging (duality gap {solver['duality_gap']:.1e})\n"
         )
 
+    def write_overlapping_features(self, path):
+        X, subjects = overlapping_classes()
+        rows = "".join(f"{s},img{i},{','.join(repr(float(v)) for v in x)}\n" for i, (s, x) in enumerate(zip(subjects, X)))
+        path.write_text("subject_id,image_id,phi_1,phi_2,phi_3,phi_4\n" + rows)
+
+    @pytest.mark.parametrize("C", ["-1", "0", "nan", "inf"])
+    def test_train_rejects_C_that_is_not_finite_and_positive(self, tmp_path, capsys, C):
+        self.write_overlapping_features(tmp_path / "phi.csv")
+        assert main(["train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json"), "--C", C]) == 2
+        assert f"C must be finite and positive, got {float(C)}" in capsys.readouterr().err
+        assert not (tmp_path / "clf.json").exists()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_identify_rejects_group_k_below_one(self, tmp_path, capsys, k):
+        self.write_overlapping_features(tmp_path / "phi.csv")
+        assert main(["train", "--features", str(tmp_path / "phi.csv"), "--out", str(tmp_path / "clf.json")]) == 0
+        assert main([
+            "identify", "--features", str(tmp_path / "phi.csv"), "--classifier", str(tmp_path / "clf.json"),
+            "--out", str(tmp_path / "pred.csv"), "--group-k", str(k),
+        ]) == 2
+        assert f"group_k must be at least 1, got {k}" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_scores_info_in_reproduces_features(self, tmp_path):
         data = self.make_data(tmp_path)
         main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])
@@ -219,6 +244,38 @@ class TestFitScoresTrainIdentify:
         code = main(["fit", "--config", str(tmp_path / "cfg.json"), "--model", "markov", "--out", str(tmp_path / "m.json")])
         assert code != 0
         assert "bogus_key" in capsys.readouterr().err
+
+
+# Each subcommand's config keys: its flags' dests, in the order provenance
+# records them.
+CONFIG_KEYS = {
+    "detect": ["raw", "out", "multiplier", "min_dur"],
+    "fit": ["data", "model", "out", "rho", "max_iter"],
+    "scores": ["data", "model_json", "out", "eps_reg", "normalize", "info_in", "info_out"],
+    "train": ["features", "out", "C"],
+    "identify": ["features", "classifier", "out", "group_k"],
+    "simulate": ["spec", "out"],
+    "eval": ["data", "family", "out", "seed", "threads", "splits", "cv_folds", "train_fraction", "max_k",
+             "scenewalk_rho", "scenewalk_max_iter"],
+}
+
+
+@pytest.mark.parametrize("command, deleted", [
+    ("detect", "seed"), ("fit", "seed"), ("scores", "seed"), ("train", "seed"), ("identify", "seed"),
+    ("simulate", "grid"), ("eval", "model"),
+])
+def test_config_keys_are_the_flags_dests(tmp_path, command, deleted):
+    keys = CONFIG_KEYS[command]
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.dest for a in subparsers.choices[command]._actions if a.dest not in ("help", "config")] == keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: i for i, key in enumerate(keys)}))
+    args = parser.parse_args([command, "--config", str(cfg)])
+    assert list(cli._effective_config(args).items()) == [(key, i) for i, key in enumerate(keys)]
+    cfg.write_text(json.dumps({deleted: 0}))
+    with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{deleted}']")):
+        cli._effective_config(args)
 
 
 TINY_COHORTS = {

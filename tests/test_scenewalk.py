@@ -636,9 +636,10 @@ class TestSweepPool:
 
 
 def oracle_sample_scanpath(saliency, params, n_fixations, start, durations, seed):
-    """Positions and durations from the sampler without window tables: one
-    six-grid ``step`` per fixation (``_windows`` each time) and
-    ``rng.choice`` on the normalised distribution."""
+    """Positions, durations and the normalised next-fixation distribution
+    of each draw from the sampler without window tables: one six-grid
+    ``step`` per fixation (``_windows`` each time) and ``rng.choice`` on the
+    normalised distribution."""
     rng = np.random.default_rng(seed)
     if isinstance(durations, GammaParams):
         durs = rng.gamma(durations.shape, durations.scale, size=n_fixations)
@@ -648,12 +649,14 @@ def oracle_sample_scanpath(saliency, params, n_fixations, start, durations, seed
     positions = np.empty((n_fixations, 2))
     positions[0] = saliency.cell_center(i, j)
     state = sw.initial_state(saliency)
+    probs = []
     for t in range(n_fixations - 1):
         state, _, prob = sw.step(state, positions[t], durs[t], params, saliency)
         flat = prob.ravel()
-        i, j = divmod(int(rng.choice(flat.size, p=flat / flat.sum())), saliency.shape[1])
+        probs.append(flat / flat.sum())
+        i, j = divmod(int(rng.choice(flat.size, p=probs[-1])), saliency.shape[1])
         positions[t + 1] = saliency.cell_center(i, j)
-    return positions, durs
+    return positions, durs, probs
 
 
 class TestSampling:
@@ -711,7 +714,18 @@ class TestSampling:
         ((8, 8), (16.0, 16.0), 40), ((16, 16), (16.0, 16.0), 40),
         ((12, 20), (20.0, 9.0), 40), ((64, 64), (32.0, 32.0), 15),
     ])
-    def test_matches_six_grid_sampler(self, rng, shape, extent, n_fixations):
+    def test_matches_six_grid_sampler(self, rng, monkeypatch, shape, extent, n_fixations):
+        # Each draw's distribution, copied before _draw's cumulative sum
+        # overwrites it, must equal the oracle's in every bit: a position
+        # moves only when the random double falls within a few ulps of a
+        # cell's cumulative bound, so positions alone miss last-bit changes.
+        drawn, draw = [], sw._draw
+
+        def recording_draw(rng, p):
+            drawn.append(p.copy())
+            return draw(rng, p)
+
+        monkeypatch.setattr(sw, "_draw", recording_draw)
         sal = make_saliency(rng, shape=shape, extent=extent)
         base = make_walk_params(rng).to_vector()
         for label, name, value in (("random", None, None), ("zeta0", "zeta", 0.0),
@@ -720,16 +734,18 @@ class TestSampling:
             for durations in (250.0, rng.uniform(120.0, 400.0, n_fixations), GammaParams(7.0, 34.0)):
                 start = (rng.uniform(0.0, extent[0]), rng.uniform(0.0, extent[1]))
                 seed = int(rng.integers(2**31))
+                drawn.clear()
                 path = sw.sample_scanpath(sal, params, n_fixations, start, durations, seed_or_rng=seed)
-                positions, durs = oracle_sample_scanpath(sal, params, n_fixations, start, durations, seed)
+                positions, durs, probs = oracle_sample_scanpath(sal, params, n_fixations, start, durations, seed)
                 np.testing.assert_array_equal(path.positions, positions, err_msg=label)
                 np.testing.assert_array_equal(path.durations, durs, err_msg=label)
+                np.testing.assert_array_equal(drawn, probs, err_msg=label)
 
     def test_long_path_matches_six_grid_sampler(self, rng):
         sal = make_saliency(rng, shape=(8, 8))
         params = make_walk_params(rng)
         path = sw.sample_scanpath(sal, params, 10_000, (3.0, 11.0), GammaParams(7.0, 34.0), seed_or_rng=31)
-        positions, durs = oracle_sample_scanpath(sal, params, 10_000, (3.0, 11.0), GammaParams(7.0, 34.0), 31)
+        positions, durs, _ = oracle_sample_scanpath(sal, params, 10_000, (3.0, 11.0), GammaParams(7.0, 34.0), 31)
         np.testing.assert_array_equal(path.positions, positions)
         np.testing.assert_array_equal(path.durations, durs)
 
