@@ -34,10 +34,11 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
     """Merge the JSON config file with CLI flags; flags win.
 
     The config keys are the subcommand's option dests, in the order they
-    are declared. Unknown config keys are rejected; options in
-    ``required`` must be present after the merge.
+    are declared. Unknown keys are rejected, and so are values not of their
+    flag's ``type`` (an int may stand for a float); options in ``required``
+    must be present after the merge.
     """
-    keys = [key for key in vars(args) if key not in ("command", "func", "config")]
+    keys = [key for key in vars(args) if key not in ("command", "func", "parser", "config")]
     config = {}
     if args.config:
         with open(args.config) as fh:
@@ -45,6 +46,11 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
         unknown = set(config) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        types = {action.dest: action.type for action in args.parser._actions}
+        for key, value in config.items():
+            allowed = {int: (int,), float: (int, float)}.get(types[key], (object,))
+            if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
+                raise ValueError(f"config key {key!r} must be {types[key].__name__}, got {value!r}")
     merged = {}
     for key in keys:
         flag_val = getattr(args, key)
@@ -55,12 +61,13 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
     return merged
 
 
-def _provenance(config: dict) -> dict:
+def _provenance(config: dict, seed: int | None = None) -> dict:
+    """Tool version, config and its hash, and the seed drawn from (``eval``'s or ``simulate``'s spec's)."""
     canonical = json.dumps(config, sort_keys=True, default=str)
     return {
         "tool_version": __version__,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": config.get("seed"),
+        "seed": seed,
         "config": config,
     }
 
@@ -275,7 +282,7 @@ def cmd_simulate(args) -> int:
     data = GazeDataset(
         items=cohort.data.items,
         saliency=cohort.data.saliency,
-        meta={**(cohort.data.meta or {}), "provenance": _provenance(config)},
+        meta={**(cohort.data.meta or {}), "provenance": _provenance(config, spec.seed)},
     )
     save_dataset(data, out_dir)
     print(f"simulated {len(data.items)} scanpaths -> {out_dir}")
@@ -297,7 +304,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = result.to_json_dict()
-    doc["provenance"] = _provenance(config)
+    doc["provenance"] = _provenance(config, protocol.seed)
     _write_json(out_dir / "results.json", doc)
     _atomic_write(out_dir / "results.csv", lambda tmp: classify.save_results_csv(result, tmp))
     k1 = result.curve.mean_at(1) if result.curve.entries else float("nan")
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         are its config keys (``_effective_config``)."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command("detect", cmd_detect, "raw recording CSVs -> scanpath dataset")

@@ -335,13 +335,12 @@ def extract_features(path: Scanpath) -> SaccadeTable:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(csv_path: str | Path, header: Sequence[str] | None, rows: Iterable[str]) -> None:
-    """Write the header (if any) and the given row strings in one pass,
-    with the CRLF line ends of ``csv.writer``. Callers format floats with
-    ``repr``, which reads back to the same float."""
-    lines = rows if header is None else (",".join(header), *rows)
+def _write_csv(csv_path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
+    """Write the header and the given row strings in one pass, with the
+    CRLF line ends of ``csv.writer``. Callers format floats with ``repr``,
+    which reads back to the same float."""
     with open(csv_path, "w", newline="") as fh:
-        fh.write("".join(f"{line}\r\n" for line in lines))
+        fh.write("".join(f"{line}\r\n" for line in (",".join(header), *rows)))
 
 
 # Bytes of the cells that ``repr`` writes (digits, signs, exponents, nan,
@@ -349,32 +348,28 @@ def _write_csv(csv_path: str | Path, header: Sequence[str] | None, rows: Iterabl
 _NUMERIC_BYTES = b"0123456789+-.eEnNaAiIfFtTyY,"
 
 
-def _read_csv(csv_path: str | Path, header: Sequence[str] | int) -> np.ndarray:
-    """The rows of a numeric CSV file under exactly ``header`` (or, given a
-    column count, of a file without a header line), as one (rows, columns)
-    float array. A wrong header, a row whose cell count differs from the
-    header's and a cell that ``float`` cannot read each raise ValueError
-    naming the file (and the row, counted from the file's first line).
+def _read_csv(csv_path: str | Path, header: Sequence[str]) -> np.ndarray:
+    """The rows of a numeric CSV file under exactly ``header``, as one
+    (rows, columns) float array. A wrong header, a row whose cell count
+    differs from the header's and a cell that ``float`` cannot read each
+    raise ValueError naming the file (and the row, counted from the file's
+    first line).
 
     The body is parsed by one ``np.fromstring`` call when it holds only
     ``_NUMERIC_BYTES``; any other body (cells padded with spaces, say) is
     read cell by cell with ``float``, which also finds the row of a bad
     cell."""
     with open(csv_path, "rb") as fh:
-        lines = fh.read().splitlines()
-    if isinstance(header, int):
-        n_columns, first = header, 1
-    else:
-        head, *lines = lines or [b""]
-        head = head.decode(errors="replace")
-        if head.split(",") != list(header):
-            raise ValueError(f"{csv_path}: expected header {','.join(header)}, got {head!r}")
-        n_columns, first = len(header), 2
+        head, *lines = fh.read().splitlines() or [b""]
+    head = head.decode(errors="replace")
+    if head.split(",") != list(header):
+        raise ValueError(f"{csv_path}: expected header {','.join(header)}, got {head!r}")
+    n_columns = len(header)
     commas = [line.count(b",") for line in lines]
     if commas.count(n_columns - 1) != len(lines):
         bad = next(i for i, n in enumerate(commas) if n != n_columns - 1)
         raise ValueError(
-            f"{csv_path}: row {bad + first} has {commas[bad] + 1} columns, expected {n_columns}"
+            f"{csv_path}: row {bad + 2} has {commas[bad] + 1} columns, expected {n_columns}"
         )
     body = b",".join(lines)
     if not body.translate(None, _NUMERIC_BYTES):
@@ -385,7 +380,7 @@ def _read_csv(csv_path: str | Path, header: Sequence[str] | int) -> np.ndarray:
         if cells is not None and cells.size == len(lines) * n_columns:
             return cells.reshape(len(lines), n_columns)
     rows = []
-    for lineno, line in enumerate(lines, start=first):
+    for lineno, line in enumerate(lines, start=2):
         try:
             rows.append([float(cell) for cell in line.decode(errors="replace").split(",")])
         except ValueError as exc:

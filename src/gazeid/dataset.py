@@ -7,7 +7,7 @@ optional per-image saliency grids:
     manifest.json
     scanpaths/<subject>__<image>.csv
     features/<subject>__<image>.csv
-    saliency/<image>.csv + <image>.json
+    saliency/<image>.npy + <image>.json      (np.save grid + extent_deg)
 
 Only markov-dyn's dynamics channels need feature files, so ``simulate``
 writes them for markov-dyn cohorts only. The other models read scanpaths
@@ -99,8 +99,6 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
     (out / "scanpaths").mkdir(parents=True, exist_ok=True)
     if has_features:
         (out / "features").mkdir(exist_ok=True)
-    if data.saliency:
-        (out / "saliency").mkdir(exist_ok=True)
 
     manifest = {
         "items": [
@@ -118,6 +116,7 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
         if it.features is not None:
             save_features_csv(it.features, out / "features" / f"{stem}.csv")
     if data.saliency:
+        (out / "saliency").mkdir(exist_ok=True)
         for image_id, sal in data.saliency.items():
             save_saliency(sal, out / "saliency" / image_id)
 
@@ -145,10 +144,8 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
             DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path, features=features)
         )
 
-    saliency = None
-    if manifest.get("saliency_images"):
-        saliency = {
-            image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
-            for image_id in manifest["saliency_images"]
-        }
-    return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {})
+    saliency = {
+        image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
+        for image_id in manifest.get("saliency_images") or []
+    }
+    return GazeDataset(items=tuple(items), saliency=saliency or None, meta=manifest.get("meta") or {})

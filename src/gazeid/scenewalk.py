@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Scanpath, _eq_by_value, _read_csv, _write_csv
+from .core import Scanpath, _eq_by_value
 from .distributions import GammaParams, as_rng
 
 # Canonical parameter order for vectors: gradients, fits, Fisher scores.
@@ -86,7 +86,7 @@ def default_params() -> SceneWalkParams:
 
 @dataclass(frozen=True)
 class SaliencyMap:
-    """Non-negative grid summing to one over a rectangular degree extent."""
+    """Non-negative float64 grid (C order) summing to one over a rectangular degree extent."""
 
     grid: np.ndarray
     extent: tuple[float, float]
@@ -95,7 +95,7 @@ class SaliencyMap:
     __eq__ = _eq_by_value
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = np.ascontiguousarray(self.grid, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "extent", (float(self.extent[0]), float(self.extent[1])))
         if grid.ndim != 2:
@@ -764,31 +764,31 @@ def sample_scanpath(
 
 
 def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
-    """Write ``<base>.csv`` (row-major grid) and ``<base>.json`` header.
-    The suffixes are appended, so a base name may contain dots."""
+    """Write ``<base>.npy`` (the grid, float64 in C order, by ``np.save``)
+    and ``<base>.json`` (``extent_deg``). The suffixes are appended, so a
+    base name may contain dots."""
     base = Path(base_path)
     with open(base.with_name(base.name + ".json"), "w") as fh:
-        json.dump(
-            {
-                "rows": saliency.shape[0],
-                "cols": saliency.shape[1],
-                "extent_deg": list(saliency.extent),
-            },
-            fh,
-            indent=2,
-        )
-    rows = (",".join(map(repr, row)) for row in saliency.grid.tolist())
-    _write_csv(base.with_name(base.name + ".csv"), None, rows)
+        json.dump({"extent_deg": list(saliency.extent)}, fh, indent=2)
+    with open(base.with_name(base.name + ".npy"), "wb") as fh:
+        np.save(fh, saliency.grid, allow_pickle=False)
 
 
 def load_saliency(base_path: str | Path) -> SaliencyMap:
+    """The map ``save_saliency`` wrote, its grid read as ``.npy`` only and
+    never unpickled. An object array, a truncated file, a grid that is not
+    2-D float64 and a map left as the old ``<base>.csv`` raise ValueError."""
     base = Path(base_path)
     with open(base.with_name(base.name + ".json")) as fh:
         meta = json.load(fh)
-    grid = _read_csv(base.with_name(base.name + ".csv"), int(meta["cols"]))
-    if grid.shape != (meta["rows"], meta["cols"]):
-        raise ValueError(
-            f"{base}: grid shape {grid.shape} does not match header "
-            f"({meta['rows']}, {meta['cols']})"
-        )
+    grid_path, old_path = (base.with_name(base.name + suffix) for suffix in (".npy", ".csv"))
+    if not grid_path.exists() and old_path.exists():
+        raise ValueError(f"{old_path}: saliency maps are now stored as .npy files; re-run `gazeid simulate`")
+    with open(grid_path, "rb") as fh:
+        try:
+            grid = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{grid_path}: {exc}") from None
+    if grid.ndim != 2 or grid.dtype.kind != "f" or grid.dtype.itemsize != 8:
+        raise ValueError(f"{grid_path}: expected a 2-D float64 grid, got a {grid.ndim}-D {grid.dtype} array")
     return SaliencyMap(grid=grid, extent=tuple(meta["extent_deg"]))

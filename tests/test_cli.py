@@ -52,6 +52,18 @@ class TestSimulateEval:
         assert doc["provenance"]["seed"] is None or isinstance(doc["provenance"]["seed"], int)
         assert "config_hash" in doc["provenance"]
 
+    def test_provenance_records_the_seed_drawn_from(self, tmp_path):
+        write_spec(tmp_path / "spec.json", seed=7)
+        assert main(["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == 0
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        assert manifest["meta"]["provenance"]["seed"] == 7
+        assert main([
+            "eval", "--data", str(tmp_path / "data"), "--family", "bayes-markov",
+            "--out", str(tmp_path / "res"), "--splits", "2", "--threads", "1",
+        ]) == 0
+        doc = json.loads((tmp_path / "res" / "results.json").read_text())
+        assert doc["provenance"]["seed"] == classify.EvalProtocol().seed
+
     def test_eval_matches_in_process_run(self, tmp_path):
         write_spec(tmp_path / "spec.json")
         main(["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")])
@@ -276,6 +288,21 @@ def test_config_keys_are_the_flags_dests(tmp_path, command, deleted):
     cfg.write_text(json.dumps({deleted: 0}))
     with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{deleted}']")):
         cli._effective_config(args)
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("splits", "2", "int"), ("splits", 2.0, "int"), ("splits", True, "int"),
+    ("train_fraction", "0.5", "float"), ("scenewalk_max_iter", [10], "int"),
+])
+def test_config_values_must_be_of_their_flags_type(tmp_path, capsys, key, value, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(tmp_path), "family": "bayes-markov", "out": str(tmp_path / "res"), key: value}))
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: config key {key!r} must be {expected}, got {value!r}\n"
+    # a JSON int stands for a float, and reaches the config unchanged
+    cfg.write_text(json.dumps({"train_fraction": 1, "scenewalk_rho": 2}))
+    config = cli._effective_config(cli.build_parser().parse_args(["eval", "--config", str(cfg)]))
+    assert [(config[k], type(config[k])) for k in ("train_fraction", "scenewalk_rho")] == [(1, int), (2, int)]
 
 
 TINY_COHORTS = {

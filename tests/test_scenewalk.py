@@ -5,7 +5,7 @@ recomputes the field recursions from the full fixation history at every
 step, sharing no state with the incremental implementation.
 """
 
-import csv
+import json
 import math
 import multiprocessing
 import os
@@ -771,34 +771,82 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.grid, sal.grid)
         assert loaded.extent == sal.extent
 
-    def test_saliency_files_keep_csv_module_bytes(self, rng, tmp_path):
-        sal = make_saliency(rng, shape=(20, 24), extent=(24.0, 20.0))
+    def test_saliency_files_are_exact_npy(self, rng, tmp_path):
+        grid = make_saliency(rng, shape=(20, 24), extent=(24.0, 20.0)).grid.copy()
+        floor = np.zeros(grid.shape, dtype=bool)
+        floor[:3, :5] = floor[-1] = True
+        grid[floor] = sw.SALIENCY_FLOOR
+        grid[~floor] *= (1.0 - floor.sum() * sw.SALIENCY_FLOOR) / grid[~floor].sum()
+        sal = sw.SaliencyMap(grid=grid, extent=(24.0, 20.0))
         sw.save_saliency(sal, tmp_path / "sal")
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows([repr(float(v)) for v in row] for row in sal.grid)
-        assert (tmp_path / "sal.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert json.loads((tmp_path / "sal.json").read_text()) == {"extent_deg": [24.0, 20.0]}
+        with open(tmp_path / "sal.npy", "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            assert np.lib.format.read_array_header_1_0(fh) == ((20, 24), False, np.dtype("<f8"))
         loaded = sw.load_saliency(tmp_path / "sal")
+        assert loaded.grid.dtype == np.float64 and loaded.grid.flags.c_contiguous
+        assert loaded.grid.tobytes() == sal.grid.tobytes()
+        assert np.all(loaded.grid[floor] == sw.SALIENCY_FLOOR)
         assert loaded == sal
-        sw.save_saliency(loaded, tmp_path / "again")
-        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "sal.csv").read_bytes()
+        # Re-runs write the same bytes (Criterion 9), whatever the grid's
+        # memory order, and a loaded map saves back to the bytes it came from.
+        for name, again in [
+            ("twice", sal),
+            ("fortran", sw.SaliencyMap(grid=np.asfortranarray(grid), extent=sal.extent)),
+            ("loaded", loaded),
+        ]:
+            sw.save_saliency(again, tmp_path / name)
+            for suffix in (".npy", ".json"):
+                assert (tmp_path / f"{name}{suffix}").read_bytes() == (tmp_path / f"sal{suffix}").read_bytes()
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda line: line.replace(b",", b",x", 1), r"sal\.csv: row 3: could not convert"),
-        (lambda line: line + b",0.5", r"sal\.csv: row 3 has 6 columns, expected 5"),
-        (lambda line: line.rsplit(b",", 1)[0], r"sal\.csv: row 3 has 4 columns, expected 5"),
+    @pytest.mark.parametrize("array, message", [
+        (np.zeros((2, 3, 4)) + 1 / 24, r"expected a 2-D float64 grid, got a 3-D float64 array"),
+        (np.full(12, 1 / 12), r"expected a 2-D float64 grid, got a 1-D float64 array"),
+        (np.ones((3, 4), dtype=np.int64), r"expected a 2-D float64 grid, got a 2-D int64 array"),
+        (np.full((3, 4), 1 / 12, dtype=np.float32), r"expected a 2-D float64 grid, got a 2-D float32 array"),
     ])
-    def test_bad_row_names_file_and_row(self, rng, tmp_path, change, message):
-        sw.save_saliency(make_saliency(rng, shape=(4, 5)), tmp_path / "sal")
-        lines = (tmp_path / "sal.csv").read_bytes().split(b"\r\n")
-        lines[2] = change(lines[2])
-        (tmp_path / "sal.csv").write_bytes(b"\r\n".join(lines))
-        with pytest.raises(ValueError, match=message):
+    def test_array_that_is_not_a_grid_names_the_file(self, rng, tmp_path, array, message):
+        sw.save_saliency(make_saliency(rng, shape=(3, 4)), tmp_path / "sal")
+        np.save(tmp_path / "sal.npy", array)
+        with pytest.raises(ValueError, match=r"sal\.npy: " + message):
             sw.load_saliency(tmp_path / "sal")
 
-    def test_shape_mismatch_detected(self, rng, tmp_path):
-        sal = make_saliency(rng, shape=(8, 8))
-        sw.save_saliency(sal, tmp_path / "sal")
-        meta = (tmp_path / "sal.json").read_text().replace('"rows": 8', '"rows": 9')
-        (tmp_path / "sal.json").write_text(meta)
-        with pytest.raises(ValueError):
+    def test_object_array_is_rejected_without_unpickling(self, rng, tmp_path):
+        sw.save_saliency(make_saliency(rng, shape=(3, 4)), tmp_path / "sal")
+        np.save(tmp_path / "sal.npy", np.array([[_Unpicklable()]], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError, match=r"sal\.npy: Object arrays cannot be loaded"):
             sw.load_saliency(tmp_path / "sal")
+        assert _UNPICKLED == []
+
+    @pytest.mark.parametrize("keep, message", [
+        (lambda data: data[:-5], r"could only read 11 elements"),
+        (lambda data: data[:40], r"EOF: reading array header"),
+        (lambda data: b"", r"EOF: reading magic string"),
+    ])
+    def test_truncated_file_names_the_file(self, rng, tmp_path, keep, message):
+        sw.save_saliency(make_saliency(rng, shape=(3, 4)), tmp_path / "sal")
+        (tmp_path / "sal.npy").write_bytes(keep((tmp_path / "sal.npy").read_bytes()))
+        with pytest.raises(ValueError, match=r"sal\.npy: .*" + message):
+            sw.load_saliency(tmp_path / "sal")
+
+    def test_old_csv_map_names_the_file(self, rng, tmp_path):
+        sal = make_saliency(rng, shape=(3, 4))
+        sw.save_saliency(sal, tmp_path / "sal")
+        (tmp_path / "sal.npy").unlink()
+        (tmp_path / "sal.csv").write_text("".join(",".join(map(repr, row)) + "\r\n" for row in sal.grid.tolist()))
+        with pytest.raises(ValueError, match=r"sal\.csv: saliency maps are now stored as \.npy files; re-run `gazeid simulate`"):
+            sw.load_saliency(tmp_path / "sal")
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _Unpicklable:
+    """An object whose unpickling would be seen in ``_UNPICKLED``."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()

@@ -185,8 +185,21 @@ class TestDatasetRoundTrip:
         for image, sal in dotted.saliency.items():
             np.testing.assert_array_equal(loaded.saliency[image].grid, sal.grid)
         assert sorted(p.name for p in (tmp_path / "d" / "saliency").iterdir()) == [
-            "img.0.csv", "img.0.json", "img.1.csv", "img.1.json"
+            "img.0.json", "img.0.npy", "img.1.json", "img.1.npy"
         ]
+
+    def test_dataset_with_an_old_csv_saliency_map_is_rejected(self, tmp_path):
+        spec = SyntheticCohortSpec(
+            n_users=1, n_images=2, fixations_per_path=4, family="scenewalk",
+            jitter=0.3, seed=5, grid_shape=(8, 8), extent=(8.0, 8.0),
+        )
+        save_dataset(generate_cohort(spec).data, tmp_path / "d")
+        npy = tmp_path / "d" / "saliency" / "img001.npy"
+        grid = np.load(npy)
+        npy.unlink()
+        npy.with_suffix(".csv").write_text("".join(",".join(map(repr, row)) + "\r\n" for row in grid.tolist()))
+        with pytest.raises(ValueError, match=r"img001\.csv: saliency maps are now stored as \.npy files"):
+            load_dataset(tmp_path / "d")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
