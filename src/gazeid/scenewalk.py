@@ -775,9 +775,9 @@ def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
 
 
 def load_saliency(base_path: str | Path) -> SaliencyMap:
-    """The map ``save_saliency`` wrote, its grid read as ``.npy`` only and
-    never unpickled. An object array, a truncated file, a grid that is not
-    2-D float64 and a map left as the old ``<base>.csv`` raise ValueError."""
+    """The map ``save_saliency`` wrote, its grid read as ``.npy`` only, never
+    unpickled. An object array, a truncated file, a grid that is no 2-D float64
+    saliency map and a map left as ``<base>.csv`` raise ValueError naming it."""
     base = Path(base_path)
     with open(base.with_name(base.name + ".json")) as fh:
         meta = json.load(fh)
@@ -787,8 +787,8 @@ def load_saliency(base_path: str | Path) -> SaliencyMap:
     with open(grid_path, "rb") as fh:
         try:
             grid = np.lib.format.read_array(fh, allow_pickle=False)
+            if grid.ndim != 2 or grid.dtype.kind != "f" or grid.dtype.itemsize != 8:
+                raise ValueError(f"expected a 2-D float64 grid, got a {grid.ndim}-D {grid.dtype} array")
+            return SaliencyMap(grid=grid, extent=tuple(meta["extent_deg"]))
         except ValueError as exc:
             raise ValueError(f"{grid_path}: {exc}") from None
-    if grid.ndim != 2 or grid.dtype.kind != "f" or grid.dtype.itemsize != 8:
-        raise ValueError(f"{grid_path}: expected a 2-D float64 grid, got a {grid.ndim}-D {grid.dtype} array")
-    return SaliencyMap(grid=grid, extent=tuple(meta["extent_deg"]))

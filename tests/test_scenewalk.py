@@ -804,6 +804,7 @@ class TestPersistence:
         (np.full(12, 1 / 12), r"expected a 2-D float64 grid, got a 1-D float64 array"),
         (np.ones((3, 4), dtype=np.int64), r"expected a 2-D float64 grid, got a 2-D int64 array"),
         (np.full((3, 4), 1 / 12, dtype=np.float32), r"expected a 2-D float64 grid, got a 2-D float32 array"),
+        (np.full((3, 4), 1 / 6), r"saliency grid must sum to 1 within 1e-9, got np\.float64\(2\.0\)"),
     ])
     def test_array_that_is_not_a_grid_names_the_file(self, rng, tmp_path, array, message):
         sw.save_saliency(make_saliency(rng, shape=(3, 4)), tmp_path / "sal")
