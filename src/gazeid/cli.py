@@ -34,9 +34,9 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
     """Merge the JSON config file with CLI flags; flags win.
 
     The config keys are the subcommand's option dests, in the order they
-    are declared. Unknown keys are rejected, and so are values not of their
-    flag's ``type`` (an int may stand for a float); options in ``required``
-    must be present after the merge.
+    are declared. Unknown keys are rejected, and so is a value of an int or
+    float flag that is not a number of that type (an int may stand for a
+    float); options in ``required`` must be present after the merge.
     """
     keys = [key for key in vars(args) if key not in ("command", "func", "parser", "config")]
     config = {}
@@ -48,8 +48,8 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         types = {action.dest: action.type for action in args.parser._actions}
         for key, value in config.items():
-            allowed = {int: (int,), float: (int, float)}.get(types[key], (object,))
-            if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
+            numeric = types[key] in (int, float) and value is not None
+            if numeric and (isinstance(value, bool) or not isinstance(value, (int, types[key]))):
                 raise ValueError(f"config key {key!r} must be {types[key].__name__}, got {value!r}")
     merged = {}
     for key in keys:
@@ -130,12 +130,9 @@ def cmd_detect(args) -> int:
 
 
 def _load_dataset_or_fail(data_dir: str) -> GazeDataset:
-    root = Path(data_dir)
-    if not (root / "manifest.json").exists():
-        raise ValueError(f"no scanpaths found in {root} (missing manifest.json)")
-    data = load_dataset(root)
+    data = load_dataset(data_dir)
     if not data.items:
-        raise ValueError(f"no scanpaths found in {root}")
+        raise ValueError(f"no scanpaths found in {data_dir}")
     return data
 
 
@@ -302,7 +299,6 @@ def cmd_eval(args) -> int:
     result = classify.run_protocol(data, config["family"], protocol, threads=threads)
 
     out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = result.to_json_dict()
     doc["provenance"] = _provenance(config, protocol.seed)
     _write_json(out_dir / "results.json", doc)

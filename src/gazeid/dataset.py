@@ -125,7 +125,7 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     root = Path(in_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
-        raise FileNotFoundError(f"{root}: no manifest.json; not a dataset directory")
+        raise FileNotFoundError(f"no scanpaths found in {root}: no manifest.json; not a dataset directory")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
 
@@ -144,8 +144,10 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
             DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path, features=features)
         )
 
-    saliency = {
-        image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
-        for image_id in manifest.get("saliency_images") or []
-    }
-    return GazeDataset(items=tuple(items), saliency=saliency or None, meta=manifest.get("meta") or {})
+    saliency = None
+    if manifest.get("saliency_images"):
+        saliency = {
+            image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
+            for image_id in manifest["saliency_images"]
+        }
+    return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {})

@@ -144,7 +144,6 @@ def export_features_csv(
 
 def load_features_csv(csv_path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read an exported feature matrix: (subject_ids, image_ids, matrix)."""
-    csv_path = Path(csv_path)
     subjects, images, rows = [], [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)

@@ -775,20 +775,23 @@ def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
 
 
 def load_saliency(base_path: str | Path) -> SaliencyMap:
-    """The map ``save_saliency`` wrote, its grid read as ``.npy`` only, never
-    unpickled. An object array, a truncated file, a grid that is no 2-D float64
-    saliency map and a map left as ``<base>.csv`` raise ValueError naming it."""
+    """The map ``save_saliency`` wrote, its ``.npy`` never unpickled. A grid that is
+    no 2-D float64 saliency map (an object array, a truncated file), an old
+    ``<base>.csv`` map and a sidecar without ``extent_deg`` raise ValueError naming it."""
     base = Path(base_path)
-    with open(base.with_name(base.name + ".json")) as fh:
-        meta = json.load(fh)
-    grid_path, old_path = (base.with_name(base.name + suffix) for suffix in (".npy", ".csv"))
+    json_path, grid_path, old_path = (base.with_name(base.name + suffix) for suffix in (".json", ".npy", ".csv"))
     if not grid_path.exists() and old_path.exists():
         raise ValueError(f"{old_path}: saliency maps are now stored as .npy files; re-run `gazeid simulate`")
+    with open(json_path) as fh:
+        try:
+            x, y = (float(v) for v in json.load(fh)["extent_deg"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{json_path}: expected extent_deg as two numbers ({type(exc).__name__}: {exc})") from None
     with open(grid_path, "rb") as fh:
         try:
             grid = np.lib.format.read_array(fh, allow_pickle=False)
             if grid.ndim != 2 or grid.dtype.kind != "f" or grid.dtype.itemsize != 8:
                 raise ValueError(f"expected a 2-D float64 grid, got a {grid.ndim}-D {grid.dtype} array")
-            return SaliencyMap(grid=grid, extent=tuple(meta["extent_deg"]))
+            return SaliencyMap(grid=grid, extent=(x, y))
         except ValueError as exc:
             raise ValueError(f"{grid_path}: {exc}") from None

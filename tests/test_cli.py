@@ -216,6 +216,19 @@ class TestFitScoresTrainIdentify:
         ]) == 0
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "phi.csv").read_bytes()
 
+    def test_scores_config_normalize_equals_the_flag(self, tmp_path):
+        # --normalize has no ``type``: its JSON bool is taken as it is
+        data = self.make_data(tmp_path)
+        main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])
+        (tmp_path / "cfg.json").write_text(json.dumps({"normalize": True}))
+        scores = ["scores", "--data", data, "--model-json", str(tmp_path / "m.json")]
+        assert main(scores + ["--normalize", "--out", str(tmp_path / "flag.csv")]) == 0
+        assert main(scores + ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "cfg.csv")]) == 0
+        assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        assert json.loads((tmp_path / "cfg.info.json").read_text())["normalize"] is True
+        args = cli.build_parser().parse_args(["scores", "--config", str(tmp_path / "cfg.json")])
+        assert cli._effective_config(args)["normalize"] is True
+
     def test_identify_rejects_classifier_of_other_width(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         main(["fit", "--data", data, "--model", "markov", "--out", str(tmp_path / "m.json")])

@@ -830,6 +830,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"sal\.npy: .*" + message):
             sw.load_saliency(tmp_path / "sal")
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ("{}", r"KeyError: 'extent_deg'"),
+        ("{bad", r"JSONDecodeError: Expecting property name"),
+        ("[]", r"TypeError: list indices must be integers"),
+        ('{"extent_deg": [8.0]}', r"ValueError: not enough values to unpack"),
+        ('{"extent_deg": ["wide", 8.0]}', r"ValueError: could not convert string to float"),
+    ])
+    def test_bad_sidecar_names_the_file(self, rng, tmp_path, sidecar, message):
+        sw.save_saliency(make_saliency(rng, shape=(3, 4)), tmp_path / "sal")
+        (tmp_path / "sal.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=r"sal\.json: expected extent_deg as two numbers \(" + message):
+            sw.load_saliency(tmp_path / "sal")
+
     def test_old_csv_map_names_the_file(self, rng, tmp_path):
         sal = make_saliency(rng, shape=(3, 4))
         sw.save_saliency(sal, tmp_path / "sal")
