@@ -28,8 +28,8 @@ DYNAMICS_CHANNELS = (
     "vigor_y",
 )
 
-# Feature-CSV columns after ``saccade_index`` and ``type``, in file order:
-# the rows of ``SaccadeTable.values``.
+# The rows of ``SaccadeTable.values``, and the columns of a dataset's
+# ``features.npy``.
 FEATURE_ROWS = (
     "amplitude_deg",
     "duration_ms",
@@ -313,7 +313,7 @@ def extract_features(path: Scanpath) -> SaccadeTable:
     change relative to the previous saccade; the first saccade's reference
     direction is the positive x axis. A scanpath gives the amplitude,
     duration and direction rows; the dynamics rows stay NaN, because they
-    come only from feature files (``load_features_csv``).
+    come only from a dataset's stored features (``dataset.load_dataset``).
     """
     T = len(path)
     if T < 2:
@@ -389,8 +389,6 @@ def _read_csv(csv_path: str | Path, header: Sequence[str]) -> np.ndarray:
 
 
 _RECORDING_COLUMNS = ("t_ms", "x_deg", "y_deg")
-_SCANPATH_COLUMNS = ("fix_index", "x_deg", "y_deg", "dur_ms")
-_FEATURE_COLUMNS = ("saccade_index", "type") + FEATURE_ROWS
 
 
 def save_recording_csv(rec: GazeRecording, csv_path: str | Path) -> None:
@@ -429,31 +427,3 @@ def load_recording_csv(csv_path: str | Path) -> GazeRecording:
         subject_id=str(meta.get("subject_id", "")),
         image_id=str(meta.get("image_id", "")),
     )
-
-
-def save_scanpath_csv(path: Scanpath, csv_path: str | Path) -> None:
-    """Write fixations as ``fix_index,x_deg,y_deg,dur_ms``."""
-    rows = np.column_stack([path.positions, path.durations]).tolist()
-    _write_csv(csv_path, _SCANPATH_COLUMNS, (f"{i},{x!r},{y!r},{d!r}" for i, (x, y, d) in enumerate(rows)))
-
-
-def load_scanpath_csv(csv_path: str | Path, subject_id: str = "", image_id: str = "") -> Scanpath:
-    arr = _read_csv(csv_path, _SCANPATH_COLUMNS)
-    return Scanpath(positions=arr[:, 1:3], durations=arr[:, 3], subject_id=subject_id, image_id=image_id)
-
-
-def save_features_csv(features: SaccadeTable, csv_path: str | Path) -> None:
-    """Persist a saccade table (used for simulated cohorts, whose dynamics
-    channels have no raw trace to recompute them from)."""
-    rows = zip(features.types.tolist(), features.values.T.tolist())
-    _write_csv(
-        csv_path, _FEATURE_COLUMNS, (f"{i},{u},{','.join(map(repr, row))}" for i, (u, row) in enumerate(rows))
-    )
-
-
-def load_features_csv(csv_path: str | Path) -> SaccadeTable:
-    arr = _read_csv(csv_path, _FEATURE_COLUMNS)
-    types = arr[:, 1]
-    if not (np.isfinite(types).all() and (types == np.trunc(types)).all()):
-        raise ValueError(f"{csv_path}: saccade types must be integers")
-    return SaccadeTable(types=types, values=arr[:, 2:].T)

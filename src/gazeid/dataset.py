@@ -1,33 +1,33 @@
 """Labeled scanpath datasets and their on-disk layout.
 
-A dataset directory contains a ``manifest.json``, one scanpath CSV per
-(subject, image) item, optional per-item saccade-feature CSVs, and
+A dataset directory contains a ``manifest.json`` that lists the items'
+(subject, image) ids, the scanpaths of all items as whole-dataset ``.npy``
+columns in manifest item order, optional saccade-feature columns, and
 optional per-image saliency grids:
 
     manifest.json
-    scanpaths/<subject>__<image>.csv
-    features/<subject>__<image>.csv
+    scanpaths.npy    float64 (fixations, 3): x_deg, y_deg, dur_ms
+    lengths.npy      int64 (items,): fixations per item
+    types.npy        int64 (saccades,)                         with features
+    features.npy     float64 (saccades, len(FEATURE_ROWS))     with features
     saliency/<image>.npy + <image>.json      (np.save grid + extent_deg)
 
-Only markov-dyn's dynamics channels need feature files, so ``simulate``
-writes them for markov-dyn cohorts only. The other models read scanpaths
-and ignore the feature files that ``load_dataset`` parses all the same.
+An item of T fixations has T - 1 saccades, so ``lengths.npy`` locates both.
+Only markov-dyn's dynamics channels need features, so ``simulate`` writes
+them for markov-dyn cohorts only. The other models read scanpaths and
+ignore the features that ``load_dataset`` reads all the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import (
-    SaccadeTable,
-    Scanpath,
-    load_features_csv,
-    load_scanpath_csv,
-    save_features_csv,
-    save_scanpath_csv,
-)
+import numpy as np
+
+from .core import FEATURE_ROWS, SaccadeTable, Scanpath
 from .scenewalk import SaliencyMap, load_saliency, save_saliency
 
 
@@ -59,11 +59,12 @@ class GazeDataset:
 
 
 def _checked_id(kind: str, value: str) -> str:
-    """``value``, if it can name a dataset file. ``__`` separates the two
-    ids of a stem, so an id that contains it, or begins or ends with ``_``,
-    could give two items one file: (``a__b``, ``c``) and (``a``, ``b__c``),
-    or (``a_``, ``b``) and (``a``, ``_b``). An empty id, ``.``, ``..`` or an
-    id with a path separator would not name a file inside its directory."""
+    """``value``, if it can name a dataset file. Image ids name saliency
+    files, so an empty id, ``.``, ``..`` or an id with a path separator
+    would not name a file inside its directory. Both ids also keep
+    ``<subject>__<image>`` unambiguous, so an id may not contain ``__`` or
+    begin or end with ``_``: (``a__b``, ``c``) and (``a``, ``b__c``), or
+    (``a_``, ``b``) and (``a``, ``_b``), would read as one item."""
     if value in ("", ".", "..") or value.strip("_") != value or any(
         part in value for part in ("__", "/", "\\")
     ):
@@ -71,34 +72,57 @@ def _checked_id(kind: str, value: str) -> str:
     return value
 
 
-def _item_stems(pairs: list[tuple[str, str]]) -> list[str]:
-    """File stems ``<subject>__<image>`` of the items. A (subject, image)
-    pair that appears twice would give two items one file."""
-    stems = [f"{_checked_id('subject', s)}__{_checked_id('image', i)}" for s, i in pairs]
+def _check_pairs(pairs: list[tuple[str, str]]) -> None:
+    """Reject an id that ``_checked_id`` rejects and a (subject, image)
+    pair that appears twice."""
     seen = set()
-    for (subject_id, image_id), stem in zip(pairs, stems):
-        if stem in seen:
+    for subject_id, image_id in pairs:
+        pair = (_checked_id("subject", subject_id), _checked_id("image", image_id))
+        if pair in seen:
             raise ValueError(f"subject {subject_id!r} image {image_id!r} appears twice")
-        seen.add(stem)
-    return stems
+        seen.add(pair)
+
+
+def _write_column(path: Path, array: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.ascontiguousarray(array), allow_pickle=False)
+
+
+def _read_column(path: Path, dtype: type, shape: tuple[int | None, ...]) -> np.ndarray:
+    """The array ``_write_column`` wrote, never unpickled, if it has
+    ``dtype`` and ``shape`` (None for a dimension of any size). An object
+    array, a truncated file and another dtype or shape raise ValueError
+    naming the file."""
+    with open(path, "rb") as fh:
+        try:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if array.dtype != dtype or array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        want = tuple("*" if n is None else n for n in shape)
+        raise ValueError(f"{path}: expected dtype {np.dtype(dtype)} and shape {want}, got {array.dtype} and {array.shape}")
+    return array
 
 
 def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
-    stems = _item_stems([(it.subject_id, it.image_id) for it in data.items])
+    _check_pairs([(it.subject_id, it.image_id) for it in data.items])
     for image_id in data.saliency or {}:
         _checked_id("image", image_id)
     has_features = any(item.features is not None for item in data.items)
-    for it in data.items:
-        if has_features and it.features is None:
-            # the manifest records features for the whole dataset, so a
-            # loader could not tell this item's absent file from a lost one
+    for it in data.items if has_features else ():
+        # the manifest records features for the whole dataset, and
+        # lengths.npy locates an item's saccades from its fixations
+        if it.features is None:
             raise ValueError(
                 f"subject {it.subject_id!r} image {it.image_id!r} has no features while other items do"
             )
+        if len(it.features) != len(it.scanpath) - 1:
+            raise ValueError(
+                f"subject {it.subject_id!r} image {it.image_id!r} has {len(it.features)} saccades"
+                f" for {len(it.scanpath)} fixations; a table needs one saccade fewer than fixations"
+            )
     out = Path(out_dir)
-    (out / "scanpaths").mkdir(parents=True, exist_ok=True)
-    if has_features:
-        (out / "features").mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "items": [
@@ -111,10 +135,18 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
-    for it, stem in zip(data.items, stems):
-        save_scanpath_csv(it.scanpath, out / "scanpaths" / f"{stem}.csv")
-        if it.features is not None:
-            save_features_csv(it.features, out / "features" / f"{stem}.csv")
+    paths = [it.scanpath for it in data.items]
+    _write_column(
+        out / "scanpaths.npy",
+        np.concatenate([np.empty((0, 3)), *(np.column_stack([p.positions, p.durations]) for p in paths)]),
+    )
+    _write_column(out / "lengths.npy", np.array([len(p) for p in paths], dtype=np.int64))
+    if has_features:
+        tables = [it.features for it in data.items]
+        _write_column(out / "types.npy", np.concatenate([np.empty(0, np.int64), *(t.types for t in tables)]))
+        _write_column(
+            out / "features.npy", np.concatenate([np.empty((0, len(FEATURE_ROWS))), *(t.values.T for t in tables)])
+        )
     if data.saliency:
         (out / "saliency").mkdir(exist_ok=True)
         for image_id, sal in data.saliency.items():
@@ -130,16 +162,38 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
         manifest = json.load(fh)
 
     pairs = [(entry["subject_id"], entry["image_id"]) for entry in manifest["items"]]
-    scan_dir, feat_dir = root / "scanpaths", root / "features"
+    _check_pairs(pairs)
+    scan_path, lengths_path = root / "scanpaths.npy", root / "lengths.npy"
+    if not scan_path.exists() and (root / "scanpaths").is_dir():
+        raise ValueError(
+            f"{root / 'scanpaths'}: the per-item CSV layout is gone, datasets are stored as .npy columns;"
+            " re-run `gazeid simulate` or `gazeid detect`"
+        )
+    has_features = bool(manifest.get("has_features"))
+    rows = _read_column(scan_path, np.float64, (None, 3))
+    lengths = _read_column(lengths_path, np.int64, (len(pairs),)).tolist()
+    least = 1 if has_features else 0  # an item of T fixations has T - 1 saccades
+    if lengths and min(lengths) < least:
+        raise ValueError(f"{lengths_path}: lengths must be at least {least}, got {min(lengths)}")
+    if sum(lengths) != len(rows):
+        raise ValueError(f"{lengths_path}: lengths sum to {sum(lengths)}, but {scan_path} has {len(rows)} rows")
+    if has_features:
+        n_saccades = len(rows) - len(lengths)
+        types = _read_column(root / "types.npy", np.int64, (n_saccades,))
+        values = _read_column(root / "features.npy", np.float64, (n_saccades, len(FEATURE_ROWS)))
+
     items = []
-    for (subject_id, image_id), stem in zip(pairs, _item_stems(pairs)):
-        path = load_scanpath_csv(scan_dir / f"{stem}.csv", subject_id=subject_id, image_id=image_id)
+    for k, ((subject_id, image_id), end, n) in enumerate(zip(pairs, itertools.accumulate(lengths), lengths)):
+        fixations = rows[end - n : end]
+        try:
+            path = Scanpath(fixations[:, :2], fixations[:, 2], subject_id=subject_id, image_id=image_id)
+        except ValueError as exc:
+            raise ValueError(f"{scan_path}: subject {subject_id!r} image {image_id!r}: {exc}") from None
         features = None
-        if manifest.get("has_features"):
-            feat_path = feat_dir / f"{stem}.csv"
-            if not feat_path.exists():
-                raise FileNotFoundError(f"{feat_path}: missing, but the manifest says the dataset has features")
-            features = load_features_csv(feat_path)
+        if has_features:
+            # the k items before this one have k fewer saccades than fixations
+            saccades = slice(end - n - k, end - k - 1)
+            features = SaccadeTable(types=types[saccades], values=values[saccades].T)
         items.append(
             DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path, features=features)
         )

@@ -777,7 +777,7 @@ def save_saliency(saliency: SaliencyMap, base_path: str | Path) -> None:
 def load_saliency(base_path: str | Path) -> SaliencyMap:
     """The map ``save_saliency`` wrote, its ``.npy`` never unpickled. A grid that is
     no 2-D float64 saliency map (an object array, a truncated file), an old
-    ``<base>.csv`` map and a sidecar without ``extent_deg`` raise ValueError naming it."""
+    ``<base>.csv`` map and a sidecar without a positive ``extent_deg`` raise ValueError naming it."""
     base = Path(base_path)
     json_path, grid_path, old_path = (base.with_name(base.name + suffix) for suffix in (".json", ".npy", ".csv"))
     if not grid_path.exists() and old_path.exists():
@@ -787,6 +787,8 @@ def load_saliency(base_path: str | Path) -> SaliencyMap:
             x, y = (float(v) for v in json.load(fh)["extent_deg"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{json_path}: expected extent_deg as two numbers ({type(exc).__name__}: {exc})") from None
+    if not (x > 0 and y > 0):
+        raise ValueError(f"{json_path}: extent_deg must be positive, got [{x!r}, {y!r}]")
     with open(grid_path, "rb") as fh:
         try:
             grid = np.lib.format.read_array(fh, allow_pickle=False)

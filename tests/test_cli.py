@@ -11,7 +11,7 @@ import pytest
 
 from gazeid import classify, cli, fisher, markov, scenewalk, simulate
 from gazeid.cli import main
-from gazeid.core import GazeRecording, save_recording_csv
+from gazeid.core import GazeRecording, detect_saccades, load_recording_csv, save_recording_csv
 from gazeid.dataset import GazeDataset, load_dataset, save_dataset
 from test_classify import overlapping_classes
 
@@ -459,7 +459,11 @@ class TestDetect:
         assert main(["detect", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 0
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert len(manifest["items"]) == 2
-        assert (tmp_path / "ds" / "scanpaths" / "s0__img0.csv").exists()
+        loaded = load_dataset(tmp_path / "ds")
+        assert [(it.subject_id, it.image_id) for it in loaded.items] == [("s0", "img0"), ("s1", "img0")]
+        for k, it in enumerate(loaded.items):
+            assert it.scanpath == detect_saccades(load_recording_csv(raw / f"rec{k}.csv"), 6.0, 6.0)
+            assert len(it.scanpath) == 2 and it.features is None
 
     @pytest.mark.parametrize(
         "ids", [[("a__b", "c"), ("a", "b__c")], [("s0", "../escaped")]]

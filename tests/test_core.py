@@ -1,4 +1,4 @@
-"""Saccade detection, feature extraction, and CSV files."""
+"""Saccade detection, feature extraction, recording CSVs and dataset files."""
 
 import copy
 import csv
@@ -21,16 +21,12 @@ from gazeid.core import (
     classify_saccade_type,
     detect_saccades,
     extract_features,
-    load_features_csv,
     load_recording_csv,
-    load_scanpath_csv,
-    save_features_csv,
     save_recording_csv,
-    save_scanpath_csv,
     smoothed_velocity,
     wrap_angle_deg,
 )
-from gazeid.dataset import DatasetItem, GazeDataset, save_dataset
+from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.scenewalk import SaliencyMap
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 
@@ -526,11 +522,14 @@ class TestPersistence:
         path = Scanpath(
             positions=np.array([[0.1, 0.2], [1.3, 2.4], [3.5, 4.6]]),
             durations=np.array([120.5, 233.25, 310.0]),
+            subject_id="s01",
+            image_id="img2",
         )
-        save_scanpath_csv(path, tmp_path / "sp.csv")
-        loaded = load_scanpath_csv(tmp_path / "sp.csv")
+        save_dataset(GazeDataset(items=(DatasetItem("s01", "img2", path),)), tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d").items[0].scanpath
         np.testing.assert_array_equal(loaded.positions, path.positions)
         np.testing.assert_array_equal(loaded.durations, path.durations)
+        assert loaded.subject_id == "s01" and loaded.image_id == "img2"
 
 
 def csv_module_write(csv_path, header, rows):
@@ -558,26 +557,6 @@ def dynamics_items(seed=6):
 
 class TestCsvFiles:
     def test_writers_write_the_csv_module_bytes(self, tmp_path):
-        items = dynamics_items()
-        for i, it in enumerate(items):
-            save_features_csv(it.features, tmp_path / "f.csv")
-            csv_module_write(
-                tmp_path / "f_ref.csv",
-                ["saccade_index", "type", *FEATURE_ROWS],
-                [
-                    [t, int(u)] + [repr(float(v)) for v in it.features.values[:, t]]
-                    for t, u in enumerate(it.features.types)
-                ],
-            )
-            assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f_ref.csv").read_bytes()
-            save_scanpath_csv(it.scanpath, tmp_path / "s.csv")
-            csv_module_write(
-                tmp_path / "s_ref.csv",
-                ["fix_index", "x_deg", "y_deg", "dur_ms"],
-                [[t, repr(float(x)), repr(float(y)), repr(float(d))]
-                 for t, ((x, y), d) in enumerate(zip(it.scanpath.positions, it.scanpath.durations))],
-            )
-            assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
         rec = ramp_recording([(50, 0.0, 0.0), (20, 5.0, 0.0), (50, 5.0, 0.0)], noise=0.01)
         save_recording_csv(rec, tmp_path / "r.csv")
         csv_module_write(
@@ -588,41 +567,38 @@ class TestCsvFiles:
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r_ref.csv").read_bytes()
 
     def test_load_then_save_is_byte_identical(self, tmp_path):
-        save_dataset(GazeDataset(items=dynamics_items()), tmp_path / "d")
-        files = sorted((tmp_path / "d" / "features").iterdir()) + sorted((tmp_path / "d" / "scanpaths").iterdir())
-        assert b"nan" in files[0].read_bytes() and b"inf" in b"".join(f.read_bytes() for f in files[:6])
-        for f in files:
-            if f.parent.name == "features":
-                save_features_csv(load_features_csv(f), tmp_path / "again.csv")
-            else:
-                save_scanpath_csv(load_scanpath_csv(f), tmp_path / "again.csv")
-            assert (tmp_path / "again.csv").read_bytes() == f.read_bytes()
+        items = dynamics_items()
+        values = np.concatenate([it.features.values for it in items], axis=1)
+        assert np.isnan(values).any() and np.isinf(values).any()
+        save_dataset(GazeDataset(items=items), tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d").items
+        assert [(it.subject_id, it.image_id) for it in loaded] == [(it.subject_id, it.image_id) for it in items]
+        for a, b in zip(loaded, items):
+            for x, y in ((a.scanpath.positions, b.scanpath.positions), (a.scanpath.durations, b.scanpath.durations),
+                         (a.features.types, b.features.types), (a.features.values, b.features.values)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        save_dataset(GazeDataset(items=loaded), tmp_path / "again")
+        files = sorted(f.name for f in (tmp_path / "d").iterdir())
+        assert files == ["features.npy", "lengths.npy", "manifest.json", "scanpaths.npy", "types.npy"]
+        assert sorted(f.name for f in (tmp_path / "again").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
         rec = ramp_recording([(50, 0.0, 0.0), (20, 5.0, 0.0), (50, 5.0, 0.0)], noise=0.01)
         save_recording_csv(rec, tmp_path / "r.csv")
         save_recording_csv(load_recording_csv(tmp_path / "r.csv"), tmp_path / "r2.csv")
         assert (tmp_path / "r2.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
     def test_cells_padded_with_spaces_read_as_float_reads_them(self, tmp_path):
-        (tmp_path / "sp.csv").write_text("fix_index,x_deg,y_deg,dur_ms\n0, 1.5,2.0 ,100\n1,1_0,2e1,2.5E2\n")
-        loaded = load_scanpath_csv(tmp_path / "sp.csv")
-        np.testing.assert_array_equal(loaded.positions, [[1.5, 2.0], [10.0, 20.0]])
-        np.testing.assert_array_equal(loaded.durations, [100.0, 250.0])
+        (tmp_path / "rec.csv").write_text("t_ms,x_deg,y_deg\n0, 1.5,2.0 \n1_0,2e1,2.5E2\n")
+        (tmp_path / "rec.json").write_text('{"sampling_rate": 1000}')
+        loaded = load_recording_csv(tmp_path / "rec.csv")
+        np.testing.assert_array_equal(loaded.t_ms, [0.0, 10.0])
+        np.testing.assert_array_equal(loaded.x_deg, [1.5, 20.0])
+        np.testing.assert_array_equal(loaded.y_deg, [2.0, 250.0])
 
 
 READERS = {
     "recording": (load_recording_csv, "t_ms,x_deg,y_deg", "0.0,0.0,0.0\n1.0,0.5,0.5\n2.0,1.0,1.0\n"),
-    "scanpath": (
-        load_scanpath_csv,
-        "fix_index,x_deg,y_deg,dur_ms",
-        "0,0.0,0.0,100.0\n1,1.0,1.0,200.0\n2,2.0,2.0,300.0\n",
-    ),
-    "features": (
-        load_features_csv,
-        ",".join(["saccade_index", "type", *FEATURE_ROWS]),
-        "".join(f"{i},{i + 1},{','.join(cells)}\n" for i, cells in enumerate(
-            [["1.0"] * 11, ["2.0"] * 10 + ["nan"], ["3.0"] * 11]
-        )),
-    ),
 }
 
 
@@ -672,9 +648,3 @@ class TestReaderRejections:
         path = self.write(tmp_path, change(header), body)
         with pytest.raises(ValueError, match=r"f\.csv: expected header"):
             reader(path)
-
-    def test_non_integer_saccade_type_rejected(self, tmp_path):
-        _, header, body = READERS["features"]
-        path = self.write(tmp_path, header, body.replace("1,2,", "1,2.5,"))
-        with pytest.raises(ValueError, match=r"f\.csv: saccade types must be integers"):
-            load_features_csv(path)

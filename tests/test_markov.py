@@ -1,7 +1,6 @@
 """Markov scanpath model: fit recovery, likelihood, gradient, sampling."""
 
 import collections
-import csv
 import dataclasses
 import json
 import math
@@ -162,7 +161,7 @@ def oracle_fit(data, names):
 
 # The per-saccade records and the statistics and fit code that the saccade
 # table and the batched fit replaced, kept as oracles: one 12-field record
-# per feature-CSV row, read back field by field, and one scalar Gamma
+# per saccade, taken field by field as Python numbers, and one scalar Gamma
 # Newton iteration per cell.
 
 OracleSaccade = collections.namedtuple(
@@ -182,11 +181,8 @@ ORACLE_ATTRS = {
 }
 
 
-def oracle_records(csv_path):
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [OracleSaccade(int(row[1]), *(float(v) for v in row[2:])) for row in reader]
+def oracle_records(table):
+    return [OracleSaccade(int(u), *map(float, column)) for u, column in zip(table.types.tolist(), table.values.T.tolist())]
 
 
 def oracle_statistics(features, channels):
@@ -227,7 +223,7 @@ class TestTableParity:
         # the tables the family reads from a simulated cohort (a base
         # cohort's come from its scanpaths), half of them corrupted with
         # NaN, inf, zero and negative values, plus paths of other lengths;
-        # saved as feature files, then read both ways
+        # saved and loaded, against records taken from the tables in memory
         spec = simulate.SyntheticCohortSpec(
             n_users=3, n_images=6, fixations_per_path=25, family=family, jitter=0.3, seed=8
         )
@@ -246,8 +242,7 @@ class TestTableParity:
         save_dataset(GazeDataset(items=tuple(items)), tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
         tables = [it.features for it in loaded.items]
-        feature_files = [tmp_path / "d" / "features" / f"{it.subject_id}__{it.image_id}.csv" for it in loaded.items]
-        want = np.array([oracle_statistics(oracle_records(f), channels) for f in feature_files])
+        want = np.array([oracle_statistics(oracle_records(it.features), channels) for it in items])
         assert np.isnan(SaccadeTable.concat(tables).values[[CHANNEL_ROWS[ch] for ch in channels]]).any()
         np.testing.assert_array_equal(markov.statistics(tables, channels), want)
         np.testing.assert_array_equal([markov.statistics(t, channels) for t in tables], want)

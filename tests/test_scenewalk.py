@@ -843,6 +843,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r"sal\.json: expected extent_deg as two numbers \(" + message):
             sw.load_saliency(tmp_path / "sal")
 
+    @pytest.mark.parametrize("extent", ["[-4.0, 3.0]", "[4.0, 0.0]", "[NaN, 3.0]"])
+    def test_non_positive_extent_names_the_sidecar(self, rng, tmp_path, extent):
+        sw.save_saliency(make_saliency(rng, shape=(3, 4)), tmp_path / "sal")
+        (tmp_path / "sal.json").write_text(f'{{"extent_deg": {extent}}}')
+        with pytest.raises(ValueError, match=r"sal\.json: extent_deg must be positive, got \["):
+            sw.load_saliency(tmp_path / "sal")
+
     def test_old_csv_map_names_the_file(self, rng, tmp_path):
         sal = make_saliency(rng, shape=(3, 4))
         sw.save_saliency(sal, tmp_path / "sal")

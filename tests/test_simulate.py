@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from gazeid import markov, simulate
-from gazeid.core import CHANNEL_ROWS, extract_features
+from gazeid.core import CHANNEL_ROWS, SaccadeTable, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
+from test_scenewalk import _UNPICKLED, _Unpicklable
 
 
 class TestSpec:
@@ -105,7 +106,7 @@ class TestDatasetRoundTrip:
         data = generate_cohort(spec).data
         save_dataset(data, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
-        assert len(loaded.items) == len(data.items)
+        assert loaded.items == data.items
         for a, b in zip(loaded.items, data.items):
             assert (a.subject_id, a.image_id) == (b.subject_id, b.image_id)
             np.testing.assert_array_equal(a.scanpath.positions, b.scanpath.positions)
@@ -118,7 +119,7 @@ class TestDatasetRoundTrip:
                 np.testing.assert_array_equal(loaded.saliency[image_id].grid, sal.grid)
         if family == "markov":
             # the base model reads amplitudes and durations from the scanpaths
-            assert not (tmp_path / "d" / "features").exists()
+            assert not (tmp_path / "d" / "types.npy").exists() and not (tmp_path / "d" / "features.npy").exists()
             assert json.loads((tmp_path / "d" / "manifest.json").read_text())["has_features"] is False
 
     @pytest.mark.parametrize(
@@ -206,11 +207,11 @@ class TestDatasetRoundTrip:
             load_dataset(tmp_path)
 
     def test_missing_feature_file_is_an_error(self, tmp_path):
-        # The manifest says the dataset has features, so an item whose file
-        # is gone must not load as one without features.
+        # The manifest says the dataset has features, so a dataset whose
+        # feature file is gone must not load as one without features.
         data = generate_cohort(SyntheticCohortSpec(n_users=3, n_images=6, fixations_per_path=8, family="markov-dyn", seed=5)).data
         save_dataset(data, tmp_path / "d")
-        missing = tmp_path / "d" / "features" / "user001__img002.csv"
+        missing = tmp_path / "d" / "features.npy"
         missing.unlink()
         with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
             load_dataset(tmp_path / "d")
@@ -221,4 +222,138 @@ class TestDatasetRoundTrip:
         first, second = data.items
         with pytest.raises(ValueError, match="subject 'user000' image 'img001' has no features while other items do"):
             save_dataset(GazeDataset(items=(first, dataclasses.replace(second, features=None))), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+
+COLUMNS = ("scanpaths.npy", "lengths.npy", "types.npy", "features.npy")
+
+
+def saved_cohort(tmp_path, family="markov-dyn"):
+    """A saved cohort of 6 items of 5 fixations: 30 scanpath rows and, for
+    markov-dyn, 24 saccades."""
+    spec = SyntheticCohortSpec(n_users=2, n_images=3, fixations_per_path=5, family=family, seed=5)
+    save_dataset(generate_cohort(spec).data, tmp_path / "d")
+    return tmp_path / "d"
+
+
+class TestDatasetColumns:
+    def test_columns_are_exact_npy_in_item_order(self, tmp_path):
+        spec = SyntheticCohortSpec(n_users=2, n_images=3, fixations_per_path=5, family="markov-dyn", seed=5)
+        items = generate_cohort(spec).data.items
+        d = saved_cohort(tmp_path)
+        headers = {}
+        for name in COLUMNS:
+            with open(d / name, "rb") as fh:
+                assert np.lib.format.read_magic(fh) == (1, 0)
+                headers[name] = np.lib.format.read_array_header_1_0(fh)
+        assert headers == {
+            "scanpaths.npy": ((30, 3), False, np.dtype("<f8")),
+            "lengths.npy": ((6,), False, np.dtype("<i8")),
+            "types.npy": ((24,), False, np.dtype("<i8")),
+            "features.npy": ((24, 11), False, np.dtype("<f8")),
+        }
+        scan = np.concatenate([np.column_stack([it.scanpath.positions, it.scanpath.durations]) for it in items])
+        assert np.load(d / "scanpaths.npy").tobytes() == scan.tobytes()
+        assert np.load(d / "lengths.npy").tolist() == [5] * 6
+        assert np.load(d / "types.npy").tolist() == [u for it in items for u in it.features.types.tolist()]
+        assert np.load(d / "features.npy").tobytes() == np.concatenate([it.features.values.T for it in items]).tobytes()
+
+    def test_old_per_item_csv_layout_is_rejected(self, tmp_path):
+        d = saved_cohort(tmp_path)
+        for name in COLUMNS:
+            (d / name).unlink()
+        for kind, header in (("scanpaths", "fix_index,x_deg,y_deg,dur_ms"), ("features", "saccade_index,type")):
+            (d / kind).mkdir()
+            (d / kind / "user000__img000.csv").write_text(f"{header}\r\n")
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"{d / 'scanpaths'}: the per-item CSV layout is gone")
+            + r".*re-run `gazeid simulate` or `gazeid detect`",
+        ):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_object_array_is_rejected_without_unpickling(self, tmp_path, name):
+        d = saved_cohort(tmp_path)
+        np.save(d / name, np.array([_Unpicklable()], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError, match=re.escape(f"{d / name}: Object arrays cannot be loaded")):
+            load_dataset(d)
+        assert _UNPICKLED == []
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    @pytest.mark.parametrize("keep, message", [
+        (lambda data: data[:-5], r"could only read \d+ elements"),
+        (lambda data: data[:40], r"EOF: reading array header"),
+        (lambda data: b"", r"EOF: reading magic string"),
+    ], ids=["body", "header", "empty"])
+    def test_truncated_file_names_the_file(self, tmp_path, name, keep, message):
+        d = saved_cohort(tmp_path)
+        (d / name).write_bytes(keep((d / name).read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{d / name}: ") + ".*" + message):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("name, array, message", [
+        ("scanpaths.npy", np.ones((30, 3), np.float32), "expected dtype float64 and shape ('*', 3), got float32 and (30, 3)"),
+        ("scanpaths.npy", np.ones(90), "expected dtype float64 and shape ('*', 3), got float64 and (90,)"),
+        ("scanpaths.npy", np.ones((30, 4)), "expected dtype float64 and shape ('*', 3), got float64 and (30, 4)"),
+        ("lengths.npy", np.full(6, 5.0), "expected dtype int64 and shape (6,), got float64 and (6,)"),
+        ("lengths.npy", np.full((6, 1), 5), "expected dtype int64 and shape (6,), got int64 and (6, 1)"),
+        ("types.npy", np.ones(24, np.int32), "expected dtype int64 and shape (24,), got int32 and (24,)"),
+        ("features.npy", np.ones((24, 11), ">f8"), "expected dtype float64 and shape (24, 11), got >f8 and (24, 11)"),
+        ("features.npy", np.ones((24, 11, 1)), "expected dtype float64 and shape (24, 11), got float64 and (24, 11, 1)"),
+    ])
+    def test_wrong_dtype_or_shape_names_the_file(self, tmp_path, name, array, message):
+        d = saved_cohort(tmp_path)
+        np.save(d / name, array)
+        with pytest.raises(ValueError, match=re.escape(f"{d / name}: {message}")):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("family, lengths, message", [
+        ("markov", [5, 5, -1, 11, 5, 5], "lengths must be at least 0, got -1"),
+        ("markov-dyn", [5, 5, -1, 11, 5, 5], "lengths must be at least 1, got -1"),
+        ("markov-dyn", [5, 5, 0, 10, 5, 5], "lengths must be at least 1, got 0"),
+        ("markov", [5, 5, 5, 5, 10], r"expected dtype int64 and shape \(6,\), got int64 and \(5,\)"),
+        ("markov-dyn", [5, 5, 5, 5, 5, 6], r"lengths sum to 31, but .*scanpaths\.npy has 30 rows"),
+    ])
+    def test_bad_lengths_name_the_file(self, tmp_path, family, lengths, message):
+        d = saved_cohort(tmp_path, family)
+        np.save(d / "lengths.npy", np.array(lengths, dtype=np.int64))
+        with pytest.raises(ValueError, match=re.escape(f"{d / 'lengths.npy'}: ") + message):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("types.npy", lambda a: a[:-1], "expected dtype int64 and shape (24,), got int64 and (23,)"),
+        ("types.npy", lambda a: np.concatenate([a, a[:1]]), "expected dtype int64 and shape (24,), got int64 and (25,)"),
+        ("features.npy", lambda a: a[:-1], "expected dtype float64 and shape (24, 11), got float64 and (23, 11)"),
+        ("features.npy", lambda a: a[:, :10], "expected dtype float64 and shape (24, 11), got float64 and (24, 10)"),
+    ])
+    def test_feature_rows_that_do_not_fit_name_the_file(self, tmp_path, name, change, message):
+        d = saved_cohort(tmp_path)
+        np.save(d / name, change(np.load(d / name)))
+        with pytest.raises(ValueError, match=re.escape(f"{d / name}: {message}")):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("cell, value, message", [
+        ((7, 0), np.nan, "scanpath entries must be finite"),
+        ((7, 1), np.inf, "scanpath entries must be finite"),
+        ((7, 2), 0.0, "all fixation durations must be positive"),
+    ])
+    def test_bad_scanpath_value_names_the_file_and_item(self, tmp_path, cell, value, message):
+        d = saved_cohort(tmp_path)
+        rows = np.load(d / "scanpaths.npy")
+        rows[cell] = value
+        np.save(d / "scanpaths.npy", rows)
+        with pytest.raises(
+            ValueError, match=re.escape(f"{d / 'scanpaths.npy'}: subject 'user000' image 'img001': {message}")
+        ):
+            load_dataset(d)
+
+    def test_table_of_another_length_is_rejected(self, tmp_path):
+        spec = SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, family="markov-dyn", seed=5)
+        first, second = generate_cohort(spec).data.items
+        short = SaccadeTable(types=second.features.types[:-1], values=second.features.values[:, :-1])
+        with pytest.raises(
+            ValueError, match="subject 'user000' image 'img001' has 2 saccades for 4 fixations; a table needs one"
+        ):
+            save_dataset(GazeDataset(items=(first, dataclasses.replace(second, features=short))), tmp_path / "d")
         assert not (tmp_path / "d").exists()
