@@ -143,14 +143,16 @@ def export_features_csv(
 
 
 def load_features_csv(csv_path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read an exported feature matrix: (subject_ids, image_ids, matrix)."""
+    """Read an exported feature matrix: (subject_ids, image_ids, matrix).
+    The header must be exactly ``subject_id,image_id,phi_1..phi_dim``."""
     subjects, images, rows = [], [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["subject_id", "image_id"]:
-            raise ValueError(f"{csv_path}: expected subject_id,image_id,phi_* header, got {header[:2]}")
-        width = len(header) - 2
+        header = next(reader, [])
+        width = max(len(header) - 2, 0)
+        expected = ["subject_id", "image_id"] + [f"phi_{k + 1}" for k in range(width)]
+        if header != expected:
+            raise ValueError(f"{csv_path}: expected header {','.join(expected)}, got {','.join(header)!r}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(

@@ -27,6 +27,7 @@ from gazeid.core import (
     wrap_angle_deg,
 )
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
+from gazeid.fisher import load_features_csv as load_phi_csv
 from gazeid.scenewalk import SaliencyMap
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 
@@ -597,8 +598,13 @@ class TestCsvFiles:
         np.testing.assert_array_equal(loaded.y_deg, [2.0, 250.0])
 
 
+def load_phi_matrix(csv_path):
+    return load_phi_csv(csv_path)[2]
+
+
 READERS = {
     "recording": (load_recording_csv, "t_ms,x_deg,y_deg", "0.0,0.0,0.0\n1.0,0.5,0.5\n2.0,1.0,1.0\n"),
+    "features": (load_phi_matrix, "subject_id,image_id,phi_1,phi_2", "s0,i0,0.0,0.0\ns1,i0,0.5,0.5\ns2,i1,1.0,nan\n"),
 }
 
 
