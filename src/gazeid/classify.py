@@ -296,6 +296,10 @@ class EvalProtocol:
             raise ValueError("hyperparameter grids must be non-empty")
         if not all(c > 0 and math.isfinite(c) for c in self.c_grid):
             raise ValueError(f"c_grid entries must be finite and positive, got {self.c_grid}")
+        if not (math.isfinite(self.scenewalk_rho) and self.scenewalk_rho >= 0):
+            raise ValueError(f"scenewalk_rho must be finite and non-negative, got {self.scenewalk_rho!r}")
+        if self.scenewalk_max_iter < 1:
+            raise ValueError(f"scenewalk_max_iter must be at least 1, got {self.scenewalk_max_iter!r}")
 
 
 @dataclass(frozen=True)

@@ -156,26 +156,35 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_model_json(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _read_input_json(path: str, build: Callable[[dict], object]):
+    """``build`` of the JSON document at ``path``. A malformed document (a
+    missing key, a value of the wrong type or range) raises ValueError
+    naming the file."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _model_from_json(doc: dict):
     kind = doc.get("model")
     if kind in ("markov", "markov-dyn"):
         params = markov.params_from_json_dict(doc)
         if params.config != ("base" if kind == "markov" else "dynamics"):
-            raise ValueError(f"{path}: a {kind} model cannot have the channels {list(params.channel_names)}")
+            raise ValueError(f"a {kind} model cannot have the channels {list(params.channel_names)}")
         return kind, params
     if kind == "scenewalk":
         return kind, scenewalk.SceneWalkParams.from_vector(
             [doc["params"][name] for name in scenewalk.PARAM_NAMES]
         )
-    raise ValueError(f"{path}: unknown or missing model kind {kind!r}")
+    raise ValueError(f"unknown or missing model kind {kind!r}")
 
 
 def cmd_scores(args) -> int:
     config = _effective_config(args, required=("data", "model_json", "out"))
     data = _load_dataset_or_fail(config["data"])
-    kind, params = _load_model_json(config["model_json"])
+    kind, params = _read_input_json(config["model_json"], _model_from_json)
     eps = config["eps_reg"] if config["eps_reg"] is not None else fisher.DEFAULT_RIDGE
     normalize = bool(config["normalize"]) if config["normalize"] is not None else False
 
@@ -183,11 +192,9 @@ def cmd_scores(args) -> int:
         keys = list(ops.index)
         scores = ops.grads(keys, params)
     if config["info_in"]:
-        with open(config["info_in"]) as fh:
-            info_doc = json.load(fh)
-        info = fisher.FisherInformation(
-            matrix=info_doc["matrix"], eps_reg=info_doc["eps_reg"], n_scores=info_doc["n_scores"]
-        )
+        info = _read_input_json(config["info_in"], lambda doc: fisher.FisherInformation(
+            matrix=doc["matrix"], eps_reg=doc["eps_reg"], n_scores=doc["n_scores"]
+        ))
     else:
         info = fisher.estimate_information(scores, eps)
 
@@ -238,13 +245,11 @@ def cmd_identify(args) -> int:
     if k < 1:
         raise ValueError(f"group_k must be at least 1, got {k}")
     subjects, images, X = fisher.load_features_csv(config["features"])
-    with open(config["classifier"]) as fh:
-        doc = json.load(fh)
-    model = classify.LinearModel(
+    model = _read_input_json(config["classifier"], lambda doc: classify.LinearModel(
         weights=np.asarray(doc["weights"], dtype=float),
         classes=tuple(doc["classes"]),
         C=float(doc["C"]),
-    )
+    ))
 
     rows = []
     by_subject: dict[str, list[int]] = {}

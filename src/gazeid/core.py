@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Feature channels in their fixed model order. The first two form the base
-# model configuration; all eight form the saccade-dynamics configuration.
-BASE_CHANNELS = ("amplitude", "duration")
+# Feature channels in their fixed model order: the rows of
+# ``SaccadeTable.values`` and the columns of a dataset's ``features.npy``.
+# All eight form the saccade-dynamics configuration, the first two the base.
 DYNAMICS_CHANNELS = (
     "amplitude",
     "duration",
@@ -27,34 +27,7 @@ DYNAMICS_CHANNELS = (
     "vigor_x",
     "vigor_y",
 )
-
-# The rows of ``SaccadeTable.values``, and the columns of a dataset's
-# ``features.npy``.
-FEATURE_ROWS = (
-    "amplitude_deg",
-    "duration_ms",
-    "direction_deg",
-    "mean_velocity",
-    "mean_abs_acceleration",
-    "peak_velocity_x",
-    "peak_velocity_y",
-    "accel_ratio_x",
-    "accel_ratio_y",
-    "vigor_x",
-    "vigor_y",
-)
-
-# Model channel -> row of ``SaccadeTable.values``.
-CHANNEL_ROWS = {
-    "amplitude": 0,
-    "duration": 1,
-    "velocity": 3,
-    "acceleration": 4,
-    "ratio_x": 7,
-    "ratio_y": 8,
-    "vigor_x": 9,
-    "vigor_y": 10,
-}
+BASE_CHANNELS = DYNAMICS_CHANNELS[:2]
 
 
 class DegenerateRecordingError(ValueError):
@@ -138,9 +111,9 @@ class Scanpath:
 @dataclass(frozen=True)
 class SaccadeTable:
     """Per-saccade features of one scanpath: ``types`` (S,) in 1..4 and
-    ``values`` (len(FEATURE_ROWS), S), one row per ``FEATURE_ROWS`` entry.
+    ``values`` (len(DYNAMICS_CHANNELS), S), one row per channel.
 
-    ``duration_ms`` is the duration of the fixation *following* the
+    ``duration`` is the duration of the fixation *following* the
     saccade. Values that could not be computed (the dynamics rows of a table
     extracted from a scanpath, an undefined ratio, a zero displacement)
     are NaN and get skipped by model likelihoods.
@@ -156,8 +129,8 @@ class SaccadeTable:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "values", values)
-        if types.ndim != 1 or values.shape != (len(FEATURE_ROWS), types.size):
-            raise ValueError(f"saccade table needs types (S,) and values ({len(FEATURE_ROWS)}, S)")
+        if types.ndim != 1 or values.shape != (len(DYNAMICS_CHANNELS), types.size):
+            raise ValueError(f"saccade table needs types (S,) and values ({len(DYNAMICS_CHANNELS)}, S)")
 
     def __len__(self) -> int:
         return self.types.size
@@ -311,9 +284,9 @@ def extract_features(path: Scanpath) -> SaccadeTable:
     Saccade t runs from fixation t to fixation t+1 and is paired with the
     duration of fixation t+1. Its type is classified from the direction
     change relative to the previous saccade; the first saccade's reference
-    direction is the positive x axis. A scanpath gives the amplitude,
-    duration and direction rows; the dynamics rows stay NaN, because they
-    come only from a dataset's stored features (``dataset.load_dataset``).
+    direction is the positive x axis. A scanpath gives the amplitude and
+    duration rows; the dynamics rows stay NaN, because they come only from
+    a dataset's stored features (``dataset.load_dataset``).
     """
     T = len(path)
     if T < 2:
@@ -322,10 +295,9 @@ def extract_features(path: Scanpath) -> SaccadeTable:
     amplitudes = np.hypot(steps[:, 0], steps[:, 1])
     directions = np.degrees(np.arctan2(steps[:, 1], steps[:, 0]))
 
-    values = np.full((len(FEATURE_ROWS), T - 1), math.nan)
+    values = np.full((len(DYNAMICS_CHANNELS), T - 1), math.nan)
     values[0] = np.where(amplitudes > 0, amplitudes, math.nan)
     values[1] = path.durations[1:]
-    values[2] = directions
     deltas = wrap_angle_deg(np.diff(directions, prepend=0.0))
     return SaccadeTable(types=[classify_saccade_type(d) for d in deltas], values=values)
 

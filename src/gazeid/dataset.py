@@ -9,10 +9,12 @@ optional per-image saliency grids:
     scanpaths.npy    float64 (fixations, 3): x_deg, y_deg, dur_ms
     lengths.npy      int64 (items,): fixations per item
     types.npy        int64 (saccades,)                         with features
-    features.npy     float64 (saccades, len(FEATURE_ROWS))     with features
+    features.npy     float64 (saccades, 8): DYNAMICS_CHANNELS  with features
     saliency/<image>.npy + <image>.json      (np.save grid + extent_deg)
 
 An item of T fixations has T - 1 saccades, so ``lengths.npy`` locates both.
+The columns of ``features.npy`` are the rows of each item's
+``SaccadeTable.values``, one per ``core.DYNAMICS_CHANNELS`` entry.
 Only markov-dyn's dynamics channels need features, so ``simulate`` writes
 them for markov-dyn cohorts only. The other models read scanpaths and
 ignore the features that ``load_dataset`` reads all the same.
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FEATURE_ROWS, SaccadeTable, Scanpath
+from .core import DYNAMICS_CHANNELS, SaccadeTable, Scanpath
 from .scenewalk import SaliencyMap, load_saliency, save_saliency
 
 
@@ -145,7 +147,7 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
         tables = [it.features for it in data.items]
         _write_column(out / "types.npy", np.concatenate([np.empty(0, np.int64), *(t.types for t in tables)]))
         _write_column(
-            out / "features.npy", np.concatenate([np.empty((0, len(FEATURE_ROWS))), *(t.values.T for t in tables)])
+            out / "features.npy", np.concatenate([np.empty((0, len(DYNAMICS_CHANNELS))), *(t.values.T for t in tables)])
         )
     if data.saliency:
         (out / "saliency").mkdir(exist_ok=True)
@@ -180,7 +182,7 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     if has_features:
         n_saccades = len(rows) - len(lengths)
         types = _read_column(root / "types.npy", np.int64, (n_saccades,))
-        values = _read_column(root / "features.npy", np.float64, (n_saccades, len(FEATURE_ROWS)))
+        values = _read_column(root / "features.npy", np.float64, (n_saccades, len(DYNAMICS_CHANNELS)))
 
     items = []
     for k, ((subject_id, image_id), end, n) in enumerate(zip(pairs, itertools.accumulate(lengths), lengths)):

@@ -6,7 +6,8 @@ The base configuration models saccade amplitude and the following fixation
 duration; the saccade-dynamics configuration adds mean velocity, mean
 absolute acceleration, per-axis acceleration ratios, and per-axis vigor.
 All channel blocks share one structure, so the two configurations differ
-only in their channel set.
+only in their channel set. A saccade table's rows are ``DYNAMICS_CHANNELS``
+in order, so a configuration's channels are its first rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .core import BASE_CHANNELS, CHANNEL_ROWS, DYNAMICS_CHANNELS, FEATURE_ROWS, SaccadeTable, Scanpath
+from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, Scanpath
 from .distributions import (
     GammaParams,
     N_SACCADE_TYPES,
@@ -37,12 +38,14 @@ _BIN_INSET = 1e-9
 
 
 def canonical_channels(channels: Sequence[str]) -> tuple[str, ...]:
-    """Order a channel set by the fixed model order."""
-    requested = set(channels)
-    unknown = requested - set(DYNAMICS_CHANNELS)
-    if unknown:
-        raise ValueError(f"unknown channels: {sorted(unknown)}")
-    return tuple(ch for ch in DYNAMICS_CHANNELS if ch in requested)
+    """``BASE_CHANNELS`` or ``DYNAMICS_CHANNELS``, whichever has exactly
+    the given names, in any order."""
+    for config in (BASE_CHANNELS, DYNAMICS_CHANNELS):
+        if sorted(channels) == sorted(config):
+            return config
+    raise ValueError(
+        f"channels must be {list(BASE_CHANNELS)} or {list(DYNAMICS_CHANNELS)}, got {list(channels)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,6 @@ class MarkovModelParams:
         if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
             raise ValueError("pi entries must be positive and finite")
         ordered = {ch: tuple(self.channels[ch]) for ch in canonical_channels(self.channels)}
-        if len(ordered) != len(self.channels):
-            raise ValueError("duplicate channels")
         object.__setattr__(self, "channels", ordered)
         for ch, cells in ordered.items():
             if len(cells) != N_SACCADE_TYPES:
@@ -89,12 +90,7 @@ class MarkovModelParams:
 
     @property
     def config(self) -> str:
-        names = self.channel_names
-        if names == BASE_CHANNELS:
-            return "base"
-        if names == DYNAMICS_CHANNELS:
-            return "dynamics"
-        return "custom"
+        return "base" if self.channel_names == BASE_CHANNELS else "dynamics"
 
     @property
     def dim(self) -> int:
@@ -155,7 +151,7 @@ def statistics(
     onehot = np.concatenate([t.types for t in tables]) == np.arange(1, N_SACCADE_TYPES + 1)[:, None]
     if onehot.sum() != onehot.shape[1]:
         raise ValueError(f"saccade types must lie in 1..{N_SACCADE_TYPES}")
-    values = np.concatenate([t.values for t in tables], axis=1)[[CHANNEL_ROWS[ch] for ch in names]]
+    values = np.concatenate([t.values[: len(names)] for t in tables], axis=1)
     valid = np.isfinite(values) & (values > 0)
     x = np.where(valid, values, 1.0)
     terms = np.stack([valid, valid * x, np.log(x)])
@@ -299,16 +295,12 @@ def sample_scanpath(
     if n_fixations < 2:
         raise ValueError("need at least 2 fixations")
     rng = as_rng(seed_or_rng)
-    names = params.channel_names
-    if "amplitude" not in names or "duration" not in names:
-        raise ValueError("sampling requires amplitude and duration channels")
     n_sacc = n_fixations - 1
 
     pi = params.pi
     shapes, scales = _cell_arrays(params)
     first = int(rng.choice(N_SACCADE_TYPES, p=pi / pi.sum()))
-    d = names.index("duration")
-    first_duration = float(rng.gamma(shapes[d, first], scales[d, first]))
+    first_duration = float(rng.gamma(shapes[1, first], scales[1, first]))
 
     types = rng.choice(N_SACCADE_TYPES, size=n_sacc, p=pi / pi.sum()) + 1
     deltas = np.empty(n_sacc)
@@ -316,25 +308,21 @@ def sample_scanpath(
         lo, hi = _TYPE_BINS[int(u)]
         deltas[t] = rng.uniform(lo + _BIN_INSET, hi - _BIN_INSET)
 
-    values = np.full((len(FEATURE_ROWS), n_sacc), math.nan)
-    for i, ch in enumerate(names):
-        values[CHANNEL_ROWS[ch]] = rng.gamma(shapes[i, types - 1], scales[i, types - 1])
-    amplitudes = values[CHANNEL_ROWS["amplitude"]]
-    directions = values[FEATURE_ROWS.index("direction_deg")]
+    values = np.full((len(DYNAMICS_CHANNELS), n_sacc), math.nan)
+    values[: len(shapes)] = rng.gamma(shapes[:, types - 1], scales[:, types - 1])
 
     positions = np.empty((n_fixations, 2))
     positions[0] = start
     durations = np.empty(n_fixations)
     durations[0] = first_duration
-    durations[1:] = values[CHANNEL_ROWS["duration"]]
+    durations[1:] = values[1]
     direction = 0.0
     for t in range(n_sacc):
         direction = float(((direction + deltas[t]) + 180.0) % 360.0 - 180.0)
         if direction == -180.0:
             direction = 180.0
-        directions[t] = direction
         rad = math.radians(direction)
-        positions[t + 1] = positions[t] + float(amplitudes[t]) * np.array([math.cos(rad), math.sin(rad)])
+        positions[t + 1] = positions[t] + float(values[0, t]) * np.array([math.cos(rad), math.sin(rad)])
     path = Scanpath(
         positions=positions, durations=durations, subject_id=subject_id, image_id=image_id
     )

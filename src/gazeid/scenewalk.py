@@ -147,12 +147,11 @@ class SceneWalkState:
     one (2, 3, rows, cols) array: [attention, inhibition] by [field,
     d/d omega, d/d sigma].
 
-    Single-owner mutable during a sequential sweep over one scanpath;
-    independent scanpaths use separate states.
+    ``step`` returns a new state and leaves its input as it is; a sweep
+    over a scanpath advances a ``_Walk`` in place instead.
     """
 
     fields: np.ndarray
-    t: int = 0
 
     attention = property(lambda self: self.fields[0, 0])
     d_att_d_omega = property(lambda self: self.fields[0, 1])
@@ -335,7 +334,7 @@ def step(
     (window,) = zip(*_windows(cell, [duration_ms], params, saliency))
     walk.advance(*window)
     prob = walk.next_fixation()
-    return SceneWalkState(walk.fields, state.t + 1), walk.potential, prob
+    return SceneWalkState(walk.fields), walk.potential, prob
 
 
 # grad[1:] (c_f, lam, gamma, omega_a, omega_f, sigma_a, sigma_f) as the
@@ -508,8 +507,10 @@ def fit(
     """
     if not data:
         raise ValueError("need at least one scanpath")
-    if rho < 0:
-        raise ValueError("rho must be non-negative")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if init is None:
         init = default_params()
     if sweeps is None:

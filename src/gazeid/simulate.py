@@ -9,6 +9,7 @@ recorded human data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,15 @@ class SyntheticCohortSpec:
             raise ValueError("need at least one user and one image")
         if self.fixations_per_path < 2:
             raise ValueError("scanpaths need at least 2 fixations")
+        for key, ok, kind in (
+            ("grid_shape", lambda n: isinstance(n, int) and not isinstance(n, bool) and n > 0, "positive ints"),
+            ("extent", lambda x: isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf,
+             "finite positive numbers"),
+        ):
+            value = getattr(self, key)
+            if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(map(ok, value))):
+                raise ValueError(f"{key} must be two {kind}, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,11 +81,6 @@ class SyntheticCohortSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown cohort spec keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if "grid_shape" in doc:
-            doc["grid_shape"] = tuple(doc["grid_shape"])
-        if "extent" in doc:
-            doc["extent"] = tuple(doc["extent"])
         return cls(**doc)
 
 

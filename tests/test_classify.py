@@ -523,6 +523,18 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             classify.run_protocol(small_cohort(), "nonsense")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("scenewalk_rho", math.nan, "scenewalk_rho must be finite and non-negative, got nan"),
+        ("scenewalk_rho", math.inf, "scenewalk_rho must be finite and non-negative, got inf"),
+        ("scenewalk_rho", -1.0, "scenewalk_rho must be finite and non-negative, got -1.0"),
+        ("scenewalk_max_iter", 0, "scenewalk_max_iter must be at least 1, got 0"),
+        ("scenewalk_max_iter", -3, "scenewalk_max_iter must be at least 1, got -3"),
+    ])
+    def test_scenewalk_fit_options_that_do_nothing_or_mislead_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EvalProtocol(**{field: value})
+        EvalProtocol(scenewalk_rho=0.0, scenewalk_max_iter=1)  # the least usable values
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):

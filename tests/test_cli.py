@@ -383,6 +383,61 @@ class TestOneCodePath:
                      "--out", str(tmp_path / "phi.csv")]) == 2
         assert "a markov model cannot have the channels ['amplitude', 'duration', 'velocity'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--family", "fisher-svm-scenewalk", "--scenewalk-max-iter", "-3"], "scenewalk_max_iter must be at least 1, got -3"),
+        (["eval", "--family", "bayes-scenewalk", "--scenewalk-max-iter", "0"], "scenewalk_max_iter must be at least 1, got 0"),
+        (["eval", "--family", "bayes-scenewalk", "--scenewalk-rho", "nan"], "scenewalk_rho must be finite and non-negative, got nan"),
+        (["eval", "--family", "bayes-markov", "--scenewalk-rho", "-1"], "scenewalk_rho must be finite and non-negative, got -1.0"),
+        (["fit", "--model", "scenewalk", "--max-iter", "-2"], "scenewalk_max_iter must be at least 1, got -2"),
+        (["fit", "--model", "markov", "--rho", "inf"], "scenewalk_rho must be finite and non-negative, got inf"),
+    ])
+    def test_scenewalk_fit_options_that_do_nothing_or_mislead_rejected(self, tmp_path, capsys, argv, message):
+        data_dir = simulate_tiny(tmp_path, "scenewalk")
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data_dir), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: ValueError: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, doc, message", [
+        ("--model-json", {"model": "markov"}, "KeyError: 'channels'"),
+        ("--model-json", {"model": "scenewalk", "params": {"zeta": 0.5}}, "KeyError: 'c_f'"),
+        ("--model-json", [1, 2], "AttributeError: 'list' object has no attribute 'get'"),
+        ("--model-json", {"model": "markov", "pi": [0.25] * 4, "channels": {"amplitude": [{"alpha": 2.0, "beta": 1.0}] * 4}},
+         "ValueError: channels must be ['amplitude', 'duration'] or ['amplitude', 'duration', 'velocity',"),
+        ("--model-json", {"model": "bogus"}, "ValueError: unknown or missing model kind 'bogus'"),
+        ("--info-in", {"eps_reg": 1e-6}, "KeyError: 'matrix'"),
+        ("--info-in", {"matrix": [[1.0]], "eps_reg": 1e-6}, "KeyError: 'n_scores'"),
+    ])
+    def test_scores_names_a_malformed_json_input(self, tmp_path, capsys, option, doc, message):
+        data_dir = simulate_tiny(tmp_path, "markov")
+        assert main(["fit", "--data", str(data_dir), "--model", "markov", "--out", str(tmp_path / "m.json")]) == 0
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        inputs = {"--model-json": str(tmp_path / "m.json"), option: str(tmp_path / "bad.json")}
+        capsys.readouterr()
+        assert main(["scores", "--data", str(data_dir), *(x for kv in inputs.items() for x in kv),
+                     "--out", str(tmp_path / "phi.csv")]) == 2
+        assert f"error: ValueError: {tmp_path / 'bad.json'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "phi.csv").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"classes": ["a"], "C": 1.0}, "KeyError: 'weights'"),
+        ({"classes": ["a"], "weights": [[0.0, 0.0]]}, "KeyError: 'C'"),
+        ({"classes": ["a", "b"], "weights": [[0.0, 0.0]], "C": 1.0}, "ValueError: weights must have one row per class"),
+        ("weights", "TypeError: string indices must be integers"),
+    ])
+    def test_identify_names_a_malformed_classifier(self, tmp_path, capsys, doc, message):
+        (tmp_path / "phi.csv").write_text("subject_id,image_id,phi_1\ns0,i0,0.5\n")
+        (tmp_path / "clf.json").write_text(json.dumps(doc))
+        assert main(["identify", "--features", str(tmp_path / "phi.csv"), "--classifier", str(tmp_path / "clf.json"),
+                     "--out", str(tmp_path / "pred.csv")]) == 2
+        assert f"error: ValueError: {tmp_path / 'clf.json'}: {message}" in capsys.readouterr().err
+
+    def test_simulate_names_a_bad_grid_shape(self, tmp_path, capsys):
+        write_spec(tmp_path / "spec.json", family="scenewalk", grid_shape=[8])
+        assert main(["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "data")]) == 2
+        assert "error: ValueError: grid_shape must be two positive ints, got [8]" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_dynamics_without_feature_files_is_named(self, tmp_path, capsys):
         data = load_dataset(simulate_tiny(tmp_path, "markov-dyn"))
         items = tuple(dataclasses.replace(it, features=None) for it in data.items)

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazeid.core import (
-    CHANNEL_ROWS,
+    DYNAMICS_CHANNELS,
     _median_based_sd,
-    FEATURE_ROWS,
     DegenerateRecordingError,
     GazeRecording,
     SaccadeTable,
@@ -420,13 +419,13 @@ class TestExtractFeatures:
     def test_duration_pairs_with_following_fixation(self):
         path = self.path_of([(0, 0), (1, 0), (2, 0)], durations=[100.0, 150.0, 250.0])
         feats = extract_features(path)
-        assert feats.values[CHANNEL_ROWS["duration"]][0] == 150.0
-        assert feats.values[CHANNEL_ROWS["duration"]][1] == 250.0
+        assert feats.values[DYNAMICS_CHANNELS.index("duration")][0] == 150.0
+        assert feats.values[DYNAMICS_CHANNELS.index("duration")][1] == 250.0
 
 
 def oracle_extract(path):
-    """(type, amplitude, duration, direction) per saccade from the
-    per-saccade loop the table replaced."""
+    """(type, amplitude, duration) per saccade from the per-saccade loop
+    the table replaced."""
     steps = np.diff(path.positions, axis=0)
     amplitudes = np.hypot(steps[:, 0], steps[:, 1])
     directions = np.degrees(np.arctan2(steps[:, 1], steps[:, 0]))
@@ -435,7 +434,7 @@ def oracle_extract(path):
         delta = float(wrap_angle_deg(directions[t] - prev))
         prev = directions[t]
         amplitude = float(amplitudes[t]) if amplitudes[t] > 0 else math.nan
-        out.append((classify_saccade_type(delta), amplitude, float(path.durations[t + 1]), float(directions[t])))
+        out.append((classify_saccade_type(delta), amplitude, float(path.durations[t + 1])))
     return out
 
 
@@ -449,14 +448,14 @@ class TestSaccadeTable:
             table = extract_features(path)
             want = np.array(oracle_extract(path)).T
             np.testing.assert_array_equal(table.types, want[0])
-            np.testing.assert_array_equal(table.values[:3], want[1:])
-            assert np.isnan(table.values[3:]).all()
+            np.testing.assert_array_equal(table.values[:2], want[1:])
+            assert np.isnan(table.values[2:]).all()
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError, match="saccade table"):
-            SaccadeTable(types=[1, 2], values=np.zeros((len(FEATURE_ROWS), 3)))
+            SaccadeTable(types=[1, 2], values=np.zeros((len(DYNAMICS_CHANNELS), 3)))
         with pytest.raises(ValueError, match="saccade table"):
-            SaccadeTable(types=[1], values=np.zeros((len(FEATURE_ROWS) - 1, 1)))
+            SaccadeTable(types=[1], values=np.zeros((len(DYNAMICS_CHANNELS) - 1, 1)))
 
     def test_concat_keeps_saccade_order(self):
         a = extract_features(Scanpath(positions=[[0, 0], [1, 0], [1, 1]], durations=[100, 200, 300]))
@@ -464,7 +463,7 @@ class TestSaccadeTable:
         both = SaccadeTable.concat([a, b])
         assert len(both) == 3
         np.testing.assert_array_equal(both.types, [1, 3, 3])
-        np.testing.assert_array_equal(both.values[CHANNEL_ROWS["duration"]], [200, 300, 400])
+        np.testing.assert_array_equal(both.values[DYNAMICS_CHANNELS.index("duration")], [200, 300, 400])
 
 
 class TestValueEquality:
@@ -472,7 +471,7 @@ class TestValueEquality:
         item = generate_cohort(SyntheticCohortSpec(
             n_users=1, n_images=1, fixations_per_path=6, family="markov-dyn", seed=3
         )).data.items[0]
-        assert np.isnan(item.features.values).any()
+        item.features.values[[2, 5], [0, 3]] = [np.nan, np.inf]  # simulation draws every channel
         grid = np.full((3, 4), 1.0 / 12)
         cases = [
             (item, lambda it: DatasetItem(it.subject_id, it.image_id, it.scanpath, None)),
@@ -543,8 +542,8 @@ def csv_module_write(csv_path, header, rows):
 
 
 def dynamics_items(seed=6):
-    """Items of a dynamics cohort whose tables also carry inf, zero and
-    negative cells next to the NaN rows that simulation leaves."""
+    """Items of a dynamics cohort whose tables also carry NaN, inf, zero
+    and negative cells, which simulation never draws."""
     spec = SyntheticCohortSpec(
         n_users=2, n_images=3, fixations_per_path=12, family="markov-dyn", jitter=0.3, seed=seed
     )
@@ -552,7 +551,8 @@ def dynamics_items(seed=6):
     rng = np.random.default_rng(seed)
     for it in items:
         values = it.features.values
-        values[rng.integers(0, values.shape[0], 4), rng.integers(0, values.shape[1], 4)] = [np.inf, -np.inf, 0.0, -2.5]
+        cells = rng.integers(0, values.shape[0], 5), rng.integers(0, values.shape[1], 5)
+        values[cells] = [np.nan, np.inf, -np.inf, 0.0, -2.5]
     return items
 
 

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import digamma, polygamma
 
 from gazeid import markov
-from gazeid.core import FEATURE_ROWS, SaccadeTable
+from gazeid.core import DYNAMICS_CHANNELS, SaccadeTable
 from gazeid.distributions import (
     ConvergenceError,
     DegenerateSampleError,
@@ -35,11 +35,12 @@ X_GRID = (0.1, 1.0, 10.0)
 def gamma_score(x, params: GammaParams):
     """(d/d shape, d/d scale) of the Gamma log-density at one x, read from
     the only implementation of that score: the amplitude block of
-    ``markov.grad_loglik`` for a single type-1 saccade of amplitude x."""
-    values = np.full((len(FEATURE_ROWS), 1), np.nan)
+    ``markov.grad_loglik`` of a base model for a single type-1 saccade of
+    amplitude x (its duration NaN, so skipped)."""
+    values = np.full((len(DYNAMICS_CHANNELS), 1), np.nan)
     values[0, 0] = x
     model = markov.MarkovModelParams(
-        pi=np.full(4, 0.25), channels={"amplitude": (params,) * 4}
+        pi=np.full(4, 0.25), channels={"amplitude": (params,) * 4, "duration": (params,) * 4}
     )
     g = markov.grad_loglik(SaccadeTable(types=[1], values=values), model)
     return g[1], g[2]

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import re
 from operator import attrgetter
 
 import numpy as np
@@ -16,9 +17,7 @@ from test_distributions import oracle_gamma_from_sums
 from gazeid import markov, simulate
 from gazeid.core import (
     BASE_CHANNELS,
-    CHANNEL_ROWS,
     DYNAMICS_CHANNELS,
-    FEATURE_ROWS,
     SaccadeTable,
     extract_features,
 )
@@ -65,9 +64,9 @@ def sample_features(params, n_paths, n_fixations, seed):
 def make_table(types, **channels):
     """A saccade table of the given types and channel values; the other
     rows are NaN."""
-    values = np.full((len(FEATURE_ROWS), len(types)), math.nan)
+    values = np.full((len(DYNAMICS_CHANNELS), len(types)), math.nan)
     for ch, vals in channels.items():
-        values[CHANNEL_ROWS[ch]] = vals
+        values[DYNAMICS_CHANNELS.index(ch)] = vals
     return SaccadeTable(types=types, values=values)
 
 
@@ -81,7 +80,7 @@ def corrupt(features, rng, fraction=0.2):
     replaced by NaN, inf, zero or a negative number."""
     values = features.values.copy()
     for t in range(len(features)):
-        for row in CHANNEL_ROWS.values():
+        for row in range(len(DYNAMICS_CHANNELS)):
             if rng.random() < fraction:
                 values[row, t] = float(rng.choice([math.nan, math.inf, 0.0, -1.5]))
     return SaccadeTable(types=features.types, values=values)
@@ -93,7 +92,7 @@ def corrupt(features, rng, fraction=0.2):
 
 def oracle_values(features, names):
     types = features.types
-    values = features.values[[CHANNEL_ROWS[ch] for ch in names]]
+    values = features.values[[DYNAMICS_CHANNELS.index(ch) for ch in names]]
     return types, values, np.isfinite(values) & (values > 0)
 
 
@@ -160,14 +159,14 @@ def oracle_fit(data, names):
 
 
 # The per-saccade records and the statistics and fit code that the saccade
-# table and the batched fit replaced, kept as oracles: one 12-field record
+# table and the batched fit replaced, kept as oracles: one 9-field record
 # per saccade, taken field by field as Python numbers, and one scalar Gamma
 # Newton iteration per cell.
 
 OracleSaccade = collections.namedtuple(
     "OracleSaccade",
-    "saccade_type amplitude duration direction mean_velocity mean_abs_acceleration "
-    "peak_velocity_x peak_velocity_y accel_ratio_x accel_ratio_y vigor_x vigor_y",
+    "saccade_type amplitude duration mean_velocity mean_abs_acceleration "
+    "accel_ratio_x accel_ratio_y vigor_x vigor_y",
 )
 ORACLE_ATTRS = {
     "amplitude": "amplitude",
@@ -243,7 +242,7 @@ class TestTableParity:
         loaded = load_dataset(tmp_path / "d")
         tables = [it.features for it in loaded.items]
         want = np.array([oracle_statistics(oracle_records(it.features), channels) for it in items])
-        assert np.isnan(SaccadeTable.concat(tables).values[[CHANNEL_ROWS[ch] for ch in channels]]).any()
+        assert np.isnan(SaccadeTable.concat(tables).values[[DYNAMICS_CHANNELS.index(ch) for ch in channels]]).any()
         np.testing.assert_array_equal(markov.statistics(tables, channels), want)
         np.testing.assert_array_equal([markov.statistics(t, channels) for t in tables], want)
 
@@ -378,9 +377,9 @@ class TestFit:
         perturbed = [
             make_table(
                 path.types,
-                amplitude=path.values[CHANNEL_ROWS["amplitude"]],
-                duration=path.values[CHANNEL_ROWS["duration"]],
-                velocity=path.values[CHANNEL_ROWS["velocity"]] * 7.7,
+                amplitude=path.values[DYNAMICS_CHANNELS.index("amplitude")],
+                duration=path.values[DYNAMICS_CHANNELS.index("duration")],
+                velocity=path.values[DYNAMICS_CHANNELS.index("velocity")] * 7.7,
             )
             for path in data
         ]
@@ -510,7 +509,7 @@ class TestSampling:
         path, feats = markov.sample_scanpath(params, 40, seed_or_rng=101)
         re = extract_features(path)
         np.testing.assert_array_equal(re.types, feats.types)
-        amplitude, duration = CHANNEL_ROWS["amplitude"], CHANNEL_ROWS["duration"]
+        amplitude, duration = DYNAMICS_CHANNELS.index("amplitude"), DYNAMICS_CHANNELS.index("duration")
         np.testing.assert_allclose(re.values[amplitude], feats.values[amplitude], rtol=1e-12)
         np.testing.assert_array_equal(re.values[duration], feats.values[duration])
 
@@ -530,6 +529,81 @@ class TestSampling:
         np.testing.assert_array_equal(p1.positions, p2.positions)
         np.testing.assert_array_equal(p1.durations, p2.durations)
         np.testing.assert_array_equal(f1.values, f2.values)
+
+
+class TestChannelSets:
+    @pytest.mark.parametrize("channels", [
+        ("amplitude",),
+        ("duration", "velocity"),
+        ("amplitude", "duration", "velocity"),
+        ("amplitude", "amplitude", "duration"),
+        ("amplitude", "speed"),
+        DYNAMICS_CHANNELS[:-1],
+        DYNAMICS_CHANNELS + ("duration",),
+        (),
+    ], ids=repr)
+    def test_a_set_that_is_neither_configuration_is_rejected(self, channels):
+        message = re.escape(
+            f"channels must be {list(BASE_CHANNELS)} or {list(DYNAMICS_CHANNELS)}, got {list(channels)}"
+        )
+        for use in (markov.canonical_channels, markov.default_params):
+            with pytest.raises(ValueError, match=message):
+                use(channels)
+        table = make_table([1, 2], amplitude=[1.0, 2.0], duration=[100.0, 200.0])
+        with pytest.raises(ValueError, match=message):
+            markov.statistics(table, channels)
+        if len(set(channels)) == len(channels):
+            cells = (GammaParams(2.0, 1.0),) * 4
+            with pytest.raises(ValueError, match=message):
+                markov.MarkovModelParams(pi=np.full(4, 0.25), channels=dict.fromkeys(channels, cells))
+
+    def test_either_configuration_in_any_order(self):
+        assert markov.canonical_channels(["duration", "amplitude"]) == BASE_CHANNELS
+        assert markov.canonical_channels(DYNAMICS_CHANNELS[::-1]) == DYNAMICS_CHANNELS
+        default = markov.default_params(DYNAMICS_CHANNELS)
+        params = markov.MarkovModelParams(
+            pi=default.pi, channels={ch: default.channels[ch] for ch in reversed(DYNAMICS_CHANNELS)}
+        )
+        assert params.channel_names == DYNAMICS_CHANNELS and params.config == "dynamics"
+        assert params == default
+
+
+def oracle_sample(params, n_fixations, start, seed):
+    """``sample_scanpath``'s draws with one Gamma draw per channel, in
+    channel order: (positions, durations, types, values)."""
+    rng = np.random.default_rng(seed)
+    shapes = np.array([[g.shape for g in cells] for cells in params.channels.values()])
+    scales = np.array([[g.scale for g in cells] for cells in params.channels.values()])
+    p = params.pi / params.pi.sum()
+    first = int(rng.choice(4, p=p))
+    durations = [float(rng.gamma(shapes[1, first], scales[1, first]))]
+    types = rng.choice(4, size=n_fixations - 1, p=p) + 1
+    bins = {1: (-45.0, 45.0), 2: (-135.0, -45.0), 3: (45.0, 135.0), 4: (135.0, 225.0)}
+    deltas = [rng.uniform(bins[u][0] + 1e-9, bins[u][1] - 1e-9) for u in types.tolist()]
+    values = np.full((len(DYNAMICS_CHANNELS), len(types)), math.nan)
+    for i in range(len(params.channels)):
+        values[i] = rng.gamma(shapes[i, types - 1], scales[i, types - 1])
+    positions, direction = [start], 0.0
+    for amplitude, delta in zip(values[0].tolist(), deltas):
+        direction = (direction + delta + 180.0) % 360.0 - 180.0
+        direction = 180.0 if direction == -180.0 else direction
+        rad = math.radians(direction)
+        positions.append((positions[-1][0] + amplitude * math.cos(rad), positions[-1][1] + amplitude * math.sin(rad)))
+    return np.array(positions), np.array(durations + values[1].tolist()), types, values
+
+
+class TestSamplerParity:
+    @pytest.mark.parametrize("channels", [BASE_CHANNELS, DYNAMICS_CHANNELS])
+    def test_one_draw_equals_per_channel_draws(self, channels):
+        rng = np.random.default_rng(53)
+        for seed in (0, 1, 7, 2024):
+            for params in (markov.default_params(channels), random_markov_params(rng, channels)):
+                n = int(rng.integers(2, 40))
+                path, table = markov.sample_scanpath(params, n, start=(3.5, -1.25), seed_or_rng=seed)
+                want = oracle_sample(params, n, (3.5, -1.25), seed)
+                for got, expected in zip((path.positions, path.durations, table.types, table.values), want):
+                    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+                assert np.isnan(table.values[len(channels):]).all() and np.isfinite(table.values[: len(channels)]).all()
 
 
 class TestBayesIdentify:

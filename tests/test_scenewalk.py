@@ -9,6 +9,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 from dataclasses import dataclass
 
@@ -597,6 +598,18 @@ class TestFit:
         )
         with pytest.raises(FloatingPointError, match="initial parameters"):
             sw.fit([(p, sal) for p in paths], init=start)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rho": math.nan}, "rho must be finite and non-negative, got nan"),
+        ({"rho": -math.inf}, "rho must be finite and non-negative, got -inf"),
+        ({"rho": -0.5}, "rho must be finite and non-negative, got -0.5"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_iter": -2}, "max_iter must be at least 1, got -2"),
+    ])
+    def test_options_that_do_nothing_or_mislead_rejected(self, rng, kwargs, message):
+        sal = make_saliency(rng, shape=(8, 8))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sw.fit([(make_path(rng), sal)], **kwargs)
 
     def test_stall_on_ftol_is_not_converged(self, rng):
         # L-BFGS-B reports success once f stops falling, whatever the

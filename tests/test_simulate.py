@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gazeid import markov, simulate
-from gazeid.core import CHANNEL_ROWS, SaccadeTable, extract_features
+from gazeid.core import DYNAMICS_CHANNELS, SaccadeTable, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
 from test_scenewalk import _UNPICKLED, _Unpicklable
@@ -33,6 +33,32 @@ class TestSpec:
             SyntheticCohortSpec(n_users=2, n_images=2, fixations_per_path=5, jitter=-0.1)
         with pytest.raises(ValueError):
             SyntheticCohortSpec(n_users=2, n_images=2, fixations_per_path=5, family="bogus")
+
+
+    @pytest.mark.parametrize("family", ["markov", "scenewalk"])
+    @pytest.mark.parametrize("key, value, kind", [
+        ("grid_shape", [8], "positive ints"),
+        ("grid_shape", [8.5, 8], "positive ints"),
+        ("grid_shape", [8, 0], "positive ints"),
+        ("grid_shape", [8, 8, 8], "positive ints"),
+        ("grid_shape", [True, 8], "positive ints"),
+        ("grid_shape", 8, "positive ints"),
+        ("extent", [-4, 8], "finite positive numbers"),
+        ("extent", [8.0, 0.0], "finite positive numbers"),
+        ("extent", [float("inf"), 8.0], "finite positive numbers"),
+        ("extent", [float("nan"), 8.0], "finite positive numbers"),
+        ("extent", ["8", 8], "finite positive numbers"),
+        ("extent", [8.0], "finite positive numbers"),
+    ])
+    def test_bad_grid_shape_or_extent_names_the_key(self, family, key, value, kind):
+        doc = {"n_users": 2, "n_images": 2, "fixations_per_path": 5, "family": family, key: value}
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be two {kind}, got {value!r}")):
+            SyntheticCohortSpec.from_json_dict(doc)
+
+    def test_grid_shape_and_extent_lists_become_tuples(self):
+        spec = SyntheticCohortSpec(n_users=1, n_images=1, fixations_per_path=3, grid_shape=[16, 8], extent=[8, 4.5])
+        assert (spec.grid_shape, spec.extent) == ((16, 8), (8, 4.5))
+        assert spec == SyntheticCohortSpec.from_json_dict(spec.to_json_dict())
 
 
 class TestGenerateCohort:
@@ -112,7 +138,7 @@ class TestDatasetRoundTrip:
             np.testing.assert_array_equal(a.scanpath.positions, b.scanpath.positions)
             if b.features is not None:
                 np.testing.assert_array_equal(a.features.types, b.features.types)
-                vigor_x = CHANNEL_ROWS["vigor_x"]
+                vigor_x = DYNAMICS_CHANNELS.index("vigor_x")
                 np.testing.assert_array_equal(a.features.values[vigor_x], b.features.values[vigor_x])
         if family == "scenewalk":
             for image_id, sal in data.saliency.items():
@@ -250,13 +276,23 @@ class TestDatasetColumns:
             "scanpaths.npy": ((30, 3), False, np.dtype("<f8")),
             "lengths.npy": ((6,), False, np.dtype("<i8")),
             "types.npy": ((24,), False, np.dtype("<i8")),
-            "features.npy": ((24, 11), False, np.dtype("<f8")),
+            "features.npy": ((24, 8), False, np.dtype("<f8")),
         }
         scan = np.concatenate([np.column_stack([it.scanpath.positions, it.scanpath.durations]) for it in items])
         assert np.load(d / "scanpaths.npy").tobytes() == scan.tobytes()
         assert np.load(d / "lengths.npy").tolist() == [5] * 6
         assert np.load(d / "types.npy").tolist() == [u for it in items for u in it.features.types.tolist()]
         assert np.load(d / "features.npy").tobytes() == np.concatenate([it.features.values.T for it in items]).tobytes()
+
+    def test_eleven_feature_columns_are_rejected(self, tmp_path):
+        # the layout before the columns became the Markov channels: three
+        # more columns, at 2, 5 and 6, that no model read
+        d = saved_cohort(tmp_path)
+        np.save(d / "features.npy", np.insert(np.load(d / "features.npy"), [2, 4, 4], np.nan, axis=1))
+        with pytest.raises(ValueError, match=re.escape(
+            f"{d / 'features.npy'}: expected dtype float64 and shape (24, 8), got float64 and (24, 11)"
+        )):
+            load_dataset(d)
 
     def test_old_per_item_csv_layout_is_rejected(self, tmp_path):
         d = saved_cohort(tmp_path)
@@ -299,8 +335,8 @@ class TestDatasetColumns:
         ("lengths.npy", np.full(6, 5.0), "expected dtype int64 and shape (6,), got float64 and (6,)"),
         ("lengths.npy", np.full((6, 1), 5), "expected dtype int64 and shape (6,), got int64 and (6, 1)"),
         ("types.npy", np.ones(24, np.int32), "expected dtype int64 and shape (24,), got int32 and (24,)"),
-        ("features.npy", np.ones((24, 11), ">f8"), "expected dtype float64 and shape (24, 11), got >f8 and (24, 11)"),
-        ("features.npy", np.ones((24, 11, 1)), "expected dtype float64 and shape (24, 11), got float64 and (24, 11, 1)"),
+        ("features.npy", np.ones((24, 8), ">f8"), "expected dtype float64 and shape (24, 8), got >f8 and (24, 8)"),
+        ("features.npy", np.ones((24, 8, 1)), "expected dtype float64 and shape (24, 8), got float64 and (24, 8, 1)"),
     ])
     def test_wrong_dtype_or_shape_names_the_file(self, tmp_path, name, array, message):
         d = saved_cohort(tmp_path)
@@ -324,8 +360,8 @@ class TestDatasetColumns:
     @pytest.mark.parametrize("name, change, message", [
         ("types.npy", lambda a: a[:-1], "expected dtype int64 and shape (24,), got int64 and (23,)"),
         ("types.npy", lambda a: np.concatenate([a, a[:1]]), "expected dtype int64 and shape (24,), got int64 and (25,)"),
-        ("features.npy", lambda a: a[:-1], "expected dtype float64 and shape (24, 11), got float64 and (23, 11)"),
-        ("features.npy", lambda a: a[:, :10], "expected dtype float64 and shape (24, 11), got float64 and (24, 10)"),
+        ("features.npy", lambda a: a[:-1], "expected dtype float64 and shape (24, 8), got float64 and (23, 8)"),
+        ("features.npy", lambda a: a[:, :7], "expected dtype float64 and shape (24, 8), got float64 and (24, 7)"),
     ])
     def test_feature_rows_that_do_not_fit_name_the_file(self, tmp_path, name, change, message):
         d = saved_cohort(tmp_path)
