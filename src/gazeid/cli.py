@@ -195,6 +195,11 @@ def cmd_scores(args) -> int:
         info = _read_input_json(config["info_in"], lambda doc: fisher.FisherInformation(
             matrix=doc["matrix"], eps_reg=doc["eps_reg"], n_scores=doc["n_scores"]
         ))
+        if info.dim != scores.shape[1]:
+            raise ValueError(
+                f"{config['info_in']}: information dim {info.dim} does not match the"
+                f" {scores.shape[1]} scores per item of the model in {config['model_json']}"
+            )
     else:
         info = fisher.estimate_information(scores, eps)
 

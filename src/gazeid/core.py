@@ -383,10 +383,18 @@ def save_recording_csv(rec: GazeRecording, csv_path: str | Path) -> None:
 
 def load_recording_csv(csv_path: str | Path) -> GazeRecording:
     """Read a recording CSV and its sidecar JSON (same stem, ``.json``);
-    rows with a NaN (blinks) are dropped."""
+    rows with a NaN (blinks) are dropped. A sidecar that does not parse, or
+    lacks a positive numeric ``sampling_rate``, raises ValueError naming it."""
     csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json")) as fh:
-        meta = json.load(fh)
+    sidecar = csv_path.with_suffix(".json")
+    with open(sidecar) as fh:
+        try:
+            meta = json.load(fh)
+            sampling_rate = float(meta["sampling_rate"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{sidecar}: expected a numeric sampling_rate ({type(exc).__name__}: {exc})") from None
+    if not sampling_rate > 0:
+        raise ValueError(f"{sidecar}: sampling_rate must be positive, got {sampling_rate!r}")
     arr = _read_csv(csv_path, _RECORDING_COLUMNS)
     arr = arr[~np.isnan(arr).any(axis=1)]
     if arr.size == 0:
@@ -395,7 +403,7 @@ def load_recording_csv(csv_path: str | Path) -> GazeRecording:
         t_ms=arr[:, 0],
         x_deg=arr[:, 1],
         y_deg=arr[:, 2],
-        sampling_rate=float(meta["sampling_rate"]),
+        sampling_rate=sampling_rate,
         subject_id=str(meta.get("subject_id", "")),
         image_id=str(meta.get("image_id", "")),
     )

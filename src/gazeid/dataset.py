@@ -161,9 +161,17 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no scanpaths found in {root}: no manifest.json; not a dataset directory")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
-
-    pairs = [(entry["subject_id"], entry["image_id"]) for entry in manifest["items"]]
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: {type(exc).__name__}: {exc}") from None
+    entries = manifest.get("items") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{manifest_path}: expected an object with an items list")
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in ("subject_id", "image_id"))):
+            raise ValueError(f"{manifest_path}: item {k} is not an object with string subject_id and image_id: {entry!r}")
+    pairs = [(entry["subject_id"], entry["image_id"]) for entry in entries]
     _check_pairs(pairs)
     scan_path, lengths_path = root / "scanpaths.npy", root / "lengths.npy"
     if not scan_path.exists() and (root / "scanpaths").is_dir():

@@ -30,11 +30,10 @@ from .distributions import (
     multinomial_mle,
 )
 
-# Direction-change bins (degrees) used when reconstructing positions for
-# sampled saccades of each type; the 1e-9 inset keeps drawn angles strictly
+# Row u - 1 holds the (low, high) direction change (degrees) drawn for a
+# sampled saccade of type u; the 1e-9 inset keeps drawn angles strictly
 # inside the half-open classification bins.
-_TYPE_BINS = {1: (-45.0, 45.0), 2: (-135.0, -45.0), 3: (45.0, 135.0), 4: (135.0, 225.0)}
-_BIN_INSET = 1e-9
+_TYPE_BINS = np.array([[-45.0, 45.0], [-135.0, -45.0], [45.0, 135.0], [135.0, 225.0]]) + [1e-9, -1e-9]
 
 
 def canonical_channels(channels: Sequence[str]) -> tuple[str, ...]:
@@ -138,37 +137,31 @@ def statistics(
     saccades; the channel sums skip values that are not finite and
     positive. The row of a concatenation is the sum of the rows.
 
-    A sequence of tables gives the (tables, row) matrix in one pass over
-    their concatenation. Tables of one length share one stacked matrix
-    product whose slices are the product of each table alone, so every row
-    equals the row of its table alone, bit for bit."""
+    A sequence of tables gives the (tables, row) matrix. Every sum is one
+    ``np.bincount`` bin per (channel, term, table, type) over the tables'
+    concatenation, and a bin adds its values in saccade order, so every
+    row equals the row of its table alone, bit for bit."""
     single = isinstance(features, SaccadeTable)
     tables = [features] if single else list(features)
     lengths = [len(t) for t in tables]
     if not tables or min(lengths) == 0:
         raise ValueError("features must be non-empty")
     names = canonical_channels(channels)
-    onehot = np.concatenate([t.types for t in tables]) == np.arange(1, N_SACCADE_TYPES + 1)[:, None]
-    if onehot.sum() != onehot.shape[1]:
+    types = np.concatenate([t.types for t in tables])
+    # a type outside 1..4 would fall into a neighbouring table's bin
+    if types.min() < 1 or types.max() > N_SACCADE_TYPES:
         raise ValueError(f"saccade types must lie in 1..{N_SACCADE_TYPES}")
     values = np.concatenate([t.values[: len(names)] for t in tables], axis=1)
     valid = np.isfinite(values) & (values > 0)
     x = np.where(valid, values, 1.0)
-    terms = np.stack([valid, valid * x, np.log(x)])
-    rows = np.empty((len(tables), N_SACCADE_TYPES * (1 + 3 * len(names))))
-    starts = np.cumsum(lengths) - lengths
-    by_length: dict[int, list[int]] = {}
-    for i, length in enumerate(lengths):
-        by_length.setdefault(length, []).append(i)
-    for length, idx in by_length.items():
-        cols = starts[idx, None] + np.arange(length)
-        # (tables, 4, S) one-hot types and (tables, 3, channels, S) terms,
-        # each (channels, S) matrix stored column by column
-        types = np.ascontiguousarray(onehot[:, cols].transpose(1, 0, 2), dtype=float)
-        by_column = np.ascontiguousarray(terms[:, :, cols].transpose(2, 0, 3, 1)).swapaxes(-1, -2)
-        sums = by_column @ types.swapaxes(-1, -2)[:, None]
-        rows[idx, :N_SACCADE_TYPES] = types.sum(axis=2)
-        rows[idx, N_SACCADE_TYPES:] = sums.transpose(0, 2, 3, 1).reshape(len(idx), -1)
+    terms = np.stack([valid, valid * x, np.log(x)], axis=1).reshape(-1, len(types))  # (channel, term) rows
+    n_cells = len(tables) * N_SACCADE_TYPES
+    cell = np.repeat(np.arange(0, n_cells, N_SACCADE_TYPES), lengths) + types - 1  # 4 * table + type - 1
+    bins = np.arange(len(terms))[:, None] * n_cells + cell
+    sums = np.bincount(bins.ravel(), terms.ravel(), minlength=len(terms) * n_cells)
+    counts = np.bincount(cell, minlength=n_cells).reshape(len(tables), N_SACCADE_TYPES)
+    sums = sums.reshape(len(names), 3, len(tables), N_SACCADE_TYPES).transpose(2, 0, 3, 1)
+    rows = np.concatenate([counts, sums.reshape(len(tables), -1)], axis=1)
     return rows[0] if single else rows
 
 
@@ -204,29 +197,27 @@ def fit_from_statistics(rows: np.ndarray, channels: Sequence[str]) -> MarkovMode
     rows = np.asarray(rows, dtype=float)
     counts, stats = _unpack(np.atleast_2d(rows), len(names))
     # each channel's pooled-across-types cell, summed in type order, is its fallback
-    pooled = sum(stats[..., u, :] for u in range(N_SACCADE_TYPES))
-    shape, scale, ok = gamma_mle_from_sums(
-        *np.moveaxis(np.concatenate([stats, pooled[..., None, :]], axis=-2), -1, 0)
-    )
-    models = []
-    for m, model_counts in enumerate(counts):
-        cells, fallbacks = {}, []
-        for c, ch in enumerate(names):
-            used = [u if ok[m, c, u] else N_SACCADE_TYPES for u in range(N_SACCADE_TYPES)]
-            fallbacks += [(ch, u + 1) for u, cell in enumerate(used) if cell != u]
-            if N_SACCADE_TYPES in used:
-                checked_gamma(shape[m, c, -1], scale[m, c, -1], ok[m, c, -1])  # a failed pooled fit raises
-            cells[ch] = tuple(
-                GammaParams(shape=float(shape[m, c, i]), scale=float(scale[m, c, i])) for i in used
-            )
-        models.append(MarkovModelParams(
-            pi=multinomial_mle(model_counts).pi,
-            channels=cells,
+    pooled = stats.sum(axis=-2, keepdims=True)
+    shape, scale, ok = gamma_mle_from_sums(*np.moveaxis(np.concatenate([stats, pooled], axis=-2), -1, 0))
+    fallback = ~ok[..., :N_SACCADE_TYPES]
+    for m, c in zip(*np.nonzero(fallback.any(axis=-1))):
+        checked_gamma(shape[m, c, -1], scale[m, c, -1], ok[m, c, -1])  # a failed pooled fit raises
+    shapes, scales = (np.where(fallback, v[..., -1:], v[..., :N_SACCADE_TYPES]) for v in (shape, scale))
+    skipped = counts.sum(axis=-1) * len(names) - stats[..., 0].sum(axis=(-2, -1))
+    models = [
+        MarkovModelParams(
+            pi=multinomial_mle(counts[m]).pi,
+            channels={
+                ch: tuple(GammaParams(shape=float(a), scale=float(b)) for a, b in zip(shapes[m, c], scales[m, c]))
+                for c, ch in enumerate(names)
+            },
             fit_report=MarkovFitReport(
-                fallback_cells=tuple(fallbacks),
-                skipped_values=int(model_counts.sum() * len(names) - stats[m, ..., 0].sum()),
+                fallback_cells=tuple((names[c], int(u) + 1) for c, u in zip(*np.nonzero(fallback[m]))),
+                skipped_values=int(skipped[m]),
             ),
-        ))
+        )
+        for m in range(len(counts))
+    ]
     return models if rows.ndim == 2 else models[0]
 
 
@@ -284,13 +275,15 @@ def sample_scanpath(
 ) -> tuple[Scanpath, SaccadeTable]:
     """Draw a scanpath of ``n_fixations`` fixations from the model.
 
-    Saccade types and channel values follow the generative process; the
-    position trace is reconstructed by rotating the previous direction by
-    an angle drawn uniformly inside the sampled type's bin and stepping by
-    the sampled amplitude, so re-extracting features recovers the drawn
-    types, amplitudes, and durations. Channel values without a spatial
-    footprint (velocities, ratios, vigor) are carried in the returned
-    saccade table. Deterministic for a given seed.
+    Draws, in this order: the first fixation's type and duration, every
+    saccade's type, every saccade's direction change (one uniform call,
+    each angle strictly inside its type's bin), and every channel's values
+    (one Gamma call). The position trace then turns the previous direction
+    by each change, wrapped to (-180, 180], and steps by the amplitude, so
+    re-extracting features recovers the drawn types, amplitudes and
+    durations. Channel values without a spatial footprint (velocities,
+    ratios, vigor) are carried in the returned saccade table only.
+    Deterministic for a given seed.
     """
     if n_fixations < 2:
         raise ValueError("need at least 2 fixations")
@@ -303,10 +296,7 @@ def sample_scanpath(
     first_duration = float(rng.gamma(shapes[1, first], scales[1, first]))
 
     types = rng.choice(N_SACCADE_TYPES, size=n_sacc, p=pi / pi.sum()) + 1
-    deltas = np.empty(n_sacc)
-    for t, u in enumerate(types):
-        lo, hi = _TYPE_BINS[int(u)]
-        deltas[t] = rng.uniform(lo + _BIN_INSET, hi - _BIN_INSET)
+    deltas = rng.uniform(*_TYPE_BINS[types - 1].T)
 
     values = np.full((len(DYNAMICS_CHANNELS), n_sacc), math.nan)
     values[: len(shapes)] = rng.gamma(shapes[:, types - 1], scales[:, types - 1])

@@ -10,7 +10,7 @@ recorded human data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,30 +55,13 @@ class SyntheticCohortSpec:
             object.__setattr__(self, key, tuple(value))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_images": self.n_images,
-            "fixations_per_path": self.fixations_per_path,
-            "family": self.family,
-            "jitter": self.jitter,
-            "seed": self.seed,
-            "grid_shape": list(self.grid_shape),
-            "extent": list(self.extent),
-        }
+        """The fields in declaration order, tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SyntheticCohortSpec":
-        known = {
-            "n_users",
-            "n_images",
-            "fixations_per_path",
-            "family",
-            "jitter",
-            "seed",
-            "grid_shape",
-            "extent",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown cohort spec keys: {sorted(unknown)}")
         return cls(**doc)

@@ -419,6 +419,20 @@ class TestOneCodePath:
         assert f"error: ValueError: {tmp_path / 'bad.json'}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "phi.csv").exists()
 
+    def test_scores_names_both_files_when_the_information_has_another_dim(self, tmp_path, capsys):
+        data_dir = simulate_tiny(tmp_path, "markov")
+        model, info, out = tmp_path / "m.json", tmp_path / "info.json", tmp_path / "phi.csv"
+        assert main(["fit", "--data", str(data_dir), "--model", "markov", "--out", str(model)]) == 0
+        info.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 1.0]], "eps_reg": 1e-6, "n_scores": 2}))
+        capsys.readouterr()
+        assert main(["scores", "--data", str(data_dir), "--model-json", str(model), "--info-in", str(info),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {info}: information dim 2 does not match the 20 scores per item"
+            f" of the model in {model}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"classes": ["a"], "C": 1.0}, "KeyError: 'weights'"),
         ({"classes": ["a"], "weights": [[0.0, 0.0]]}, "KeyError: 'C'"),

@@ -512,6 +512,22 @@ class TestPersistence:
         rec = load_recording_csv(tmp_path / "rec.csv")
         assert len(rec) == 3
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"subject_id": "s"}', "expected a numeric sampling_rate (KeyError: 'sampling_rate')"),
+        ('{"sampling_rate": 1000,\n', "expected a numeric sampling_rate (JSONDecodeError: Expecting"),
+        ('{"sampling_rate": "fast"}',
+         "expected a numeric sampling_rate (ValueError: could not convert string to float: 'fast')"),
+        ("[1000]", "expected a numeric sampling_rate (TypeError: list indices must be integers"),
+        ('{"sampling_rate": 0}', "sampling_rate must be positive, got 0.0"),
+        ('{"sampling_rate": -250}', "sampling_rate must be positive, got -250.0"),
+        ('{"sampling_rate": NaN}', "sampling_rate must be positive, got nan"),
+    ])
+    def test_malformed_sidecar_names_it(self, tmp_path, sidecar, message):
+        (tmp_path / "rec.csv").write_text("t_ms,x_deg,y_deg\n0.0,0.0,0.0\n1.0,0.5,0.5\n")
+        (tmp_path / "rec.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'rec.json'}: {message}")):
+            load_recording_csv(tmp_path / "rec.csv")
+
     def test_malformed_row_names_location(self, tmp_path):
         (tmp_path / "rec.csv").write_text("t_ms,x_deg,y_deg\n0.0,0.0,0.0\n1.0,oops,0.0\n")
         (tmp_path / "rec.json").write_text('{"sampling_rate": 1000}')

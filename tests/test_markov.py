@@ -336,10 +336,14 @@ class TestStatisticsParity:
                 assert got.scale == pytest.approx(want.scale, rel=1e-10)
 
     def test_out_of_range_type_rejected(self):
+        # alone and as the second table of a list, where a type 0 would
+        # otherwise count in the first table's type-4 sums
         f = markov.sample_scanpath(markov.default_params(), 3, seed_or_rng=1)[1]
-        bad = SaccadeTable(types=np.r_[5, f.types], values=np.c_[f.values[:, :1], f.values])
-        with pytest.raises(ValueError, match="saccade types"):
-            markov.statistics(bad, BASE_CHANNELS)
+        for bad_type in (5, 0, -1):
+            bad = SaccadeTable(types=np.r_[bad_type, f.types], values=np.c_[f.values[:, :1], f.values])
+            for features in (bad, [f, bad]):
+                with pytest.raises(ValueError, match="saccade types"):
+                    markov.statistics(features, BASE_CHANNELS)
 
 
 class TestFit:

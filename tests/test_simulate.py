@@ -55,6 +55,20 @@ class TestSpec:
         with pytest.raises(ValueError, match=re.escape(f"{key} must be two {kind}, got {value!r}")):
             SyntheticCohortSpec.from_json_dict(doc)
 
+    def test_json_dict_lists_every_field_and_names_an_unknown_key(self):
+        spec = SyntheticCohortSpec(
+            n_users=2, n_images=3, fixations_per_path=7, family="scenewalk", jitter=0.25, seed=11,
+            grid_shape=(16, 8), extent=(12.0, 6.5),
+        )
+        doc = spec.to_json_dict()
+        assert json.dumps(doc) == (
+            '{"n_users": 2, "n_images": 3, "fixations_per_path": 7, "family": "scenewalk", "jitter": 0.25,'
+            ' "seed": 11, "grid_shape": [16, 8], "extent": [12.0, 6.5]}'
+        )
+        assert SyntheticCohortSpec.from_json_dict(doc) == spec
+        with pytest.raises(ValueError, match=re.escape("unknown cohort spec keys: ['grid', 'users']")):
+            SyntheticCohortSpec.from_json_dict({**doc, "users": 2, "grid": [8, 8]})
+
     def test_grid_shape_and_extent_lists_become_tuples(self):
         spec = SyntheticCohortSpec(n_users=1, n_images=1, fixations_per_path=3, grid_shape=[16, 8], extent=[8, 4.5])
         assert (spec.grid_shape, spec.extent) == ((16, 8), (8, 4.5))
@@ -230,6 +244,23 @@ class TestDatasetRoundTrip:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"has_features": false}', "expected an object with an items list"),
+        ('{"items": {"subject_id": "s0", "image_id": "i0"}}', "expected an object with an items list"),
+        ("[]", "expected an object with an items list"),
+        ('{"items": [{"subject_id": "s0"}]}',
+         "item 0 is not an object with string subject_id and image_id: {'subject_id': 's0'}"),
+        ('{"items": [{"subject_id": "s0", "image_id": "i0"}, ["s0", "i1"]]}',
+         "item 1 is not an object with string subject_id and image_id: ['s0', 'i1']"),
+        ('{"items": [{"subject_id": "s0", "image_id": 3}]}',
+         "item 0 is not an object with string subject_id and image_id: {'subject_id': 's0', 'image_id': 3}"),
+        ('{"items": [', "JSONDecodeError: Expecting value"),
+    ])
+    def test_malformed_manifest_names_the_file(self, tmp_path, text, message):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'manifest.json'}: {message}")):
             load_dataset(tmp_path)
 
     def test_missing_feature_file_is_an_error(self, tmp_path):
