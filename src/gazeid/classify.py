@@ -304,10 +304,10 @@ class EvalProtocol:
 
 @dataclass(frozen=True)
 class Split:
-    """Per-subject image-disjoint train/test partition."""
+    """Each subject's train and test rows of ``data.items``, in drawn order."""
 
-    train: dict[str, tuple[str, ...]]
-    test: dict[str, tuple[str, ...]]
+    train: dict[str, tuple[int, ...]]
+    test: dict[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -345,34 +345,31 @@ class ProtocolResult:
 
 
 def make_splits(data: GazeDataset, protocol: EvalProtocol) -> list[Split]:
-    """Deterministic per-subject image splits; no image is shared between a
-    subject's train and test sets."""
-    subjects = data.subjects
-    roots = np.random.SeedSequence(protocol.seed).spawn(protocol.n_splits)
+    """Deterministic splits: split i permutes each subject's n item rows by
+    generator i of ``protocol.seed`` and trains on the first
+    round(train_fraction * n), at least 1 and at most n - 1; the rest test."""
+    rows_of: dict[str, list[int]] = {}
+    for row, item in enumerate(data.items):
+        rows_of.setdefault(item.subject_id, []).append(row)
     splits = []
-    for seq in roots:
+    for seq in np.random.SeedSequence(protocol.seed).spawn(protocol.n_splits):
         rng = np.random.default_rng(seq)
-        train: dict[str, tuple[str, ...]] = {}
-        test: dict[str, tuple[str, ...]] = {}
-        for subject in subjects:
-            images = data.images_of(subject)
-            if len(images) < 2:
-                raise ValueError(
-                    f"subject {subject!r} has {len(images)} image(s); need at least 2"
-                )
-            perm = rng.permutation(len(images))
-            n_train = int(round(protocol.train_fraction * len(images)))
-            n_train = min(max(n_train, 1), len(images) - 1)
-            train[subject] = tuple(images[i] for i in perm[:n_train])
-            test[subject] = tuple(images[i] for i in perm[n_train:])
-            assert not set(train[subject]) & set(test[subject])
+        train, test = {}, {}
+        for subject, rows in rows_of.items():
+            if len(rows) < 2:
+                raise ValueError(f"subject {subject!r} has {len(rows)} image(s); need at least 2")
+            perm = rng.permutation(len(rows))
+            n_train = min(max(int(round(protocol.train_fraction * len(rows))), 1), len(rows) - 1)
+            train[subject] = tuple(rows[i] for i in perm[:n_train])
+            test[subject] = tuple(rows[i] for i in perm[n_train:])
         splits.append(Split(train=train, test=test))
     return splits
 
 
 class _FamilyOps:
     """Generative-model hooks of one model (markov, markov-dyn or
-    scenewalk), shared by the evaluation and ``gazeid fit``/``scores``.
+    scenewalk) over the rows of ``data.items``, shared by the evaluation
+    and ``gazeid fit``/``scores``; ``labels`` holds each row's subject.
     Markov models reduce every item once to its ``markov.statistics`` row,
     the base model from the item's scanpath and markov-dyn from its feature
     table; fits, likelihoods and scores are then sums and matrix products
@@ -382,8 +379,7 @@ class _FamilyOps:
 
     def __init__(self, data: GazeDataset, model: str, protocol: EvalProtocol, threads: int):
         self.data = data
-        self.index = {(it.subject_id, it.image_id): it for it in data.items}
-        self.row_of = {key: i for i, key in enumerate(self.index)}
+        self.labels = np.array([it.subject_id for it in data.items])
         if model == "markov":
             self.kind, self.channels = "markov", BASE_CHANNELS
         elif model == "markov-dyn":
@@ -398,11 +394,11 @@ class _FamilyOps:
             raise ValueError(f"unknown model {model!r}; choose one of markov, markov-dyn, scenewalk")
         self.protocol = protocol
         if model == "markov":
-            self.rows = markov.statistics([extract_features(it.scanpath) for it in self.index.values()], self.channels)
+            self.rows = markov.statistics([extract_features(it.scanpath) for it in data.items], self.channels)
         elif model == "markov-dyn":
-            self.rows = markov.statistics([it.features for it in self.index.values()], self.channels)
+            self.rows = markov.statistics([it.features for it in data.items], self.channels)
         else:
-            pairs = [(it.scanpath, data.saliency[it.image_id]) for it in self.index.values()]
+            pairs = [(it.scanpath, data.saliency[it.image_id]) for it in data.items]
             self.pool = scenewalk.SweepPool(pairs, min(threads, len(pairs)) - 1)
 
     def __enter__(self) -> "_FamilyOps":
@@ -415,42 +411,34 @@ class _FamilyOps:
         if self.kind == "scenewalk":
             self.pool.close()
 
-    def _indices(self, keys: Sequence[tuple[str, str]]) -> list[int]:
-        return [self.row_of[key] for key in keys]
-
-    def _stack(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
-        return self.rows[self._indices(keys)]
-
-    def fit(self, groups: Sequence[Sequence[tuple[str, str]]]) -> list:
-        """For each group of item keys, the fitted model parameters and,
+    def fit(self, groups: Sequence[Sequence[int]]) -> list:
+        """For each group of item rows, the fitted model parameters and,
         for SceneWalk, the ``SceneWalkFitResult`` (None for Markov). All
         Markov groups are fitted in one call."""
         if self.kind == "markov":
-            sums = np.array([self._stack(keys).sum(axis=0) for keys in groups])
+            sums = np.array([self.rows[list(rows)].sum(axis=0) for rows in groups])
             return [(params, None) for params in markov.fit_from_statistics(sums, self.channels)]
         results = []
-        for keys in groups:
-            indices = self._indices(keys)
+        for rows in groups:
             results.append(scenewalk.fit(
-                [self.pool.pairs[i] for i in indices],
+                [self.pool.pairs[i] for i in rows],
                 rho=self.protocol.scenewalk_rho,
                 max_iter=self.protocol.scenewalk_max_iter,
-                sweeps=functools.partial(self.pool.sweeps, indices=indices),
+                sweeps=functools.partial(self.pool.sweeps, indices=rows),
             ))
         return [(result.params, result) for result in results]
 
-    def loglik_table(self, keys: Sequence[tuple[str, str]], models: Sequence) -> np.ndarray:
-        """(items, models) log-likelihood of each item under each model."""
+    def loglik_table(self, rows: Sequence[int], models: Sequence) -> np.ndarray:
+        """(items, models) log-likelihood of each item row under each model."""
         if self.kind == "markov":
-            return self._stack(keys) @ np.array([markov.coef(m) for m in models]).T
-        indices = self._indices(keys)
-        return np.array([[value for value, _ in self.pool.sweeps(m, indices, with_grad=False)] for m in models]).T
+            return self.rows[list(rows)] @ np.array([markov.coef(m) for m in models]).T
+        return np.array([[value for value, _ in self.pool.sweeps(m, rows, with_grad=False)] for m in models]).T
 
-    def grads(self, keys: Sequence[tuple[str, str]], params) -> np.ndarray:
-        """(items, parameters) log-likelihood gradient of each item."""
+    def grads(self, rows: Sequence[int], params) -> np.ndarray:
+        """(items, parameters) log-likelihood gradient of each item row."""
         if self.kind == "markov":
-            return markov.grad_from_statistics(self._stack(keys), params)
-        return np.array([grad for _, grad in self.pool.sweeps(params, self._indices(keys))])
+            return markov.grad_from_statistics(self.rows[list(rows)], params)
+        return np.array([grad for _, grad in self.pool.sweeps(params, rows)])
 
 
 def _unconverged(result, whose: str = "") -> list[str]:
@@ -497,83 +485,75 @@ def _accuracy_from_rows(
 
 def _run_bayes_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     subjects = ops.data.subjects
-    fits = ops.fit([[(s, img) for img in split.train[s]] for s in subjects])
+    fits = ops.fit([split.train[s] for s in subjects])
     user_models = [model for model, _ in fits]
     notes = [note for s, (_, result) in zip(subjects, fits) for note in _unconverged(result, f" of {s}")]
     # Per-item log-likelihood under every user model; a group's
     # log-likelihood under a model is the sum of its items' rows.
-    test_keys = [(s, img) for s in subjects for img in split.test[s]]
-    return _accuracy_from_rows(subjects, split, ks, ops.loglik_table(test_keys, user_models)), None, notes
-
-
-def _cv_folds_of(train_images: Sequence[str], n_folds: int) -> list[tuple[list[str], list[str]]]:
-    folds = []
-    for f in range(n_folds):
-        val = list(train_images[f::n_folds])
-        fit = [img for img in train_images if img not in val]
-        folds.append((fit, val))
-    return folds
+    test_rows = [r for s in subjects for r in split.test[s]]
+    return _accuracy_from_rows(subjects, split, ks, ops.loglik_table(test_rows, user_models)), None, notes
 
 
 def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
     protocol = ops.protocol
     subjects = ops.data.subjects
-    train_keys = [(s, img) for s in subjects for img in split.train[s]]
-    test_keys = [(s, img) for s in subjects for img in split.test[s]]
-    [(pooled, result)] = ops.fit([train_keys])
+    train_rows = [r for s in subjects for r in split.train[s]]
+    test_rows = [r for s in subjects for r in split.test[s]]
+    [(pooled, result)] = ops.fit([train_rows])
     notes = _unconverged(result)
 
-    scores = ops.grads(train_keys + test_keys, pooled)
-    row = {key: i for i, key in enumerate(train_keys + test_keys)}
+    # every item is a train or a test row of the split: score each once
+    scores = ops.grads(range(len(ops.labels)), pooled)
 
-    def whitened(fit_keys, other_keys, norm):
-        """Features of both key lists, whitened by the information of the first."""
-        G, other = (scores[[row[key] for key in keys]] for keys in (fit_keys, other_keys))
+    def whitened(fit_rows, other_rows, norm):
+        """Features of both row lists, whitened by the information of the first."""
+        G = scores[fit_rows]
         info = fisher.estimate_information(G)
-        return fisher.feature_map(G, info, norm), fisher.feature_map(other, info, norm)
+        return fisher.feature_map(G, info, norm), fisher.feature_map(scores[other_rows], info, norm)
 
     def fitted(problems, Cs):
-        """``_train_grid`` of (features, keys) problems; a warning for each
+        """``_train_grid`` of (features, rows) problems; a warning for each
         model that stopped short of its tolerance, in problem and C order."""
-        grids = _train_grid([(X, [s for s, _ in keys]) for X, keys in problems], Cs)
+        grids = _train_grid([(X, ops.labels[rows].tolist()) for X, rows in problems], Cs)
         notes.extend(note for models in grids for m in models for note in _unconverged_train(m))
         return grids
 
     if len(subjects) < 2:
-        return _accuracy_from_rows(subjects, split, ks, np.zeros((len(test_keys), 1))), {"degenerate": True}, notes
+        return _accuracy_from_rows(subjects, split, ks, np.zeros((len(test_rows), 1))), {"degenerate": True}, notes
 
     # Hyperparameter search: evaluated on single test images (k = 1) within
-    # image-disjoint folds of the training portion, at the fixed ridge
+    # image-disjoint folds of the training rows (fold f validates every f-th
+    # train row of each subject and fits on the others), at the fixed ridge
     # fisher.DEFAULT_RIDGE. Candidates are ranked by CV accuracy with ties
     # broken toward smaller C, then normalization on. Every (normalization,
     # fold) is whitened first, and the SVMs of the whole CV are solved in
     # one call.
-    folds = {s: _cv_folds_of(split.train[s], protocol.cv_folds) for s in subjects}
-    cv_keys = []
+    cv_rows = []
     for f in range(protocol.cv_folds):
-        fit_keys = [(s, img) for s in subjects for img in folds[s][f][0]]
-        val_keys = [(s, img) for s in subjects for img in folds[s][f][1]]
-        if fit_keys and val_keys and len({s for s, _ in fit_keys}) >= 2:
-            cv_keys.append((fit_keys, val_keys))
+        val_rows = [r for s in subjects for r in split.train[s][f::protocol.cv_folds]]
+        held_out = set(val_rows)
+        fit_rows = [r for r in train_rows if r not in held_out]
+        if val_rows and len(set(ops.labels[fit_rows])) >= 2:
+            cv_rows.append((fit_rows, val_rows))
     c_grid = sorted(protocol.c_grid)
-    cv = [(fit_keys, val_keys, *whitened(fit_keys, val_keys, norm))
-          for norm in protocol.normalize_grid for fit_keys, val_keys in cv_keys]
-    grids = fitted([(X_fit, fit_keys) for fit_keys, _, X_fit, _ in cv], c_grid)
+    cv = [(fit_rows, val_rows, *whitened(fit_rows, val_rows, norm))
+          for norm in protocol.normalize_grid for fit_rows, val_rows in cv_rows]
+    grids = fitted([(X_fit, fit_rows) for fit_rows, _, X_fit, _ in cv], c_grid)
     accs = [  # per (normalization, fold), the validation accuracy at each C of c_grid
-        [float(np.mean(np.array(m.classes)[np.argmax(decision_matrix(m, X_val), axis=1)] == np.array([s for s, _ in val_keys])))
+        [float(np.mean(np.array(m.classes)[np.argmax(decision_matrix(m, X_val), axis=1)] == ops.labels[val_rows]))
          for m in models]
-        for (_, val_keys, _, X_val), models in zip(cv, grids)
+        for (_, val_rows, _, X_val), models in zip(cv, grids)
     ]
     candidates = []
     for j, norm in enumerate(protocol.normalize_grid):
-        fold_accs = accs[j * len(cv_keys):(j + 1) * len(cv_keys)]
+        fold_accs = accs[j * len(cv_rows):(j + 1) * len(cv_rows)]
         candidates += [(float(np.mean([acc[i] for acc in fold_accs])) if fold_accs else -1.0, C, norm)
                        for i, C in enumerate(c_grid)]
     candidates.sort(key=lambda c: (-c[0], c[1], not c[2]))
     _, C, norm = candidates[0]
 
-    X_train, X_test = whitened(train_keys, test_keys, norm)
-    [[model]] = fitted([(X_train, train_keys)], (C,))
+    X_train, X_test = whitened(train_rows, test_rows, norm)
+    [[model]] = fitted([(X_train, train_rows)], (C,))
     decisions = decision_matrix(model, X_test)
     class_order = [model.classes.index(s) for s in subjects]
     chosen = {"C": C, "eps_reg": fisher.DEFAULT_RIDGE, "normalize": bool(norm)}
@@ -621,14 +601,14 @@ def run_protocol(
     if len(data.subjects) < 2:
         warnings.append("single-subject dataset: identification accuracy is trivially 1.0")
 
-    min_test = min(len(images) for split in splits for images in split.test.values())
+    min_test = min(len(rows) for split in splits for rows in split.test.values())
     ks = [k for k in range(1, protocol.max_k + 1) if k <= min_test]
 
     def run_one(ops: _FamilyOps, split: Split):
         if family.startswith("bayes"):
             if len(data.subjects) < 2:
-                rows = np.zeros((sum(len(images) for images in split.test.values()), 1))
-                return _accuracy_from_rows(data.subjects, split, ks, rows), None, []
+                table = np.zeros((sum(len(rows) for rows in split.test.values()), 1))
+                return _accuracy_from_rows(data.subjects, split, ks, table), None, []
             return _run_bayes_split(ops, split, ks)
         return _run_fisher_split(ops, split, ks)
 

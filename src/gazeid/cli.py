@@ -34,9 +34,9 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
     """Merge the JSON config file with CLI flags; flags win.
 
     The config keys are the subcommand's option dests, in the order they
-    are declared. Unknown keys are rejected, and so is a value of an int or
-    float flag that is not a number of that type (an int may stand for a
-    float); options in ``required`` must be present after the merge.
+    are declared. Unknown keys are rejected, and so is a value not of its
+    flag's type: int, float (an int may stand for one) or, for a flag that
+    stores True, bool; options in ``required`` must be present after the merge.
     """
     keys = [key for key in vars(args) if key not in ("command", "func", "parser", "config")]
     config = {}
@@ -46,10 +46,10 @@ def _effective_config(args: argparse.Namespace, required: tuple[str, ...] = ()) 
         unknown = set(config) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        types = {action.dest: action.type for action in args.parser._actions}
+        types = {action.dest: action.type or type(action.const) for action in args.parser._actions}
         for key, value in config.items():
-            numeric = types[key] in (int, float) and value is not None
-            if numeric and (isinstance(value, bool) or not isinstance(value, (int, types[key]))):
+            typed = types[key] in (int, float, bool) and value is not None
+            if typed and (isinstance(value, bool) != (types[key] is bool) or not isinstance(value, (int, types[key]))):
                 raise ValueError(f"config key {key!r} must be {types[key].__name__}, got {value!r}")
     merged = {}
     for key in keys:
@@ -143,7 +143,7 @@ def cmd_fit(args) -> int:
         config, classify.EvalProtocol(scenewalk_max_iter=500), scenewalk_rho="rho", scenewalk_max_iter="max_iter"
     )
     with classify._FamilyOps(data, config["model"], protocol, threads=1) as ops:
-        [(params, result)] = ops.fit([list(ops.index)])
+        [(params, result)] = ops.fit([range(len(data.items))])
     for note in classify._unconverged(result):
         print(f"warning: {note}", file=sys.stderr)
     if result is None:
@@ -189,8 +189,7 @@ def cmd_scores(args) -> int:
     normalize = bool(config["normalize"]) if config["normalize"] is not None else False
 
     with classify._FamilyOps(data, kind, classify.EvalProtocol(), threads=1) as ops:
-        keys = list(ops.index)
-        scores = ops.grads(keys, params)
+        scores = ops.grads(range(len(data.items)), params)
     if config["info_in"]:
         info = _read_input_json(config["info_in"], lambda doc: fisher.FisherInformation(
             matrix=doc["matrix"], eps_reg=doc["eps_reg"], n_scores=doc["n_scores"]
@@ -205,7 +204,7 @@ def cmd_scores(args) -> int:
 
     out = Path(config["out"])
     phi = fisher.feature_map(scores, info, normalize)
-    _atomic_write(out, lambda tmp: fisher.export_features_csv(keys, phi, tmp))
+    _atomic_write(out, lambda tmp: fisher.export_features_csv([(it.subject_id, it.image_id) for it in data.items], phi, tmp))
 
     info_out = config["info_out"] or str(out.with_suffix(".info.json"))
     _write_json(
@@ -380,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="|".join(classify.FAMILIES))
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None, help="split seed")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="spread SceneWalk sweeps over N - 1 forked"
+                   " workers (default: the usable cores); Markov families ignore it")
     p.add_argument("--splits", type=int, default=None)
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=None)
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)

@@ -390,7 +390,10 @@ def load_recording_csv(csv_path: str | Path) -> GazeRecording:
     with open(sidecar) as fh:
         try:
             meta = json.load(fh)
-            sampling_rate = float(meta["sampling_rate"])
+            rate = meta["sampling_rate"]
+            if isinstance(rate, bool):
+                raise TypeError(f"a JSON boolean is not a rate: {rate!r}")
+            sampling_rate = float(rate)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{sidecar}: expected a numeric sampling_rate ({type(exc).__name__}: {exc})") from None
     if not sampling_rate > 0:

@@ -45,9 +45,15 @@ class DatasetItem:
 
 @dataclass(frozen=True)
 class GazeDataset:
+    """Viewings in a fixed order; the evaluation names each by its row in
+    ``items``, so a (subject, image) pair may appear only once."""
+
     items: tuple[DatasetItem, ...]
     saliency: dict[str, SaliencyMap] | None = None
     meta: dict | None = None
+
+    def __post_init__(self):
+        _check_unique([(it.subject_id, it.image_id) for it in self.items])
 
     @property
     def subjects(self) -> tuple[str, ...]:
@@ -75,13 +81,18 @@ def _checked_id(kind: str, value: str) -> str:
 
 
 def _check_pairs(pairs: list[tuple[str, str]]) -> None:
-    """Reject an id that ``_checked_id`` rejects and a (subject, image)
-    pair that appears twice."""
-    seen = set()
+    """Reject an id that ``_checked_id`` rejects."""
     for subject_id, image_id in pairs:
-        pair = (_checked_id("subject", subject_id), _checked_id("image", image_id))
+        _checked_id("subject", subject_id)
+        _checked_id("image", image_id)
+
+
+def _check_unique(pairs: list[tuple[str, str]]) -> None:
+    """Reject a (subject, image) pair that appears twice."""
+    seen = set()
+    for pair in pairs:
         if pair in seen:
-            raise ValueError(f"subject {subject_id!r} image {image_id!r} appears twice")
+            raise ValueError(f"subject {pair[0]!r} image {pair[1]!r} appears twice")
         seen.add(pair)
 
 
@@ -171,15 +182,20 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
     for k, entry in enumerate(entries):
         if not (isinstance(entry, dict) and all(isinstance(entry.get(key), str) for key in ("subject_id", "image_id"))):
             raise ValueError(f"{manifest_path}: item {k} is not an object with string subject_id and image_id: {entry!r}")
+    has_features, saliency_images = manifest.get("has_features", False), manifest.get("saliency_images", [])
+    if not isinstance(has_features, bool):
+        raise ValueError(f"{manifest_path}: has_features must be true or false, got {has_features!r}")
+    if not (isinstance(saliency_images, list) and all(isinstance(image_id, str) for image_id in saliency_images)):
+        raise ValueError(f"{manifest_path}: saliency_images must be a list of image ids, got {saliency_images!r}")
     pairs = [(entry["subject_id"], entry["image_id"]) for entry in entries]
     _check_pairs(pairs)
+    _check_unique(pairs)  # before the columns, whose lengths would not match a repeated item
     scan_path, lengths_path = root / "scanpaths.npy", root / "lengths.npy"
     if not scan_path.exists() and (root / "scanpaths").is_dir():
         raise ValueError(
             f"{root / 'scanpaths'}: the per-item CSV layout is gone, datasets are stored as .npy columns;"
             " re-run `gazeid simulate` or `gazeid detect`"
         )
-    has_features = bool(manifest.get("has_features"))
     rows = _read_column(scan_path, np.float64, (None, 3))
     lengths = _read_column(lengths_path, np.int64, (len(pairs),)).tolist()
     least = 1 if has_features else 0  # an item of T fixations has T - 1 saccades
@@ -209,9 +225,9 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
         )
 
     saliency = None
-    if manifest.get("saliency_images"):
+    if saliency_images:
         saliency = {
             image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
-            for image_id in manifest["saliency_images"]
+            for image_id in saliency_images
         }
     return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {})

@@ -352,10 +352,12 @@ class TestSplits:
         protocol = EvalProtocol(n_splits=4, seed=3)
         for split in classify.make_splits(data, protocol):
             for subject in data.subjects:
-                assert not set(split.train[subject]) & set(split.test[subject])
-                assert set(split.train[subject]) | set(split.test[subject]) == set(
-                    data.images_of(subject)
-                )
+                train, test = split.train[subject], split.test[subject]
+                assert {data.items[r].subject_id for r in train + test} == {subject}
+                train_images = {data.items[r].image_id for r in train}
+                test_images = {data.items[r].image_id for r in test}
+                assert not train_images & test_images
+                assert train_images | test_images == set(data.images_of(subject))
 
     def test_deterministic_given_seed(self):
         data = small_cohort()
@@ -408,6 +410,14 @@ class TestRunProtocol:
         r1 = classify.run_protocol(data, "bayes-markov", protocol)
         r2 = classify.run_protocol(data, "bayes-markov", protocol)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    def test_a_viewing_listed_twice_is_rejected(self):
+        # Items are named by row: a repeated viewing could otherwise train
+        # and test the same split.
+        data = small_cohort()
+        repeated = dataclasses.replace(data.items[1], image_id=data.items[0].image_id)
+        with pytest.raises(ValueError, match="subject 'user000' image 'img000' appears twice"):
+            classify.run_protocol(GazeDataset(items=(data.items[0], repeated, *data.items[2:])), "bayes-markov")
 
     def test_thread_count_does_not_change_results(self):
         data = small_cohort()
@@ -470,10 +480,9 @@ class TestRunProtocol:
         result = classify.run_protocol(data, "bayes-markov", protocol)
 
         split = classify.make_splits(data, protocol)[0]
-        index = {(i.subject_id, i.image_id): i for i in data.items}
         models = [
             markov.fit(
-                [extract_features(index[(s, img)].scanpath) for img in split.train[s]],
+                [extract_features(data.items[row].scanpath) for row in split.train[s]],
                 ("amplitude", "duration"),
             )
             for s in data.subjects
@@ -483,7 +492,7 @@ class TestRunProtocol:
             for s_idx, subject in enumerate(data.subjects):
                 test = split.test[subject]
                 for g in range(0, len(test) - k + 1, k):
-                    group = [extract_features(index[(subject, img)].scanpath) for img in test[g : g + k]]
+                    group = [extract_features(data.items[row].scanpath) for row in test[g : g + k]]
                     correct += bayes_oracle(group, models) == s_idx
                     total += 1
             assert result.per_split[k][0] == pytest.approx(correct / total)

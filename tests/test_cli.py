@@ -295,9 +295,11 @@ def test_config_keys_are_the_flags_dests(tmp_path, command, deleted):
     [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert [a.dest for a in subparsers.choices[command]._actions if a.dest not in ("help", "config")] == keys
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: i for i, key in enumerate(keys)}))
+    # a distinct value per key, of its flag's type: ``--normalize`` stores True
+    values = {key: True if key == "normalize" else i for i, key in enumerate(keys)}
+    cfg.write_text(json.dumps(values))
     args = parser.parse_args([command, "--config", str(cfg)])
-    assert list(cli._effective_config(args).items()) == [(key, i) for i, key in enumerate(keys)]
+    assert list(cli._effective_config(args).items()) == list(values.items())
     cfg.write_text(json.dumps({deleted: 0}))
     with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{deleted}']")):
         cli._effective_config(args)
@@ -306,16 +308,23 @@ def test_config_keys_are_the_flags_dests(tmp_path, command, deleted):
 @pytest.mark.parametrize("key, value, expected", [
     ("splits", "2", "int"), ("splits", 2.0, "int"), ("splits", True, "int"),
     ("train_fraction", "0.5", "float"), ("scenewalk_max_iter", [10], "int"),
+    ("normalize", "false", "bool"), ("normalize", 0, "bool"),
 ])
 def test_config_values_must_be_of_their_flags_type(tmp_path, capsys, key, value, expected):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": str(tmp_path), "family": "bayes-markov", "out": str(tmp_path / "res"), key: value}))
-    assert main(["eval", "--config", str(cfg)]) == 2
+    if key == "normalize":  # a flag of ``scores`` that stores True
+        cfg.write_text(json.dumps({"data": str(tmp_path), "model_json": str(tmp_path / "m.json"), key: value}))
+        assert main(["scores", "--config", str(cfg), "--out", str(tmp_path / "phi.csv")]) == 2
+    else:
+        cfg.write_text(json.dumps({"data": str(tmp_path), "family": "bayes-markov", "out": str(tmp_path / "res"), key: value}))
+        assert main(["eval", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: ValueError: config key {key!r} must be {expected}, got {value!r}\n"
     # a JSON int stands for a float, and reaches the config unchanged
     cfg.write_text(json.dumps({"train_fraction": 1, "scenewalk_rho": 2}))
     config = cli._effective_config(cli.build_parser().parse_args(["eval", "--config", str(cfg)]))
     assert [(config[k], type(config[k])) for k in ("train_fraction", "scenewalk_rho")] == [(1, int), (2, int)]
+    cfg.write_text(json.dumps({"normalize": False}))
+    assert cli._effective_config(cli.build_parser().parse_args(["scores", "--config", str(cfg)]))["normalize"] is False
 
 
 TINY_COHORTS = {
@@ -346,9 +355,8 @@ class TestOneCodePath:
         data = load_dataset(data_dir)
         protocol = classify.EvalProtocol(scenewalk_max_iter=50)
         with classify._FamilyOps(data, model, protocol, threads=1) as ops:
-            keys = list(ops.index)
-            [(params, result)] = ops.fit([keys])
-            G = ops.grads(keys, params)
+            [(params, result)] = ops.fit([range(len(data.items))])
+            G = ops.grads(range(len(data.items)), params)
         doc = json.loads((tmp_path / "m.json").read_text())
         assert doc["model"] == model
         if model == "scenewalk":
@@ -359,7 +367,7 @@ class TestOneCodePath:
                 markov.params_to_vector(markov.params_from_json_dict(doc)), markov.params_to_vector(params)
             )
         subjects, images, X = fisher.load_features_csv(tmp_path / "phi.csv")
-        assert list(zip(subjects, images)) == keys
+        assert list(zip(subjects, images)) == [(it.subject_id, it.image_id) for it in data.items]
         np.testing.assert_array_equal(X, fisher.feature_map(G, fisher.estimate_information(G)))
 
     def test_fit_warns_when_the_scenewalk_fit_stops_short(self, tmp_path, capsys):

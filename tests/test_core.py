@@ -518,6 +518,7 @@ class TestPersistence:
         ('{"sampling_rate": "fast"}',
          "expected a numeric sampling_rate (ValueError: could not convert string to float: 'fast')"),
         ("[1000]", "expected a numeric sampling_rate (TypeError: list indices must be integers"),
+        ('{"sampling_rate": true}', "expected a numeric sampling_rate (TypeError: a JSON boolean is not a rate: True)"),
         ('{"sampling_rate": 0}', "sampling_rate must be positive, got 0.0"),
         ('{"sampling_rate": -250}', "sampling_rate must be positive, got -250.0"),
         ('{"sampling_rate": NaN}', "sampling_rate must be positive, got nan"),

@@ -257,6 +257,11 @@ class TestDatasetRoundTrip:
         ('{"items": [{"subject_id": "s0", "image_id": 3}]}',
          "item 0 is not an object with string subject_id and image_id: {'subject_id': 's0', 'image_id': 3}"),
         ('{"items": [', "JSONDecodeError: Expecting value"),
+        ('{"items": [], "has_features": "false"}', "has_features must be true or false, got 'false'"),
+        ('{"items": [], "has_features": 0}', "has_features must be true or false, got 0"),
+        ('{"items": [], "saliency_images": "img000"}', "saliency_images must be a list of image ids, got 'img000'"),
+        ('{"items": [], "saliency_images": ["img000", 1]}',
+         "saliency_images must be a list of image ids, got ['img000', 1]"),
     ])
     def test_malformed_manifest_names_the_file(self, tmp_path, text, message):
         (tmp_path / "manifest.json").write_text(text)
