@@ -186,7 +186,7 @@ def cmd_scores(args) -> int:
     data = _load_dataset_or_fail(config["data"])
     kind, params = _read_input_json(config["model_json"], _model_from_json)
     eps = config["eps_reg"] if config["eps_reg"] is not None else fisher.DEFAULT_RIDGE
-    normalize = bool(config["normalize"]) if config["normalize"] is not None else False
+    normalize = bool(config["normalize"])  # None when neither the flag nor the config sets it
 
     with classify._FamilyOps(data, kind, classify.EvalProtocol(), threads=1) as ops:
         scores = ops.grads(range(len(data.items)), params)
