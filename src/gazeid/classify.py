@@ -371,9 +371,10 @@ class _FamilyOps:
     scenewalk) over the rows of ``data.items``, shared by the evaluation
     and ``gazeid fit``/``scores``; ``labels`` holds each row's subject.
     Markov models reduce every item once to its ``markov.statistics`` row,
-    the base model from the item's scanpath and markov-dyn from its feature
-    table; fits, likelihoods and scores are then sums and matrix products
-    of those rows. SceneWalk sweeps the items' paths in a
+    the base model from one ``extract_features`` call over all items'
+    scanpaths and markov-dyn from the items' feature tables; fits,
+    likelihoods and scores are then sums and matrix products of those
+    rows. SceneWalk sweeps the items' paths in a
     ``scenewalk.SweepPool`` with ``threads - 1`` forked workers, which
     ``close`` (or leaving a ``with`` block) stops."""
 
@@ -394,7 +395,8 @@ class _FamilyOps:
             raise ValueError(f"unknown model {model!r}; choose one of markov, markov-dyn, scenewalk")
         self.protocol = protocol
         if model == "markov":
-            self.rows = markov.statistics([extract_features(it.scanpath) for it in data.items], self.channels)
+            paths = [it.scanpath for it in data.items]
+            self.rows = markov.statistics(extract_features(paths), self.channels, [len(p) - 1 for p in paths])
         elif model == "markov-dyn":
             self.rows = markov.statistics([it.features for it in data.items], self.channels)
         else:
@@ -468,30 +470,45 @@ def _accuracy_from_rows(
     """Group accuracies when per-item per-class scores are additive.
     ``table`` has one row per test item, subject by subject in
     ``split.test`` order. Each subject's disjoint consecutive groups of k
-    test images (remainder dropped) are summed by one reshape; ties go to
-    the lowest class index."""
-    per_subject = np.split(table, np.cumsum([len(split.test[s]) for s in subjects])[:-1])
+    test images (remainder dropped) are summed, for every subject at once,
+    by one gather into a (groups, k, classes) array; ties go to the lowest
+    class index."""
+    n_test = np.array([len(split.test[s]) for s in subjects])
+    starts = np.cumsum(n_test) - n_test
     accuracies = {}
     for k in ks:
-        correct = total = 0
-        for s_idx, scores in enumerate(per_subject):
-            groups = len(scores) // k
-            summed = scores[: groups * k].reshape(groups, k, table.shape[1]).sum(axis=1)
-            correct += int(np.sum(np.argmax(summed, axis=1) == s_idx))
-            total += groups
-        accuracies[k] = correct / total if total else math.nan
+        groups = n_test // k
+        owner = np.repeat(np.arange(len(subjects)), groups)
+        # group g of a subject starts k * g rows after the subject's first row
+        index_in_subject = np.arange(len(owner)) - np.repeat(np.cumsum(groups) - groups, groups)
+        first = starts[owner] + k * index_in_subject
+        summed = table[first[:, None] + np.arange(k)].sum(axis=1)
+        correct = int(np.count_nonzero(np.argmax(summed, axis=1) == owner))
+        accuracies[k] = correct / len(owner) if len(owner) else math.nan
     return accuracies
 
 
-def _run_bayes_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
+def _run_bayes_splits(ops: _FamilyOps, splits: Sequence[Split], ks: Sequence[int]) -> list:
+    """Bayes identification on every split. The viewer models of all
+    splits are fitted in one ``ops.fit`` call, split by split and subject
+    by subject; each split then scores its test items under its own
+    models. A single subject is trivially identified, and nothing is
+    fitted."""
     subjects = ops.data.subjects
-    fits = ops.fit([split.train[s] for s in subjects])
-    user_models = [model for model, _ in fits]
-    notes = [note for s, (_, result) in zip(subjects, fits) for note in _unconverged(result, f" of {s}")]
-    # Per-item log-likelihood under every user model; a group's
-    # log-likelihood under a model is the sum of its items' rows.
-    test_rows = [r for s in subjects for r in split.test[s]]
-    return _accuracy_from_rows(subjects, split, ks, ops.loglik_table(test_rows, user_models)), None, notes
+    if len(subjects) < 2:
+        return [(_accuracy_from_rows(subjects, split, ks, np.zeros((len(split.test[subjects[0]]), 1))), None, [])
+                for split in splits]
+    fits = ops.fit([split.train[s] for split in splits for s in subjects])
+    outcomes = []
+    for i, split in enumerate(splits):
+        split_fits = fits[i * len(subjects):(i + 1) * len(subjects)]
+        notes = [note for s, (_, result) in zip(subjects, split_fits) for note in _unconverged(result, f" of {s}")]
+        # Per-item log-likelihood under every user model; a group's
+        # log-likelihood under a model is the sum of its items' rows.
+        test_rows = [r for s in subjects for r in split.test[s]]
+        table = ops.loglik_table(test_rows, [model for model, _ in split_fits])
+        outcomes.append((_accuracy_from_rows(subjects, split, ks, table), None, notes))
+    return outcomes
 
 
 def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
@@ -569,7 +586,8 @@ def run_protocol(
     """Full evaluation: splits, per-split fitting/tuning, accuracy curve.
 
     Bayes families fit one generative model per subject on its training
-    images and identify by summed log-likelihood. Fisher families fit one
+    images, the models of all splits in one ``_FamilyOps.fit`` call, and
+    identify by summed log-likelihood. Fisher families fit one
     pooled generative model per split on all training items, whiten the
     score vectors with the empirical information of the training scores
     at the fixed ridge ``fisher.DEFAULT_RIDGE``, tune (C, normalization)
@@ -604,17 +622,12 @@ def run_protocol(
     min_test = min(len(rows) for split in splits for rows in split.test.values())
     ks = [k for k in range(1, protocol.max_k + 1) if k <= min_test]
 
-    def run_one(ops: _FamilyOps, split: Split):
-        if family.startswith("bayes"):
-            if len(data.subjects) < 2:
-                table = np.zeros((sum(len(rows) for rows in split.test.values()), 1))
-                return _accuracy_from_rows(data.subjects, split, ks, table), None, []
-            return _run_bayes_split(ops, split, ks)
-        return _run_fisher_split(ops, split, ks)
-
     model = family.removeprefix("bayes-").removeprefix("fisher-svm-")
     with _one_blas_thread(), _FamilyOps(data, model, protocol, threads) as ops:
-        outcomes = [run_one(ops, split) for split in splits]
+        if family.startswith("bayes"):
+            outcomes = _run_bayes_splits(ops, splits, ks)
+        else:
+            outcomes = [_run_fisher_split(ops, split, ks) for split in splits]
 
     warnings += [f"split {idx}: {note}" for idx, (_, _, notes) in enumerate(outcomes) for note in notes]
     per_split = {k: tuple(acc[k] for acc, _, _ in outcomes) for k in ks}

@@ -6,6 +6,7 @@ milliseconds, velocities deg/s, accelerations deg/s^2 throughout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -278,28 +279,52 @@ def detect_saccades(
     )
 
 
-def extract_features(path: Scanpath) -> SaccadeTable:
-    """Per-saccade feature table of a scanpath of T >= 2 fixations.
+def extract_features(paths: Scanpath | Sequence[Scanpath]) -> SaccadeTable:
+    """Per-saccade feature table of a scanpath of T >= 2 fixations, or of
+    a sequence of scanpaths as one table: each path's T - 1 saccades in
+    path order, so that its rows are the concatenation of the paths' own
+    tables, bit for bit.
 
     Saccade t runs from fixation t to fixation t+1 and is paired with the
     duration of fixation t+1. Its type is classified from the direction
     change relative to the previous saccade; the first saccade's reference
     direction is the positive x axis. A scanpath gives the amplitude and
     duration rows; the dynamics rows stay NaN, because they come only from
-    a dataset's stored features (``dataset.load_dataset``).
+    a dataset's stored features (``dataset.load_dataset``). The array work
+    runs once over the paths' concatenated fixations, dropping the step
+    from one path's last fixation to the next path's first. A path of
+    fewer than 2 fixations raises ValueError naming its subject and image.
     """
-    T = len(path)
-    if T < 2:
-        raise ValueError("scanpath must contain at least 2 fixations")
-    steps = np.diff(path.positions, axis=0)
+    paths = [paths] if isinstance(paths, Scanpath) else list(paths)
+    lengths = [len(p) for p in paths]
+    if not paths:
+        raise ValueError("no scanpaths to extract features from")
+    if min(lengths) < 2:
+        p = next(p for p in paths if len(p) < 2)
+        raise ValueError(
+            f"scanpath must contain at least 2 fixations; subject {p.subject_id!r} image "
+            f"{p.image_id!r} has {len(p)}"
+        )
+    positions = np.concatenate([p.positions for p in paths])
+    # Fixation i ends a saccade unless it starts a path; the first saccade
+    # of path j is saccade starts[j] - j.
+    starts = list(itertools.accumulate(lengths[:-1], initial=0))
+    ends_saccade = np.ones(len(positions), dtype=bool)
+    ends_saccade[starts] = False
+    steps = (positions[1:] - positions[:-1])[ends_saccade[1:]]
     amplitudes = np.hypot(steps[:, 0], steps[:, 1])
     directions = np.degrees(np.arctan2(steps[:, 1], steps[:, 0]))
+    # each saccade's turn from the previous one; a path's first turns from +x
+    deltas = directions.copy()
+    deltas[1:] -= directions[:-1]
+    first = [s - j for j, s in enumerate(starts)]
+    deltas[first] = directions[first]
 
-    values = np.full((len(DYNAMICS_CHANNELS), T - 1), math.nan)
-    values[0] = np.where(amplitudes > 0, amplitudes, math.nan)
-    values[1] = path.durations[1:]
-    deltas = wrap_angle_deg(np.diff(directions, prepend=0.0))
-    return SaccadeTable(types=[classify_saccade_type(d) for d in deltas], values=values)
+    values = np.full((len(DYNAMICS_CHANNELS), len(steps)), math.nan)
+    np.copyto(values[0], amplitudes, where=amplitudes > 0)  # a zero-length step's stays NaN
+    values[1] = np.concatenate([p.durations for p in paths])[ends_saccade]
+    types = np.fromiter(map(classify_saccade_type, wrap_angle_deg(deltas).tolist()), dtype=int, count=len(steps))
+    return SaccadeTable(types=types, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -150,35 +150,45 @@ def checked_gamma(shape, scale, converged) -> GammaParams:
     return GammaParams(shape=float(shape), scale=float(scale))
 
 
-def multinomial_mle(counts) -> MultinomialParams:
-    """Floored multinomial MLE: pi_u = max(K_u / sum K, floor), renormalized.
+def floored_multinomial(counts) -> np.ndarray:
+    """Floored multinomial MLE of each row of a (rows, 4) stack of type
+    counts: pi_u = max(K_u / sum K, floor), renormalized.
 
     Floored entries are pinned at exactly PROB_FLOOR and the remaining mass
     is distributed proportionally over the others, so counts (5,0,0,0) map
-    to (1 - 3*floor, floor, floor, floor).
+    to (1 - 3*floor, floor, floor, floor). A row's free mass is summed with
+    its floored entries as exact zeros, in type order, so every row equals
+    its fit alone, bit for bit.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (N_SACCADE_TYPES,):
-        raise ValueError(f"expected {N_SACCADE_TYPES} counts, got shape {counts.shape}")
+    if counts.ndim != 2 or counts.shape[1] != N_SACCADE_TYPES:
+        raise ValueError(f"expected rows of {N_SACCADE_TYPES} counts, got shape {counts.shape}")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    total = counts.sum()
-    if total <= 0:
+    total = counts.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
         raise DegenerateSampleError("all type counts are zero")
 
     pi = counts / total
     floored = pi < PROB_FLOOR
     # Rescaling the free entries can push borderline ones under the floor;
-    # repeat until the floored set is stable (at most 3 passes for 4 bins).
+    # repeat until every row's floored set is stable (at most 3 passes for 4 bins).
     while True:
-        free_mass = 1.0 - PROB_FLOOR * floored.sum()
-        scaled = pi.copy()
-        scaled[floored] = PROB_FLOOR
-        scaled[~floored] = pi[~floored] * free_mass / pi[~floored].sum()
+        free_mass = 1.0 - PROB_FLOOR * floored.sum(axis=1, keepdims=True)
+        free = np.where(floored, 0.0, pi)
+        scaled = np.where(floored, PROB_FLOOR, free * free_mass / free.sum(axis=1, keepdims=True))
         newly = (scaled < PROB_FLOOR) & ~floored
         if not newly.any():
-            return MultinomialParams(pi=scaled)
+            return scaled
         floored |= newly
+
+
+def multinomial_mle(counts) -> MultinomialParams:
+    """``floored_multinomial`` of one row of type counts."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (N_SACCADE_TYPES,):
+        raise ValueError(f"expected {N_SACCADE_TYPES} counts, got shape {counts.shape}")
+    return MultinomialParams(pi=floored_multinomial(counts[None])[0])
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

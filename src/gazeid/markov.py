@@ -25,9 +25,9 @@ from .distributions import (
     N_SACCADE_TYPES,
     as_rng,
     checked_gamma,
+    floored_multinomial,
     gamma_logpdf,  # noqa: F401  (unused; the benchmark's tracer test patches it through markov)
     gamma_mle_from_sums,
-    multinomial_mle,
 )
 
 # Row u - 1 holds the (low, high) direction change (degrees) drawn for a
@@ -129,7 +129,7 @@ def _per_type_blocks(first: np.ndarray, shapes: np.ndarray, scales: np.ndarray) 
 
 
 def statistics(
-    features: SaccadeTable | Sequence[SaccadeTable], channels: Sequence[str]
+    features: SaccadeTable | Sequence[SaccadeTable], channels: Sequence[str], lengths: Sequence[int] | None = None
 ) -> np.ndarray:
     """Sufficient-statistics row of one scanpath's saccade table, on which
     alone ``loglik``, ``grad_loglik`` and ``fit`` depend: ``[K_1..K_4 | for
@@ -137,31 +137,39 @@ def statistics(
     saccades; the channel sums skip values that are not finite and
     positive. The row of a concatenation is the sum of the rows.
 
-    A sequence of tables gives the (tables, row) matrix. Every sum is one
-    ``np.bincount`` bin per (channel, term, table, type) over the tables'
-    concatenation, and a bin adds its values in saccade order, so every
-    row equals the row of its table alone, bit for bit."""
-    single = isinstance(features, SaccadeTable)
-    tables = [features] if single else list(features)
-    lengths = [len(t) for t in tables]
-    if not tables or min(lengths) == 0:
+    With ``lengths``, the table is several items' tables concatenated, the
+    i-th of ``lengths[i]`` saccades, and the result is the (items, row)
+    matrix; a sequence of tables is the same as their concatenation with
+    their lengths. Every sum is one ``np.bincount`` bin per (channel, term,
+    item, type), and a bin adds its values in saccade order, so every row
+    equals the row of its item's table alone, bit for bit."""
+    if not isinstance(features, SaccadeTable):
+        tables = list(features)
+        if not tables:
+            raise ValueError("features must be non-empty")
+        return statistics(SaccadeTable.concat(tables), channels, [len(t) for t in tables])
+    single = lengths is None
+    lengths = [len(features)] if single else list(lengths)
+    if not lengths or min(lengths) < 1:
         raise ValueError("features must be non-empty")
+    if sum(lengths) != len(features):
+        raise ValueError(f"lengths sum to {sum(lengths)}, but the table has {len(features)} saccades")
     names = canonical_channels(channels)
-    types = np.concatenate([t.types for t in tables])
-    # a type outside 1..4 would fall into a neighbouring table's bin
+    types = features.types
+    # a type outside 1..4 would fall into a neighbouring item's bin
     if types.min() < 1 or types.max() > N_SACCADE_TYPES:
         raise ValueError(f"saccade types must lie in 1..{N_SACCADE_TYPES}")
-    values = np.concatenate([t.values[: len(names)] for t in tables], axis=1)
+    values = features.values[: len(names)]
     valid = np.isfinite(values) & (values > 0)
     x = np.where(valid, values, 1.0)
     terms = np.stack([valid, valid * x, np.log(x)], axis=1).reshape(-1, len(types))  # (channel, term) rows
-    n_cells = len(tables) * N_SACCADE_TYPES
-    cell = np.repeat(np.arange(0, n_cells, N_SACCADE_TYPES), lengths) + types - 1  # 4 * table + type - 1
+    n_cells = len(lengths) * N_SACCADE_TYPES
+    cell = np.repeat(np.arange(0, n_cells, N_SACCADE_TYPES), lengths) + types - 1  # 4 * item + type - 1
     bins = np.arange(len(terms))[:, None] * n_cells + cell
     sums = np.bincount(bins.ravel(), terms.ravel(), minlength=len(terms) * n_cells)
-    counts = np.bincount(cell, minlength=n_cells).reshape(len(tables), N_SACCADE_TYPES)
-    sums = sums.reshape(len(names), 3, len(tables), N_SACCADE_TYPES).transpose(2, 0, 3, 1)
-    rows = np.concatenate([counts, sums.reshape(len(tables), -1)], axis=1)
+    counts = np.bincount(cell, minlength=n_cells).reshape(len(lengths), N_SACCADE_TYPES)
+    sums = sums.reshape(len(names), 3, len(lengths), N_SACCADE_TYPES).transpose(2, 0, 3, 1)
+    rows = np.concatenate([counts, sums.reshape(len(lengths), -1)], axis=1)
     return rows[0] if single else rows
 
 
@@ -204,11 +212,13 @@ def fit_from_statistics(rows: np.ndarray, channels: Sequence[str]) -> MarkovMode
         checked_gamma(shape[m, c, -1], scale[m, c, -1], ok[m, c, -1])  # a failed pooled fit raises
     shapes, scales = (np.where(fallback, v[..., -1:], v[..., :N_SACCADE_TYPES]) for v in (shape, scale))
     skipped = counts.sum(axis=-1) * len(names) - stats[..., 0].sum(axis=(-2, -1))
+    pis = floored_multinomial(counts)
+    shapes, scales = shapes.tolist(), scales.tolist()
     models = [
         MarkovModelParams(
-            pi=multinomial_mle(counts[m]).pi,
+            pi=pis[m],
             channels={
-                ch: tuple(GammaParams(shape=float(a), scale=float(b)) for a, b in zip(shapes[m, c], scales[m, c]))
+                ch: tuple(GammaParams(shape=a, scale=b) for a, b in zip(shapes[m][c], scales[m][c]))
                 for c, ch in enumerate(names)
             },
             fit_report=MarkovFitReport(

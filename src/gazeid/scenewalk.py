@@ -363,7 +363,10 @@ def _sweep(
     """
     T = len(path)
     if T < 2:
-        raise ValueError("scanpath must contain at least 2 fixations")
+        raise ValueError(
+            f"scanpath must contain at least 2 fixations; subject {path.subject_id!r} image "
+            f"{path.image_id!r} has {T}"
+        )
     cells = np.array([saliency.position_to_cell(q)[:2] for q in path.positions])
 
     windows = _windows(cells[:-1], path.durations[:-1], params, saliency)

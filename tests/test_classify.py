@@ -16,7 +16,7 @@ from test_markov import bayes_oracle
 
 from gazeid import classify, markov, scenewalk, simulate
 from gazeid.classify import EvalProtocol
-from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
+from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, Scanpath, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset
 
 
@@ -383,6 +383,47 @@ class TestAccuracyFromRows:
         # k=2: one group each, the remainder dropped; k=3: both groups lost
         assert acc == {1: 2 / 6, 2: 1 / 2, 3: 0.0}
 
+    @pytest.mark.parametrize("n_classes", [1, 2, 5])
+    def test_equals_the_per_subject_loop(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        for trial in range(40):
+            subjects = tuple(f"s{i}" for i in range(int(rng.integers(1, 6))))
+            # ragged test counts, some below the largest k
+            split = classify.Split(train={}, test={s: tuple(range(int(rng.integers(1, 9)))) for s in subjects})
+            n_rows = sum(len(rows) for rows in split.test.values())
+            if trial % 2:  # small integers: many ties
+                table = rng.integers(-2, 3, (n_rows, n_classes)).astype(float)
+            else:
+                table = rng.standard_normal((n_rows, n_classes)) * 10.0 ** rng.integers(-3, 4, (n_rows, 1))
+            ks = range(1, 11)
+            got = classify._accuracy_from_rows(subjects, split, ks, table)
+            want = oracle_accuracy_from_rows(subjects, split, ks, table)
+            assert list(got) == list(want) and all(type(v) is float for v in got.values())
+            assert all(got[k] == want[k] or (math.isnan(got[k]) and math.isnan(want[k])) for k in ks)
+
+    def test_a_group_is_summed_in_row_order(self):
+        # in row order class 0 sums to (1 + 1e16) - 1e16 = 0 and loses to
+        # 0.5; in any other order its 1 survives and it wins
+        split = classify.Split(train={}, test={"a": (0, 1, 2), "b": (3,)})
+        table = np.array([[1.0, 0.0], [1e16, 0.0], [-1e16, 0.5], [0.0, 1.0]])
+        assert classify._accuracy_from_rows(("a", "b"), split, [3], table) == {3: 0.0}
+        assert oracle_accuracy_from_rows(("a", "b"), split, [3], table) == {3: 0.0}
+
+
+def oracle_accuracy_from_rows(subjects, split, ks, table):
+    """The per-subject loop that ``_accuracy_from_rows`` replaced."""
+    per_subject = np.split(table, np.cumsum([len(split.test[s]) for s in subjects])[:-1])
+    accuracies = {}
+    for k in ks:
+        correct = total = 0
+        for s_idx, scores in enumerate(per_subject):
+            groups = len(scores) // k
+            summed = scores[: groups * k].reshape(groups, k, table.shape[1]).sum(axis=1)
+            correct += int(np.sum(np.argmax(summed, axis=1) == s_idx))
+            total += groups
+        accuracies[k] = correct / total if total else math.nan
+    return accuracies
+
 
 class TestFamilyOpsInputs:
     def test_base_rows_come_from_scanpaths_and_dynamics_rows_from_features(self):
@@ -395,6 +436,19 @@ class TestFamilyOpsInputs:
             base.rows, markov.statistics([extract_features(it.scanpath) for it in data.items], BASE_CHANNELS)
         )
         np.testing.assert_array_equal(dyn.rows, markov.statistics([it.features for it in data.items], DYNAMICS_CHANNELS))
+
+    def test_base_rows_of_ragged_paths_equal_the_rows_of_each_item_alone(self):
+        rng = np.random.default_rng(3)
+        items = []
+        for i, n in enumerate([2, 7, 2, 30, 5, 3, 2, 11]):
+            positions = np.round(rng.uniform(0, 3, (n, 2)), 1)
+            positions[1] = positions[0] if i == 4 else positions[1]  # a zero-length step
+            path = Scanpath(positions=positions, durations=rng.uniform(80, 400, n))
+            items.append(DatasetItem(f"s{i % 2}", f"img{i}", path))
+        data = GazeDataset(items=tuple(items))
+        rows = classify._FamilyOps(data, "markov", EvalProtocol(), threads=1).rows
+        want = [markov.statistics(extract_features(it.scanpath), BASE_CHANNELS) for it in data.items]
+        np.testing.assert_array_equal(rows, want)
 
     def test_dynamics_reject_an_item_without_features(self):
         data = small_cohort(family="markov-dyn")

@@ -460,6 +460,21 @@ class TestOneCodePath:
         assert "error: ValueError: grid_shape must be two positive ints, got [8]" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("model", ["markov", "scenewalk"])
+    def test_an_item_of_one_fixation_is_named(self, tmp_path, capsys, model):
+        data = load_dataset(simulate_tiny(tmp_path, model))
+        first = data.items[1]
+        short = dataclasses.replace(first.scanpath, positions=first.scanpath.positions[:1],
+                                    durations=first.scanpath.durations[:1])
+        items = (data.items[0], dataclasses.replace(first, scanpath=short), *data.items[2:])
+        save_dataset(GazeDataset(items, data.saliency, data.meta), tmp_path / "cut")
+        for family in (f"bayes-{model}", f"fisher-svm-{model}"):
+            argv = ["eval", "--data", str(tmp_path / "cut"), "--family", family, "--out", str(tmp_path / "res"),
+                    "--threads", "1"]
+            assert main(argv) == 2
+            assert (f"error: ValueError: scanpath must contain at least 2 fixations; subject "
+                    f"{first.subject_id!r} image {first.image_id!r} has 1") in capsys.readouterr().err
+
     def test_dynamics_without_feature_files_is_named(self, tmp_path, capsys):
         data = load_dataset(simulate_tiny(tmp_path, "markov-dyn"))
         items = tuple(dataclasses.replace(it, features=None) for it in data.items)

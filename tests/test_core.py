@@ -451,6 +451,47 @@ class TestSaccadeTable:
             np.testing.assert_array_equal(table.values[:2], want[1:])
             assert np.isnan(table.values[2:]).all()
 
+    def test_batch_equals_per_saccade_loop_path_by_path(self):
+        # Exact direction changes: (1, 1), (1, -1), (-1, -1), (-1, 1) and
+        # (-1, 0) after a step along +x turn by +45, -45, -135, +135 and 180.
+        exact = [
+            [(0, 0), (1, 0), (2, 1)],
+            [(0, 0), (1, 0), (2, -1)],
+            [(0, 0), (1, 0), (0, -1)],
+            [(0, 0), (1, 0), (0, 1)],
+            [(0, 0), (1, 0), (0, 0)],
+            [(5, 5), (5, 6)],  # after a path ending at 180: still +90 from +x, type 3
+            [(0, 0), (0, 0), (1, 0)],  # a zero-length first step
+            [(2, 2), (2, 2)],  # a 2-fixation path of one zero-length step
+        ]
+        rng = np.random.default_rng(7)
+        paths = [Scanpath(positions=p, durations=rng.uniform(50, 400, len(p)), subject_id=f"s{i}") for i, p in enumerate(exact)]
+        for i in range(60):
+            n = int(rng.integers(2, 12))
+            positions = np.round(rng.uniform(0, 3, (n, 2)), 0)  # repeats give zero-length steps
+            paths.append(Scanpath(positions=positions, durations=rng.uniform(50, 400, n)))
+        table = extract_features(paths)
+        want = np.concatenate([np.array(oracle_extract(p)) for p in paths]).T
+        np.testing.assert_array_equal(table.types, want[0])
+        np.testing.assert_array_equal(table.values[:2], want[1:])
+        assert np.isnan(table.values[2:]).all()
+        np.testing.assert_array_equal(table.types[:11], [1, 1, 1, 1, 1, 2, 1, 3, 1, 4, 3])
+        assert table == SaccadeTable.concat([extract_features(p) for p in paths])
+
+    def test_a_short_path_in_a_batch_is_named(self):
+        paths = [
+            Scanpath(positions=[[0, 0], [1, 0]], durations=[100, 200], subject_id="s01", image_id="img1"),
+            Scanpath(positions=[[3, 3]], durations=[100], subject_id="s02", image_id="img7"),
+        ]
+        with pytest.raises(
+            ValueError, match=r"^scanpath must contain at least 2 fixations; subject 's02' image 'img7' has 1$"
+        ):
+            extract_features(paths)
+        with pytest.raises(ValueError, match="subject 's02' image 'img7' has 1"):
+            extract_features(paths[1])
+        with pytest.raises(ValueError, match="no scanpaths"):
+            extract_features([])
+
     def test_shapes_checked(self):
         with pytest.raises(ValueError, match="saccade table"):
             SaccadeTable(types=[1, 2], values=np.zeros((len(DYNAMICS_CHANNELS), 3)))

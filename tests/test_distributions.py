@@ -17,6 +17,7 @@ from gazeid.distributions import (
     GammaParams,
     MultinomialParams,
     PROB_FLOOR,
+    floored_multinomial,
     gamma_logpdf,
     gamma_mle,
     gamma_mle_from_sums,
@@ -274,6 +275,47 @@ class TestMultinomial:
         fit = multinomial_mle(counts)
         assert np.all(fit.pi >= PROB_FLOOR)
         assert fit.pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_equals_row_by_row_fits(self):
+        rng = np.random.default_rng(2)
+        # [1, 0, 0, n] with n in {999998, 999999}: the 1 is at or above the floor
+        # before the two zeros are floored and below it after the rescaling
+        counts = np.array(
+            [[5, 0, 0, 0], [1, 0, 0, 999998], [1, 0, 0, 999999], [0, 3, 0, 1], [1, 1, 1, 1]]
+            + rng.integers(0, 40, (30, 4)).tolist()
+            + (rng.integers(0, 3, (30, 4)) * 10 ** rng.integers(0, 7, (30, 4))).tolist(),
+            dtype=float,
+        )
+        counts = counts[counts.sum(axis=1) > 0]
+        for row in counts[1:3]:
+            assert (row / row.sum() < PROB_FLOOR).sum() == 2
+            assert (oracle_multinomial_mle(row) == PROB_FLOOR).sum() == 3
+        stack = floored_multinomial(counts)
+        np.testing.assert_array_equal(stack, [oracle_multinomial_mle(row) for row in counts])
+        np.testing.assert_array_equal(stack, [multinomial_mle(row).pi for row in counts])
+
+    def test_stack_rejects_what_a_row_fit_rejects(self):
+        with pytest.raises(DegenerateSampleError):
+            floored_multinomial([[1, 2, 3, 4], [0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            floored_multinomial([[1, -2, 3, 4]])
+        with pytest.raises(ValueError, match="rows of 4 counts"):
+            floored_multinomial([1, 2, 3, 4])
+
+
+def oracle_multinomial_mle(counts):
+    """The per-row loop that ``floored_multinomial`` replaced."""
+    pi = counts / counts.sum()
+    floored = pi < PROB_FLOOR
+    while True:
+        free_mass = 1.0 - PROB_FLOOR * floored.sum()
+        scaled = pi.copy()
+        scaled[floored] = PROB_FLOOR
+        scaled[~floored] = pi[~floored] * free_mass / pi[~floored].sum()
+        newly = (scaled < PROB_FLOOR) & ~floored
+        if not newly.any():
+            return scaled
+        floored |= newly
 
 
 class TestSampling:

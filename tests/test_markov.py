@@ -245,6 +245,19 @@ class TestTableParity:
         assert np.isnan(SaccadeTable.concat(tables).values[[DYNAMICS_CHANNELS.index(ch) for ch in channels]]).any()
         np.testing.assert_array_equal(markov.statistics(tables, channels), want)
         np.testing.assert_array_equal([markov.statistics(t, channels) for t in tables], want)
+        lengths = [len(t) for t in tables]
+        np.testing.assert_array_equal(markov.statistics(SaccadeTable.concat(tables), channels, lengths), want)
+
+    def test_lengths_must_cover_the_table(self):
+        table = make_table([1, 2, 3], amplitude=[1.0, 2.0, 3.0], duration=[100.0, 200.0, 300.0])
+        np.testing.assert_array_equal(
+            markov.statistics(table, BASE_CHANNELS, [3]), [markov.statistics(table, BASE_CHANNELS)]
+        )
+        with pytest.raises(ValueError, match="lengths sum to 2, but the table has 3 saccades"):
+            markov.statistics(table, BASE_CHANNELS, [1, 1])
+        for lengths in ([3, 0], [], [4, -1]):
+            with pytest.raises(ValueError, match="non-empty"):
+                markov.statistics(table, BASE_CHANNELS, lengths)
 
     def test_fit_of_stacked_rows_equals_scalar_oracle(self):
         # per-user row sums of a dynamics cohort, and rows with a cell of

@@ -375,6 +375,13 @@ class TestLoglik:
         assert np.isfinite(sw.loglik(path, sal, params))
         assert [sal.position_to_cell(q)[2] for q in path.positions] == [False, True, False]
 
+    def test_a_path_of_one_fixation_is_named(self, rng):
+        path = Scanpath(positions=[[8.0, 8.0]], durations=[200.0], subject_id="s03", image_id="img4")
+        message = r"^scanpath must contain at least 2 fixations; subject 's03' image 'img4' has 1$"
+        for sweep in (sw.loglik, sw.grad_loglik, sw.loglik_and_grad):
+            with pytest.raises(ValueError, match=message):
+                sweep(path, make_saliency(rng), make_walk_params(rng))
+
 
 class TestIncrementalState:
     def test_equals_from_scratch_recomputation(self, rng):
