@@ -9,6 +9,7 @@ feature space whose inner product is the kernel used by the classifier.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -39,7 +40,8 @@ class FisherScore:
 class FisherInformation:
     """Empirical information (1/N) sum g g^T with a scaled ridge.
 
-    Construction validates the matrix and computes ``factor``, the lower
+    Construction checks that the matrix is square, finite and symmetric
+    and eps_reg positive and finite, and computes ``factor``, the lower
     Cholesky factor of matrix + ridge * Id where ridge = eps_reg * trace /
     dim; whitening solves factor @ phi = g.
     """
@@ -52,8 +54,18 @@ class FisherInformation:
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", matrix)
-        if not self.eps_reg > 0:
-            raise ValueError("eps_reg must be positive")
+        if not 0 < self.eps_reg < math.inf:
+            raise ValueError(f"eps_reg must be positive and finite, got {self.eps_reg}")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"information matrix must be square, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            i, j = np.argwhere(~np.isfinite(matrix))[0].tolist()
+            raise ValueError(f"information matrix entries must be finite, got {matrix[i, j]} at [{i}, {j}]")
+        if (matrix != matrix.T).any():
+            i, j = np.argwhere(matrix != matrix.T)[0].tolist()
+            raise ValueError(
+                f"information matrix must be symmetric, got {matrix[i, j]} at [{i}, {j}] and {matrix[j, i]} at [{j}, {i}]"
+            )
         if not self.ridge > 0:
             raise ValueError("information trace is zero; all scores vanish")
         object.__setattr__(

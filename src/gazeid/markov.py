@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, Scanpath
+from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, Scanpath, _eq_by_value
 from .distributions import (
     GammaParams,
     N_SACCADE_TYPES,
@@ -55,9 +55,12 @@ class MarkovFitReport:
     skipped_values: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MarkovModelParams:
-    """Type probabilities plus per-(channel, type) Gamma parameters.
+    """Type probabilities ``pi`` plus the Gamma ``shapes`` and ``scales``,
+    (channels, types) arrays in ``channel_names`` order. The constructor
+    takes, and ``channels`` gives, the cells as GammaParams per channel;
+    ``from_arrays`` takes the arrays.
 
     ``pi`` is stored as a raw positive vector rather than a strict
     MultinomialParams: gradient checks probe the likelihood at perturbed,
@@ -67,25 +70,50 @@ class MarkovModelParams:
     """
 
     pi: np.ndarray
-    channels: dict[str, tuple[GammaParams, ...]]
+    channel_names: tuple[str, ...]
+    shapes: np.ndarray
+    scales: np.ndarray
     fit_report: MarkovFitReport | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "pi", pi)
-        if pi.shape != (N_SACCADE_TYPES,):
-            raise ValueError(f"pi must have shape ({N_SACCADE_TYPES},)")
-        if not np.all(np.isfinite(pi)) or np.any(pi <= 0):
-            raise ValueError("pi entries must be positive and finite")
-        ordered = {ch: tuple(self.channels[ch]) for ch in canonical_channels(self.channels)}
-        object.__setattr__(self, "channels", ordered)
-        for ch, cells in ordered.items():
-            if len(cells) != N_SACCADE_TYPES:
+    __eq__ = _eq_by_value
+
+    def __init__(self, pi, channels: Mapping[str, Sequence[GammaParams]], fit_report: MarkovFitReport | None = None):
+        names = canonical_channels(channels)
+        for ch in names:
+            if len(channels[ch]) != N_SACCADE_TYPES:
                 raise ValueError(f"channel {ch!r} needs {N_SACCADE_TYPES} Gamma cells")
+        cells = np.array([[(g.shape, g.scale) for g in channels[ch]] for ch in names], dtype=float)
+        self._set(pi, names, cells[..., 0], cells[..., 1], fit_report)
+
+    @classmethod
+    def from_arrays(cls, pi, channel_names: Sequence[str], shapes, scales, fit_report=None) -> MarkovModelParams:
+        """The model of these arrays, whose rows follow ``channel_names``:
+        a configuration in its canonical order."""
+        names = canonical_channels(channel_names)
+        if names != tuple(channel_names):
+            raise ValueError(f"channel_names must be in the order {list(names)}, got {list(channel_names)}")
+        params = object.__new__(cls)
+        params._set(pi, names, shapes, scales, fit_report)
+        return params
+
+    def _set(self, pi, names, shapes, scales, fit_report) -> None:
+        grid = (len(names), N_SACCADE_TYPES)
+        for key, value, shape in (("pi", pi, grid[1:]), ("shapes", shapes, grid), ("scales", scales, grid)):
+            value = np.array(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{key} must have shape {shape}, got {value.shape}")
+            bad = np.argwhere(~(np.isfinite(value) & (value > 0)))
+            if len(bad):
+                where = bad[0].tolist()
+                raise ValueError(f"{key} entries must be positive and finite, got {value[tuple(where)]} at {where}")
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "channel_names", names)
+        object.__setattr__(self, "fit_report", fit_report)
 
     @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(self.channels)
+    def channels(self) -> dict[str, tuple[GammaParams, ...]]:
+        cells = zip(self.channel_names, self.shapes.tolist(), self.scales.tolist())
+        return {ch: tuple(map(GammaParams, a, b)) for ch, a, b in cells}
 
     @property
     def config(self) -> str:
@@ -94,12 +122,12 @@ class MarkovModelParams:
     @property
     def dim(self) -> int:
         """Gradient/parameter vector length: 4 + 8 * number of channels."""
-        return N_SACCADE_TYPES * (1 + 2 * len(self.channels))
+        return N_SACCADE_TYPES * (1 + 2 * len(self.channel_names))
 
 
 def params_to_vector(params: MarkovModelParams) -> np.ndarray:
     """Flatten to per-type blocks [pi_u, (alpha, beta) per channel]."""
-    return _per_type_blocks(params.pi, *_cell_arrays(params))
+    return _per_type_blocks(params.pi, params.shapes, params.scales)
 
 
 def vector_to_params(vec: np.ndarray, channel_names: Sequence[str]) -> MarkovModelParams:
@@ -110,13 +138,7 @@ def vector_to_params(vec: np.ndarray, channel_names: Sequence[str]) -> MarkovMod
         raise ValueError(f"expected vector of length {size}, got {vec.shape}")
     blocks = vec.reshape(N_SACCADE_TYPES, -1)
     cells = blocks[:, 1:].reshape(N_SACCADE_TYPES, len(names), 2)
-    return MarkovModelParams(
-        pi=blocks[:, 0].copy(),
-        channels={
-            ch: tuple(GammaParams(shape=float(a), scale=float(b)) for a, b in cells[:, i])
-            for i, ch in enumerate(names)
-        },
-    )
+    return MarkovModelParams.from_arrays(blocks[:, 0], names, cells[..., 0].T, cells[..., 1].T)
 
 
 def _per_type_blocks(first: np.ndarray, shapes: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -181,18 +203,11 @@ def _unpack(rows: np.ndarray, n_channels: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[..., :N_SACCADE_TYPES], rows[..., N_SACCADE_TYPES:].reshape(shape)
 
 
-def _cell_arrays(params: MarkovModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(channels, types) arrays of the Gamma shapes and scales."""
-    cells = [[(g.shape, g.scale) for g in per_type] for per_type in params.channels.values()]
-    cells = np.array(cells, dtype=float).reshape(len(params.channels), N_SACCADE_TYPES, 2)
-    return cells[..., 0], cells[..., 1]
-
-
 def coef(params: MarkovModelParams) -> np.ndarray:
     """Vector c with ``loglik(features, params) == statistics(features,
     params.channel_names) @ c``: ``[ln pi_u | for each channel, for each
     type: -(ln Gamma(a) + a ln b), -1/b, a - 1]``."""
-    a, b = _cell_arrays(params)
+    a, b = params.shapes, params.scales
     cells = np.stack([-(gammaln(a) + a * np.log(b)), -1.0 / b, a - 1.0], axis=-1)
     return np.concatenate([np.log(params.pi), cells.ravel()])
 
@@ -213,14 +228,9 @@ def fit_from_statistics(rows: np.ndarray, channels: Sequence[str]) -> MarkovMode
     shapes, scales = (np.where(fallback, v[..., -1:], v[..., :N_SACCADE_TYPES]) for v in (shape, scale))
     skipped = counts.sum(axis=-1) * len(names) - stats[..., 0].sum(axis=(-2, -1))
     pis = floored_multinomial(counts)
-    shapes, scales = shapes.tolist(), scales.tolist()
     models = [
-        MarkovModelParams(
-            pi=pis[m],
-            channels={
-                ch: tuple(GammaParams(shape=a, scale=b) for a, b in zip(shapes[m][c], scales[m][c]))
-                for c, ch in enumerate(names)
-            },
+        MarkovModelParams.from_arrays(
+            pis[m], names, shapes[m], scales[m],
             fit_report=MarkovFitReport(
                 fallback_cells=tuple((names[c], int(u) + 1) for c, u in zip(*np.nonzero(fallback[m]))),
                 skipped_values=int(skipped[m]),
@@ -257,9 +267,9 @@ def loglik(features: SaccadeTable, params: MarkovModelParams) -> float:
 def grad_from_statistics(rows: np.ndarray, params: MarkovModelParams) -> np.ndarray:
     """``grad_loglik`` as a linear map of one ``statistics`` row, or of
     each row of a stack (one gradient per row)."""
-    counts, stats = _unpack(rows, len(params.channels))
+    counts, stats = _unpack(rows, len(params.channel_names))
     n, sum_x, sum_log_x = np.moveaxis(stats, -1, 0)
-    a, b = _cell_arrays(params)
+    a, b = params.shapes, params.scales
     d_shape = sum_log_x - n * (digamma(a) + np.log(b))
     return _per_type_blocks(counts / params.pi, d_shape, (sum_x / b - n * a) / b)
 
@@ -300,8 +310,7 @@ def sample_scanpath(
     rng = as_rng(seed_or_rng)
     n_sacc = n_fixations - 1
 
-    pi = params.pi
-    shapes, scales = _cell_arrays(params)
+    pi, shapes, scales = params.pi, params.shapes, params.scales
     first = int(rng.choice(N_SACCADE_TYPES, p=pi / pi.sum()))
     first_duration = float(rng.gamma(shapes[1, first], scales[1, first]))
 
@@ -370,7 +379,5 @@ def default_params(channels: Sequence[str] = BASE_CHANNELS) -> MarkovModelParams
         "vigor_x": [(10.0, 40.0), (9.0, 44.0), (9.5, 42.0), (11.0, 38.0)],
         "vigor_y": [(9.0, 38.0), (8.5, 41.0), (9.2, 39.0), (10.0, 36.0)],
     }
-    cells = {
-        ch: tuple(GammaParams(shape=a, scale=b) for a, b in per_type[ch]) for ch in names
-    }
-    return MarkovModelParams(pi=np.array([0.45, 0.22, 0.21, 0.12]), channels=cells)
+    cells = np.array([per_type[ch] for ch in names])
+    return MarkovModelParams.from_arrays(np.array([0.45, 0.22, 0.21, 0.12]), names, cells[..., 0], cells[..., 1])

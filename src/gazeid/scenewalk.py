@@ -53,12 +53,12 @@ class SceneWalkParams:
 
     def __post_init__(self):
         for name in ("omega_a", "omega_f", "sigma_a", "sigma_f", "lam", "gamma"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.c_f < 0:
-            raise ValueError("c_f must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.c_f < math.inf:
+            raise ValueError(f"c_f must be non-negative and finite, got {self.c_f}")
         if not 0.0 <= self.zeta <= 1.0:
-            raise ValueError("zeta must lie in [0, 1]")
+            raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in PARAM_NAMES])
@@ -370,7 +370,8 @@ def _sweep(
     cells = np.array([saliency.position_to_cell(q)[:2] for q in path.positions])
 
     windows = _windows(cells[:-1], path.durations[:-1], params, saliency)
-    walk = _Walk(initial_state(saliency).fields, saliency, params, with_grad)
+    fields = initial_state(saliency).fields
+    walk = _Walk(fields if with_grad else fields[:, :1], saliency, params, with_grad)
     sums = np.empty((T - 1, 2))
     positive_sum = np.empty(T - 1)
     potential_obs = np.empty(T - 1)

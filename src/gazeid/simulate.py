@@ -75,18 +75,11 @@ def jitter_markov_params(
     The type-probability vector is jittered the same way and renormalized.
     """
     pi = base.pi * np.exp(jitter * rng.standard_normal(base.pi.size))
-    pi = pi / pi.sum()
-    channels = {
-        ch: tuple(
-            GammaParams(
-                shape=cell.shape * float(np.exp(jitter * rng.standard_normal())),
-                scale=cell.scale * float(np.exp(jitter * rng.standard_normal())),
-            )
-            for cell in cells
-        )
-        for ch, cells in base.channels.items()
-    }
-    return markov.MarkovModelParams(pi=pi, channels=channels)
+    # one draw per cell, shape then scale, in channel then type order
+    factors = np.exp(jitter * rng.standard_normal(base.shapes.shape + (2,)))
+    return markov.MarkovModelParams.from_arrays(
+        pi / pi.sum(), base.channel_names, base.shapes * factors[..., 0], base.scales * factors[..., 1]
+    )
 
 
 def jitter_scenewalk_params(

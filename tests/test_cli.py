@@ -415,6 +415,17 @@ class TestOneCodePath:
         ("--model-json", {"model": "bogus"}, "ValueError: unknown or missing model kind 'bogus'"),
         ("--info-in", {"eps_reg": 1e-6}, "KeyError: 'matrix'"),
         ("--info-in", {"matrix": [[1.0]], "eps_reg": 1e-6}, "KeyError: 'n_scores'"),
+        ("--model-json", {"model": "scenewalk", "params": {
+            "zeta": 0.1, "c_f": math.inf, "lam": 1.0, "gamma": 1.0, "omega_a": 1.0, "omega_f": 0.5, "sigma_a": 2.5,
+            "sigma_f": 1.5}}, "ValueError: c_f must be non-negative and finite, got inf"),
+        ("--info-in", {"matrix": [[1.0, math.nan], [0.0, 1.0]], "eps_reg": 1e-6, "n_scores": 2},
+         "ValueError: information matrix entries must be finite, got nan at [0, 1]"),
+        ("--info-in", {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "eps_reg": 1e-6, "n_scores": 2},
+         "ValueError: information matrix must be square, got shape (2, 3)"),
+        ("--info-in", {"matrix": [[1.0, 0.5], [0.0, 1.0]], "eps_reg": 1e-6, "n_scores": 2},
+         "ValueError: information matrix must be symmetric, got 0.5 at [0, 1] and 0.0 at [1, 0]"),
+        ("--info-in", {"matrix": [[1.0, 0.0], [0.0, 1.0]], "eps_reg": math.inf, "n_scores": 2},
+         "ValueError: eps_reg must be positive and finite, got inf"),
     ])
     def test_scores_names_a_malformed_json_input(self, tmp_path, capsys, option, doc, message):
         data_dir = simulate_tiny(tmp_path, "markov")

@@ -1,5 +1,8 @@
 """Fisher scores, information matrix, whitening, and kernel identities."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,20 @@ class TestInformation:
         zeros = [fisher.FisherScore(g=np.zeros(3), model_tag="m")] * 2
         with pytest.raises(ValueError):
             fisher.estimate_information(zeros, 1e-3)
+
+    @pytest.mark.parametrize("matrix, eps_reg, message", [
+        ([[1.0, math.nan], [0.0, 1.0]], 1e-3, "information matrix entries must be finite, got nan at [0, 1]"),
+        ([[1.0, 0.0], [0.0, -math.inf]], 1e-3, "information matrix entries must be finite, got -inf at [1, 1]"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1e-3, "information matrix must be square, got shape (2, 3)"),
+        ([1.0, 2.0], 1e-3, "information matrix must be square, got shape (2,)"),
+        ([[1.0, 0.5], [0.25, 1.0]], 1e-3, "information matrix must be symmetric, got 0.5 at [0, 1] and 0.25 at [1, 0]"),
+        ([[1.0, 0.0], [0.0, 1.0]], math.inf, "eps_reg must be positive and finite, got inf"),
+        ([[1.0, 0.0], [0.0, 1.0]], math.nan, "eps_reg must be positive and finite, got nan"),
+        ([[1.0, 0.0], [0.0, 1.0]], -1e-3, "eps_reg must be positive and finite, got -0.001"),
+    ])
+    def test_constructor_names_a_bad_input(self, matrix, eps_reg, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fisher.FisherInformation(matrix=matrix, eps_reg=eps_reg, n_scores=3)
 
 
 class TestKernel:

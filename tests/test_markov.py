@@ -585,6 +585,74 @@ class TestChannelSets:
         assert params == default
 
 
+def assert_arrays_bit_equal(got, want):
+    for key in ("pi", "shapes", "scales"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+
+
+class TestArrayModel:
+    @pytest.mark.parametrize("channels", [BASE_CHANNELS, DYNAMICS_CHANNELS])
+    def test_vector_and_channels_views_round_trip_bit_for_bit(self, channels):
+        rng = np.random.default_rng(61)
+        for params in (markov.default_params(channels), random_markov_params(rng, channels)):
+            assert params.shapes.shape == params.scales.shape == (len(channels), 4)
+            assert [[(g.shape, g.scale) for g in cells] for cells in params.channels.values()] == [
+                list(zip(a, b)) for a, b in zip(params.shapes.tolist(), params.scales.tolist())
+            ]
+            for again in (
+                markov.vector_to_params(markov.params_to_vector(params), channels),
+                markov.MarkovModelParams(pi=params.pi, channels=params.channels),
+                markov.MarkovModelParams.from_arrays(params.pi, channels, params.shapes, params.scales),
+            ):
+                assert_arrays_bit_equal(again, params)
+                assert again.channel_names == params.channel_names and again.channels == params.channels
+            vec = markov.params_to_vector(params)
+            again = markov.params_to_vector(markov.vector_to_params(vec, channels))
+            assert (again.dtype, again.shape, again.tobytes()) == (vec.dtype, vec.shape, vec.tobytes())
+
+    def test_independently_built_equal_models_compare_equal(self):
+        first, second = markov.default_params(DYNAMICS_CHANNELS), markov.default_params(DYNAMICS_CHANNELS)
+        assert first.pi is not second.pi and first.shapes is not second.shapes
+        assert first == second
+        assert markov.vector_to_params(markov.params_to_vector(first), DYNAMICS_CHANNELS) == first
+        assert markov.MarkovModelParams(pi=first.pi.copy(), channels=dict(first.channels)) == first
+        scaled = markov.MarkovModelParams.from_arrays(first.pi, DYNAMICS_CHANNELS, first.shapes, first.scales * 1.5)
+        assert scaled != first and markov.default_params(BASE_CHANNELS) != first
+
+    def test_arrays_are_copied_from_the_input(self):
+        default = markov.default_params(BASE_CHANNELS)
+        shapes = default.shapes.copy()
+        params = markov.MarkovModelParams.from_arrays(default.pi, BASE_CHANNELS, shapes, default.scales)
+        shapes[0, 0] = -1.0
+        assert params == default
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(pi=np.full(3, 1 / 3)), "pi must have shape (4,), got (3,)"),
+        (dict(shapes=np.ones((2, 3))), "shapes must have shape (2, 4), got (2, 3)"),
+        (dict(scales=np.ones((3, 4))), "scales must have shape (2, 4), got (3, 4)"),
+        (dict(shapes=np.ones(8)), "shapes must have shape (2, 4), got (8,)"),
+        (dict(pi=[0.5, math.nan, 0.25, 0.25]), "pi entries must be positive and finite, got nan at [1]"),
+        (dict(pi=[0.5, 0.5, 0.0, 0.25]), "pi entries must be positive and finite, got 0.0 at [2]"),
+        (dict(shapes=[[1.0] * 4, [1.0, 1.0, 0.0, 1.0]]), "shapes entries must be positive and finite, got 0.0 at [1, 2]"),
+        (dict(shapes=[[1.0] * 4, [1.0, math.inf, 1.0, 1.0]]), "shapes entries must be positive and finite, got inf at [1, 1]"),
+        (dict(scales=[[1.0, 1.0, 1.0, -2.0], [1.0] * 4]), "scales entries must be positive and finite, got -2.0 at [0, 3]"),
+        (dict(scales=[[-math.inf] * 4, [1.0] * 4]), "scales entries must be positive and finite, got -inf at [0, 0]"),
+        (dict(channel_names=("duration", "amplitude")),
+         "channel_names must be in the order ['amplitude', 'duration'], got ['duration', 'amplitude']"),
+    ])
+    def test_from_arrays_rejects_a_bad_array(self, change, message):
+        default = markov.default_params(BASE_CHANNELS)
+        arrays = dict(pi=default.pi, channel_names=BASE_CHANNELS, shapes=default.shapes, scales=default.scales)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            markov.MarkovModelParams.from_arrays(**{**arrays, **change})
+
+    def test_constructor_rejects_a_channel_without_four_cells(self):
+        cells = markov.default_params(BASE_CHANNELS).channels
+        with pytest.raises(ValueError, match=r"^channel 'duration' needs 4 Gamma cells$"):
+            markov.MarkovModelParams(pi=np.full(4, 0.25), channels={**cells, "duration": cells["duration"][:3]})
+
+
 def oracle_sample(params, n_fixations, start, seed):
     """``sample_scanpath``'s draws with one Gamma draw per channel, in
     channel order: (positions, durations, types, values)."""

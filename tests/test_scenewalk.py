@@ -280,6 +280,26 @@ class TestGaussianWindow:
             applied_window(make_saliency(rng, shape=(8, 8), extent=(4.0, 4.0)), (1.0, 1.0), 0.0)
 
 
+class TestParams:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sw.PARAM_NAMES)
+    def test_a_value_that_is_not_finite_is_named(self, name, value):
+        doc = dict(zip(sw.PARAM_NAMES, sw.default_params().to_vector().tolist()))
+        with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
+            sw.SceneWalkParams(**{**doc, name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("sigma_f", 0.0, "sigma_f must be positive and finite, got 0.0"),
+        ("lam", -1.0, "lam must be positive and finite, got -1.0"),
+        ("c_f", -0.5, "c_f must be non-negative and finite, got -0.5"),
+        ("zeta", 1.5, "zeta must lie in [0, 1], got 1.5"),
+    ])
+    def test_a_value_out_of_range_is_named(self, name, value, message):
+        doc = dict(zip(sw.PARAM_NAMES, sw.default_params().to_vector().tolist()))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sw.SceneWalkParams(**{**doc, name: value})
+
+
 class TestStep:
     def test_zeta_one_gives_exact_uniform(self, rng):
         sal = make_saliency(rng)
@@ -522,6 +542,12 @@ class TestFusedSweepParity:
             assert sw.loglik(path, sal, params) == pytest.approx(ref_value, rel=1e-12), label
             clamped = any(sal.position_to_cell(q)[2] for q in path.positions)
             assert clamped == (label == "clamped")
+
+    def test_value_only_sweep_equals_the_fused_value(self, rng, shape, extent):
+        # loglik walks the value fields only; their values are the same
+        sal = make_saliency(rng, shape=shape, extent=extent)
+        for label, params, path in parity_cases(rng, shape, extent):
+            assert sw.loglik(path, sal, params) == sw.loglik_and_grad(path, sal, params)[0], label
 
     def test_step_matches_reference(self, rng, shape, extent):
         sal = make_saliency(rng, shape=shape, extent=extent)

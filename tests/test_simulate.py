@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from gazeid import markov, simulate
-from gazeid.core import DYNAMICS_CHANNELS, SaccadeTable, extract_features
+from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
+from gazeid.distributions import GammaParams
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
+from test_acceptance import random_markov_params
+from test_markov import assert_arrays_bit_equal
 from test_scenewalk import _UNPICKLED, _Unpicklable
 
 
@@ -134,6 +137,39 @@ class TestGenerateCohort:
         for item in cohort.data.items:
             assert item.features is None
             assert len(item.scanpath) == 5
+
+
+def oracle_jitter_markov_params(base, jitter, rng):
+    """The jitter drawn one cell at a time: pi, then per channel and per
+    type the shape's and the scale's factor."""
+    pi = base.pi * np.exp(jitter * rng.standard_normal(base.pi.size))
+    channels = {
+        ch: tuple(
+            GammaParams(
+                shape=cell.shape * float(np.exp(jitter * rng.standard_normal())),
+                scale=cell.scale * float(np.exp(jitter * rng.standard_normal())),
+            )
+            for cell in cells
+        )
+        for ch, cells in base.channels.items()
+    }
+    return markov.MarkovModelParams(pi=pi / pi.sum(), channels=channels)
+
+
+class TestJitter:
+    @pytest.mark.parametrize("channels", [BASE_CHANNELS, DYNAMICS_CHANNELS])
+    def test_equals_per_cell_draws_bit_for_bit(self, channels):
+        bases = (markov.default_params(channels), random_markov_params(np.random.default_rng(71), channels))
+        for base in bases:
+            for seed in (0, 3, 4, 2024):
+                for jitter in (0.0, 0.05, 0.3, 1.5):
+                    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = simulate.jitter_markov_params(base, jitter, rng)
+                    want = oracle_jitter_markov_params(base, jitter, oracle_rng)
+                    assert_arrays_bit_equal(got, want)
+                    assert got.channel_names == channels
+                    # both consumed the same draws, so the paths drawn next are the same
+                    assert rng.standard_normal() == oracle_rng.standard_normal()
 
 
 class TestDatasetRoundTrip:
