@@ -370,11 +370,11 @@ class _FamilyOps:
     """Generative-model hooks of one model (markov, markov-dyn or
     scenewalk) over the rows of ``data.items``, shared by the evaluation
     and ``gazeid fit``/``scores``; ``labels`` holds each row's subject.
-    Markov models reduce every item once to its ``markov.statistics`` row,
-    the base model from one ``extract_features`` call over all items'
-    scanpaths and markov-dyn from the items' feature tables; fits,
-    likelihoods and scores are then sums and matrix products of those
-    rows. SceneWalk sweeps the items' paths in a
+    Markov models reduce every item once to its ``markov.statistics`` row
+    in one call over one table, for the base model that of one
+    ``extract_features`` call over all items' scanpaths and for markov-dyn
+    the dataset's ``features``; fits, likelihoods and scores are then sums
+    and matrix products of those rows. SceneWalk sweeps the items' paths in a
     ``scenewalk.SweepPool`` with ``threads - 1`` forked workers, which
     ``close`` (or leaving a ``with`` block) stops."""
 
@@ -385,7 +385,7 @@ class _FamilyOps:
             self.kind, self.channels = "markov", BASE_CHANNELS
         elif model == "markov-dyn":
             self.kind, self.channels = "markov", DYNAMICS_CHANNELS
-            if any(it.features is None for it in data.items):
+            if data.features is None:
                 raise ValueError("dynamics channels unavailable: dataset carries no per-saccade feature files")
         elif model == "scenewalk":
             self.kind, self.channels = "scenewalk", None
@@ -394,11 +394,10 @@ class _FamilyOps:
         else:
             raise ValueError(f"unknown model {model!r}; choose one of markov, markov-dyn, scenewalk")
         self.protocol = protocol
-        if model == "markov":
+        if self.kind == "markov":
             paths = [it.scanpath for it in data.items]
-            self.rows = markov.statistics(extract_features(paths), self.channels, [len(p) - 1 for p in paths])
-        elif model == "markov-dyn":
-            self.rows = markov.statistics([it.features for it in data.items], self.channels)
+            table = extract_features(paths) if model == "markov" else data.features
+            self.rows = markov.statistics(table, self.channels, [len(p) - 1 for p in paths])
         else:
             pairs = [(it.scanpath, data.saliency[it.image_id]) for it in data.items]
             self.pool = scenewalk.SweepPool(pairs, min(threads, len(pairs)) - 1)
@@ -492,12 +491,8 @@ def _run_bayes_splits(ops: _FamilyOps, splits: Sequence[Split], ks: Sequence[int
     """Bayes identification on every split. The viewer models of all
     splits are fitted in one ``ops.fit`` call, split by split and subject
     by subject; each split then scores its test items under its own
-    models. A single subject is trivially identified, and nothing is
-    fitted."""
+    models."""
     subjects = ops.data.subjects
-    if len(subjects) < 2:
-        return [(_accuracy_from_rows(subjects, split, ks, np.zeros((len(split.test[subjects[0]]), 1))), None, [])
-                for split in splits]
     fits = ops.fit([split.train[s] for split in splits for s in subjects])
     outcomes = []
     for i, split in enumerate(splits):
@@ -534,9 +529,6 @@ def _run_fisher_split(ops: _FamilyOps, split: Split, ks: Sequence[int]):
         grids = _train_grid([(X, ops.labels[rows].tolist()) for X, rows in problems], Cs)
         notes.extend(note for models in grids for m in models for note in _unconverged_train(m))
         return grids
-
-    if len(subjects) < 2:
-        return _accuracy_from_rows(subjects, split, ks, np.zeros((len(test_rows), 1))), {"degenerate": True}, notes
 
     # Hyperparameter search: evaluated on single test images (k = 1) within
     # image-disjoint folds of the training rows (fold f validates every f-th
@@ -599,7 +591,8 @@ def run_protocol(
     subject; the curve reports mean and standard error across splits.
     Each SceneWalk fit and each SVM solve that stops without converging
     adds one warning, in split order (subject order within a Bayes split,
-    CV order then the final model within a Fisher split).
+    CV order then the final model within a Fisher split). A single subject
+    is trivially identified: nothing is fitted, and one warning says so.
 
     Splits run one after another. For SceneWalk families every sweep over
     a set of paths is spread over this process and ``threads - 1`` forked
@@ -615,16 +608,20 @@ def run_protocol(
         raise ValueError(f"threads must be at least 1, got {threads}")
     splits = make_splits(data, protocol)
 
-    warnings: list[str] = []
-    if len(data.subjects) < 2:
-        warnings.append("single-subject dataset: identification accuracy is trivially 1.0")
 
     min_test = min(len(rows) for split in splits for rows in split.test.values())
     ks = [k for k in range(1, protocol.max_k + 1) if k <= min_test]
 
     model = family.removeprefix("bayes-").removeprefix("fisher-svm-")
+    warnings: list[str] = []
     with _one_blas_thread(), _FamilyOps(data, model, protocol, threads) as ops:
-        if family.startswith("bayes"):
+        if len(data.subjects) < 2:
+            warnings.append("single-subject dataset: identification accuracy is trivially 1.0")
+            [only] = data.subjects
+            chosen = None if family.startswith("bayes") else {"degenerate": True}
+            outcomes = [(_accuracy_from_rows(data.subjects, split, ks, np.zeros((len(split.test[only]), 1))), chosen, [])
+                        for split in splits]
+        elif family.startswith("bayes"):
             outcomes = _run_bayes_splits(ops, splits, ks)
         else:
             outcomes = [_run_fisher_split(ops, split, ks) for split in splits]

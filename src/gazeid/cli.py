@@ -285,11 +285,7 @@ def cmd_simulate(args) -> int:
         spec = simulate.SyntheticCohortSpec.from_json_dict(json.load(fh))
     cohort = simulate.generate_cohort(spec)
     out_dir = Path(config["out"])
-    data = GazeDataset(
-        items=cohort.data.items,
-        saliency=cohort.data.saliency,
-        meta={**(cohort.data.meta or {}), "provenance": _provenance(config, spec.seed)},
-    )
+    data = dataclasses.replace(cohort.data, meta={**(cohort.data.meta or {}), "provenance": _provenance(config, spec.seed)})
     save_dataset(data, out_dir)
     print(f"simulated {len(data.items)} scanpaths -> {out_dir}")
     return 0

@@ -13,11 +13,13 @@ optional per-image saliency grids:
     saliency/<image>.npy + <image>.json      (np.save grid + extent_deg)
 
 An item of T fixations has T - 1 saccades, so ``lengths.npy`` locates both.
-The columns of ``features.npy`` are the rows of each item's
-``SaccadeTable.values``, one per ``core.DYNAMICS_CHANNELS`` entry.
-Only markov-dyn's dynamics channels need features, so ``simulate`` writes
-them for markov-dyn cohorts only. The other models read scanpaths and
-ignore the features that ``load_dataset`` reads all the same.
+In memory the features are one ``SaccadeTable``, ``GazeDataset.features``,
+as on disk: its rows are ``features.npy``'s columns, one per
+``core.DYNAMICS_CHANNELS`` entry, and each item owns the next T - 1 of its
+saccades in item order. Only markov-dyn's dynamics channels need
+features, so ``simulate`` writes them for markov-dyn cohorts only. The
+other models read scanpaths and ignore the features that ``load_dataset``
+reads all the same.
 """
 
 from __future__ import annotations
@@ -40,20 +42,26 @@ class DatasetItem:
     subject_id: str
     image_id: str
     scanpath: Scanpath
-    features: SaccadeTable | None = None
 
 
 @dataclass(frozen=True)
 class GazeDataset:
     """Viewings in a fixed order; the evaluation names each by its row in
-    ``items``, so a (subject, image) pair may appear only once."""
+    ``items``, so a (subject, image) pair may appear only once. ``features``
+    is one table of every item's saccades in item order: an item of T
+    fixations owns the next T - 1."""
 
     items: tuple[DatasetItem, ...]
     saliency: dict[str, SaliencyMap] | None = None
     meta: dict | None = None
+    features: SaccadeTable | None = None
 
     def __post_init__(self):
         _check_unique([(it.subject_id, it.image_id) for it in self.items])
+        n = sum(len(it.scanpath) - 1 for it in self.items)
+        if self.features is not None and (len(self.features) != n or any(len(it.scanpath) < 1 for it in self.items)):
+            raise ValueError(f"the feature table has {len(self.features)} saccades, but the items have {n}:"
+                             " an item of T >= 1 fixations owns T - 1")
 
     @property
     def subjects(self) -> tuple[str, ...]:
@@ -121,19 +129,6 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
     _check_pairs([(it.subject_id, it.image_id) for it in data.items])
     for image_id in data.saliency or {}:
         _checked_id("image", image_id)
-    has_features = any(item.features is not None for item in data.items)
-    for it in data.items if has_features else ():
-        # the manifest records features for the whole dataset, and
-        # lengths.npy locates an item's saccades from its fixations
-        if it.features is None:
-            raise ValueError(
-                f"subject {it.subject_id!r} image {it.image_id!r} has no features while other items do"
-            )
-        if len(it.features) != len(it.scanpath) - 1:
-            raise ValueError(
-                f"subject {it.subject_id!r} image {it.image_id!r} has {len(it.features)} saccades"
-                f" for {len(it.scanpath)} fixations; a table needs one saccade fewer than fixations"
-            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -141,7 +136,7 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
         "items": [
             {"subject_id": it.subject_id, "image_id": it.image_id} for it in data.items
         ],
-        "has_features": has_features,
+        "has_features": data.features is not None,
         "saliency_images": sorted(data.saliency) if data.saliency else [],
         "meta": data.meta or {},
     }
@@ -154,12 +149,9 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
         np.concatenate([np.empty((0, 3)), *(np.column_stack([p.positions, p.durations]) for p in paths)]),
     )
     _write_column(out / "lengths.npy", np.array([len(p) for p in paths], dtype=np.int64))
-    if has_features:
-        tables = [it.features for it in data.items]
-        _write_column(out / "types.npy", np.concatenate([np.empty(0, np.int64), *(t.types for t in tables)]))
-        _write_column(
-            out / "features.npy", np.concatenate([np.empty((0, len(DYNAMICS_CHANNELS))), *(t.values.T for t in tables)])
-        )
+    if data.features is not None:
+        _write_column(out / "types.npy", data.features.types)
+        _write_column(out / "features.npy", data.features.values.T)
     if data.saliency:
         (out / "saliency").mkdir(exist_ok=True)
         for image_id, sal in data.saliency.items():
@@ -203,26 +195,22 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
         raise ValueError(f"{lengths_path}: lengths must be at least {least}, got {min(lengths)}")
     if sum(lengths) != len(rows):
         raise ValueError(f"{lengths_path}: lengths sum to {sum(lengths)}, but {scan_path} has {len(rows)} rows")
+    features = None
     if has_features:
         n_saccades = len(rows) - len(lengths)
-        types = _read_column(root / "types.npy", np.int64, (n_saccades,))
-        values = _read_column(root / "features.npy", np.float64, (n_saccades, len(DYNAMICS_CHANNELS)))
+        features = SaccadeTable(
+            types=_read_column(root / "types.npy", np.int64, (n_saccades,)),
+            values=_read_column(root / "features.npy", np.float64, (n_saccades, len(DYNAMICS_CHANNELS))).T,
+        )
 
     items = []
-    for k, ((subject_id, image_id), end, n) in enumerate(zip(pairs, itertools.accumulate(lengths), lengths)):
+    for (subject_id, image_id), end, n in zip(pairs, itertools.accumulate(lengths), lengths):
         fixations = rows[end - n : end]
         try:
             path = Scanpath(fixations[:, :2], fixations[:, 2], subject_id=subject_id, image_id=image_id)
         except ValueError as exc:
             raise ValueError(f"{scan_path}: subject {subject_id!r} image {image_id!r}: {exc}") from None
-        features = None
-        if has_features:
-            # the k items before this one have k fewer saccades than fixations
-            saccades = slice(end - n - k, end - k - 1)
-            features = SaccadeTable(types=types[saccades], values=values[saccades].T)
-        items.append(
-            DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path, features=features)
-        )
+        items.append(DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path))
 
     saliency = None
     if saliency_images:
@@ -230,4 +218,4 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
             image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
             for image_id in saliency_images
         }
-    return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {})
+    return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {}, features=features)

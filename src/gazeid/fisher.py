@@ -40,10 +40,10 @@ class FisherScore:
 class FisherInformation:
     """Empirical information (1/N) sum g g^T with a scaled ridge.
 
-    Construction checks that the matrix is square, finite and symmetric
-    and eps_reg positive and finite, and computes ``factor``, the lower
-    Cholesky factor of matrix + ridge * Id where ridge = eps_reg * trace /
-    dim; whitening solves factor @ phi = g.
+    Construction checks that the matrix is square, finite and symmetric,
+    eps_reg positive and finite and n_scores a positive int, and computes
+    ``factor``, the lower Cholesky factor of matrix + ridge * Id where
+    ridge = eps_reg * trace / dim; whitening solves factor @ phi = g.
     """
 
     matrix: np.ndarray
@@ -54,6 +54,8 @@ class FisherInformation:
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", matrix)
+        if not (isinstance(self.n_scores, int) and not isinstance(self.n_scores, bool) and self.n_scores >= 1):
+            raise ValueError(f"n_scores must be an int of at least 1, got {self.n_scores!r}")
         if not 0 < self.eps_reg < math.inf:
             raise ValueError(f"eps_reg must be positive and finite, got {self.eps_reg}")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

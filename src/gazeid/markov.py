@@ -150,9 +150,7 @@ def _per_type_blocks(first: np.ndarray, shapes: np.ndarray, scales: np.ndarray) 
     return out.reshape(first.shape[:-1] + (-1,))
 
 
-def statistics(
-    features: SaccadeTable | Sequence[SaccadeTable], channels: Sequence[str], lengths: Sequence[int] | None = None
-) -> np.ndarray:
+def statistics(features: SaccadeTable, channels: Sequence[str], lengths: Sequence[int] | None = None) -> np.ndarray:
     """Sufficient-statistics row of one scanpath's saccade table, on which
     alone ``loglik``, ``grad_loglik`` and ``fit`` depend: ``[K_1..K_4 | for
     each channel, for each type: n, sum x, sum ln x]``. K_u counts type-u
@@ -161,15 +159,9 @@ def statistics(
 
     With ``lengths``, the table is several items' tables concatenated, the
     i-th of ``lengths[i]`` saccades, and the result is the (items, row)
-    matrix; a sequence of tables is the same as their concatenation with
-    their lengths. Every sum is one ``np.bincount`` bin per (channel, term,
-    item, type), and a bin adds its values in saccade order, so every row
-    equals the row of its item's table alone, bit for bit."""
-    if not isinstance(features, SaccadeTable):
-        tables = list(features)
-        if not tables:
-            raise ValueError("features must be non-empty")
-        return statistics(SaccadeTable.concat(tables), channels, [len(t) for t in tables])
+    matrix. Every sum is one ``np.bincount`` bin per (channel, term, item,
+    type), and a bin adds its values in saccade order, so every row equals
+    the row of its item's table alone, bit for bit."""
     single = lengths is None
     lengths = [len(features)] if single else list(lengths)
     if not lengths or min(lengths) < 1:
@@ -355,11 +347,20 @@ def params_to_json_dict(params: MarkovModelParams) -> dict:
 
 
 def params_from_json_dict(doc: dict) -> MarkovModelParams:
-    channels = {
-        ch: tuple(GammaParams(shape=c["alpha"], scale=c["beta"]) for c in cells)
-        for ch, cells in doc["channels"].items()
-    }
-    return MarkovModelParams(pi=np.asarray(doc["pi"], dtype=float), channels=channels)
+    """The model of a ``params_to_json_dict`` document. Its ``pi`` must sum
+    to 1 within 1e-12, as a fitted one does, and no value may be a JSON
+    boolean, which would read as 0 or 1."""
+    cells = {ch: list(dicts) for ch, dicts in doc["channels"].items()}
+    values = [(key, c[key]) for cs in cells.values() for c in cs for key in ("alpha", "beta")]
+    for key, value in [("pi", v) for v in doc["pi"]] + values:
+        if isinstance(value, bool):
+            raise ValueError(f"{key} values must be numbers, got {value!r}")
+    channels = {ch: tuple(GammaParams(shape=c["alpha"], scale=c["beta"]) for c in cs) for ch, cs in cells.items()}
+    params = MarkovModelParams(pi=np.asarray(doc["pi"], dtype=float), channels=channels)
+    total = float(params.pi.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"pi must sum to 1 within 1e-12, got sum {total!r}")
+    return params
 
 
 def default_params(channels: Sequence[str] = BASE_CHANNELS) -> MarkovModelParams:

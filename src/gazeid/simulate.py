@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import markov, scenewalk
-from .core import BASE_CHANNELS, DYNAMICS_CHANNELS
+from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable
 from .dataset import DatasetItem, GazeDataset
 from .distributions import GammaParams
 
@@ -151,7 +151,7 @@ def generate_cohort(spec: SyntheticCohortSpec) -> SyntheticCohort:
     else:
         base_params = scenewalk.default_params()
 
-    items = []
+    items, tables = [], []
     user_params: dict[str, object] = {}
     for u, subject in enumerate(subjects):
         param_rng = np.random.default_rng(user_param_seqs[u])
@@ -168,8 +168,8 @@ def generate_cohort(spec: SyntheticCohortSpec) -> SyntheticCohort:
                     subject_id=subject,
                     image_id=image,
                 )
-                # only the dynamics channels need a table beside the scanpath
-                items.append(DatasetItem(subject, image, path, feats if spec.family == "markov-dyn" else None))
+                items.append(DatasetItem(subject, image, path))
+                tables.append(feats)
         else:
             params = jitter_scenewalk_params(base_params, spec.jitter, param_rng)
             user_params[subject] = params
@@ -188,11 +188,8 @@ def generate_cohort(spec: SyntheticCohortSpec) -> SyntheticCohort:
                     subject_id=subject,
                     image_id=image,
                 )
-                items.append(
-                    DatasetItem(subject_id=subject, image_id=image, scanpath=path, features=None)
-                )
+                items.append(DatasetItem(subject_id=subject, image_id=image, scanpath=path))
 
-    data = GazeDataset(
-        items=tuple(items), saliency=saliency, meta={"cohort_spec": spec.to_json_dict()}
-    )
+    features = SaccadeTable.concat(tables) if spec.family == "markov-dyn" else None  # only dynamics channels read it
+    data = GazeDataset(items=tuple(items), saliency=saliency, meta={"cohort_spec": spec.to_json_dict()}, features=features)
     return SyntheticCohort(data=data, user_params=user_params)

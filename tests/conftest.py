@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gazeid import scenewalk as sw
-from gazeid.core import Scanpath
+from gazeid.core import SaccadeTable, Scanpath
 
 
 def make_saliency(rng, shape=(32, 32), extent=(16.0, 16.0), n_blobs=4):
@@ -45,6 +45,13 @@ def make_path(rng, extent=(16.0, 16.0), n_fixations=6):
     )
     durations = rng.uniform(120.0, 400.0, n_fixations)
     return Scanpath(positions=positions, durations=durations)
+
+
+def item_tables(data):
+    """Each item's saccade table, sliced from ``data.features``: an item of
+    T fixations owns the next T - 1 saccades."""
+    bounds = np.cumsum([0] + [len(it.scanpath) - 1 for it in data.items])
+    return [SaccadeTable(data.features.types[a:b], data.features.values[:, a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @pytest.fixture

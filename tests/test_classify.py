@@ -12,6 +12,7 @@ import signal
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from conftest import item_tables
 from test_markov import bayes_oracle
 
 from gazeid import classify, markov, scenewalk, simulate
@@ -433,9 +434,9 @@ class TestFamilyOpsInputs:
         base = classify._FamilyOps(data, "markov", EvalProtocol(), threads=1)
         dyn = classify._FamilyOps(data, "markov-dyn", EvalProtocol(), threads=1)
         np.testing.assert_array_equal(
-            base.rows, markov.statistics([extract_features(it.scanpath) for it in data.items], BASE_CHANNELS)
+            base.rows, [markov.statistics(extract_features(it.scanpath), BASE_CHANNELS) for it in data.items]
         )
-        np.testing.assert_array_equal(dyn.rows, markov.statistics([it.features for it in data.items], DYNAMICS_CHANNELS))
+        np.testing.assert_array_equal(dyn.rows, [markov.statistics(t, DYNAMICS_CHANNELS) for t in item_tables(data)])
 
     def test_base_rows_of_ragged_paths_equal_the_rows_of_each_item_alone(self):
         rng = np.random.default_rng(3)
@@ -450,11 +451,10 @@ class TestFamilyOpsInputs:
         want = [markov.statistics(extract_features(it.scanpath), BASE_CHANNELS) for it in data.items]
         np.testing.assert_array_equal(rows, want)
 
-    def test_dynamics_reject_an_item_without_features(self):
-        data = small_cohort(family="markov-dyn")
-        partial = GazeDataset(items=(dataclasses.replace(data.items[0], features=None),) + data.items[1:])
+    def test_dynamics_reject_a_dataset_without_features(self):
+        data = dataclasses.replace(small_cohort(family="markov-dyn"), features=None)
         with pytest.raises(ValueError, match="dynamics channels unavailable"):
-            classify._FamilyOps(partial, "markov-dyn", EvalProtocol(), threads=1)
+            classify._FamilyOps(data, "markov-dyn", EvalProtocol(), threads=1)
 
 
 class TestRunProtocol:
@@ -580,6 +580,18 @@ class TestRunProtocol:
         protocol = EvalProtocol(n_splits=2, seed=0, max_k=2)
         result = classify.run_protocol(data, "bayes-markov", protocol)
         assert result.warnings
+        assert all(v == 1.0 for vals in result.per_split.values() for v in vals)
+
+    @pytest.mark.parametrize("family, chosen", [("bayes-scenewalk", None), ("fisher-svm-scenewalk", {"degenerate": True})])
+    def test_single_subject_fits_nothing(self, monkeypatch, family, chosen):
+        calls = []
+        fit = scenewalk.fit
+        monkeypatch.setattr(scenewalk, "fit", lambda *args, **kwargs: calls.append(args) or fit(*args, **kwargs))
+        data = small_cohort(n_users=1, n_images=4, T=6, family="scenewalk")
+        result = classify.run_protocol(data, family, EvalProtocol(n_splits=2, scenewalk_max_iter=3))
+        assert calls == []
+        assert result.warnings == ("single-subject dataset: identification accuracy is trivially 1.0",)
+        assert result.hyperparams == (chosen, chosen)
         assert all(v == 1.0 for vals in result.per_split.values() for v in vals)
 
     def test_unknown_family_rejected(self):

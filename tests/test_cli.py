@@ -16,6 +16,10 @@ from gazeid.dataset import GazeDataset, load_dataset, save_dataset
 from test_classify import overlapping_classes
 
 
+# the JSON of a base Markov model that reads back as it was written
+MARKOV_DOC = {"model": "markov", **markov.params_to_json_dict(markov.default_params())}
+
+
 def write_spec(path, **overrides):
     spec = {
         "n_users": 4,
@@ -407,6 +411,14 @@ class TestOneCodePath:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("option, doc, message", [
+        ("--model-json", {**MARKOV_DOC, "pi": [3, 1, 1, 1]}, "ValueError: pi must sum to 1 within 1e-12, got sum 6.0"),
+        ("--model-json", {**MARKOV_DOC, "pi": [True, 1e-9, 1e-9, 1e-9]}, "ValueError: pi values must be numbers, got True"),
+        ("--model-json", {**MARKOV_DOC, "channels": {**MARKOV_DOC["channels"], "duration": [{"alpha": True, "beta": 30.0}] * 4}},
+         "ValueError: alpha values must be numbers, got True"),
+        ("--model-json", {**MARKOV_DOC, "channels": {**MARKOV_DOC["channels"], "amplitude": [{"alpha": 2.0, "beta": False}] * 4}},
+         "ValueError: beta values must be numbers, got False"),
+        *(("--info-in", {"matrix": [[1.0]], "eps_reg": 1e-6, "n_scores": n}, f"ValueError: n_scores must be an int of at least 1, got {n!r}")
+          for n in ("abc", 0, -3, True, 2.5)),
         ("--model-json", {"model": "markov"}, "KeyError: 'channels'"),
         ("--model-json", {"model": "scenewalk", "params": {"zeta": 0.5}}, "KeyError: 'c_f'"),
         ("--model-json", [1, 2], "AttributeError: 'list' object has no attribute 'get'"),
@@ -488,8 +500,7 @@ class TestOneCodePath:
 
     def test_dynamics_without_feature_files_is_named(self, tmp_path, capsys):
         data = load_dataset(simulate_tiny(tmp_path, "markov-dyn"))
-        items = tuple(dataclasses.replace(it, features=None) for it in data.items)
-        save_dataset(GazeDataset(items, data.saliency, data.meta), tmp_path / "stripped")
+        save_dataset(dataclasses.replace(data, features=None), tmp_path / "stripped")
         stripped = str(tmp_path / "stripped")
         for argv in (
             ["eval", "--data", stripped, "--family", "bayes-markov-dyn", "--out", str(tmp_path / "res"), "--threads", "1"],
@@ -566,7 +577,8 @@ class TestDetect:
         assert [(it.subject_id, it.image_id) for it in loaded.items] == [("s0", "img0"), ("s1", "img0")]
         for k, it in enumerate(loaded.items):
             assert it.scanpath == detect_saccades(load_recording_csv(raw / f"rec{k}.csv"), 6.0, 6.0)
-            assert len(it.scanpath) == 2 and it.features is None
+            assert len(it.scanpath) == 2
+        assert loaded.features is None
 
     @pytest.mark.parametrize(
         "ids", [[("a__b", "c"), ("a", "b__c")], [("s0", "../escaped")]]

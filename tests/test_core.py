@@ -2,12 +2,14 @@
 
 import copy
 import csv
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import item_tables
 from hypothesis import strategies as st
 
 from gazeid.core import (
@@ -509,22 +511,24 @@ class TestSaccadeTable:
 
 class TestValueEquality:
     def test_deep_copies_are_equal_and_one_changed_value_is_not(self):
-        item = generate_cohort(SyntheticCohortSpec(
+        data = generate_cohort(SyntheticCohortSpec(
             n_users=1, n_images=1, fixations_per_path=6, family="markov-dyn", seed=3
-        )).data.items[0]
-        item.features.values[[2, 5], [0, 3]] = [np.nan, np.inf]  # simulation draws every channel
+        )).data
+        [item] = data.items
+        data.features.values[[2, 5], [0, 3]] = [np.nan, np.inf]  # simulation draws every channel
         grid = np.full((3, 4), 1.0 / 12)
         cases = [
-            (item, lambda it: DatasetItem(it.subject_id, it.image_id, it.scanpath, None)),
+            (data, lambda d: dataclasses.replace(d, features=None)),
+            (item, lambda it: DatasetItem(it.subject_id, "other", it.scanpath)),
             (item.scanpath, lambda sp: Scanpath(sp.positions + 1e-9, sp.durations)),
-            (item.features, lambda t: SaccadeTable(t.types, np.where(np.isnan(t.values), 1.0, t.values))),
+            (data.features, lambda t: SaccadeTable(t.types, np.where(np.isnan(t.values), 1.0, t.values))),
             (SaliencyMap(grid=grid, extent=(4.0, 3.0)), lambda m: SaliencyMap(grid=m.grid, extent=(4.0, 3.5))),
         ]
         for value, changed in cases:
             assert value == copy.deepcopy(value)
             assert not value != copy.deepcopy(value)
             assert value != changed(value)
-        assert item != item.scanpath and item.scanpath != item.features
+        assert item != item.scanpath and item.scanpath != data.features
         assert Scanpath([[0.0, 0.0], [1.0, 1.0]], [100.0, 200.0]) != Scanpath([[0.0, 0.0], [1.0, 1.0]], [100.0, 201.0])
 
 
@@ -599,19 +603,19 @@ def csv_module_write(csv_path, header, rows):
         writer.writerows(rows)
 
 
-def dynamics_items(seed=6):
-    """Items of a dynamics cohort whose tables also carry NaN, inf, zero
+def dynamics_data(seed=6):
+    """A dynamics cohort whose feature table also carries NaN, inf, zero
     and negative cells, which simulation never draws."""
     spec = SyntheticCohortSpec(
         n_users=2, n_images=3, fixations_per_path=12, family="markov-dyn", jitter=0.3, seed=seed
     )
-    items = generate_cohort(spec).data.items
+    data = generate_cohort(spec).data
     rng = np.random.default_rng(seed)
-    for it in items:
-        values = it.features.values
+    for table in item_tables(data):  # views of data.features
+        values = table.values
         cells = rng.integers(0, values.shape[0], 5), rng.integers(0, values.shape[1], 5)
         values[cells] = [np.nan, np.inf, -np.inf, 0.0, -2.5]
-    return items
+    return data
 
 
 class TestCsvFiles:
@@ -626,17 +630,18 @@ class TestCsvFiles:
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r_ref.csv").read_bytes()
 
     def test_load_then_save_is_byte_identical(self, tmp_path):
-        items = dynamics_items()
-        values = np.concatenate([it.features.values for it in items], axis=1)
-        assert np.isnan(values).any() and np.isinf(values).any()
-        save_dataset(GazeDataset(items=items), tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d").items
-        assert [(it.subject_id, it.image_id) for it in loaded] == [(it.subject_id, it.image_id) for it in items]
-        for a, b in zip(loaded, items):
-            for x, y in ((a.scanpath.positions, b.scanpath.positions), (a.scanpath.durations, b.scanpath.durations),
-                         (a.features.types, b.features.types), (a.features.values, b.features.values)):
-                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
-        save_dataset(GazeDataset(items=loaded), tmp_path / "again")
+        data = dynamics_data()
+        items, features = data.items, data.features
+        assert np.isnan(features.values).any() and np.isinf(features.values).any()
+        save_dataset(GazeDataset(items=items, features=features), tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")
+        assert [(it.subject_id, it.image_id) for it in loaded.items] == [(it.subject_id, it.image_id) for it in items]
+        pairs = [(loaded.features.types, features.types), (loaded.features.values, features.values)]
+        for a, b in zip(loaded.items, items):
+            pairs += [(a.scanpath.positions, b.scanpath.positions), (a.scanpath.durations, b.scanpath.durations)]
+        for x, y in pairs:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        save_dataset(GazeDataset(items=loaded.items, features=loaded.features), tmp_path / "again")
         files = sorted(f.name for f in (tmp_path / "d").iterdir())
         assert files == ["features.npy", "lengths.npy", "manifest.json", "scanpaths.npy", "types.npy"]
         assert sorted(f.name for f in (tmp_path / "again").iterdir()) == files

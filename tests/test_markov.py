@@ -1,7 +1,6 @@
 """Markov scanpath model: fit recovery, likelihood, gradient, sampling."""
 
 import collections
-import dataclasses
 import json
 import math
 import re
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
+from conftest import item_tables
 from test_acceptance import random_markov_params
 from test_distributions import oracle_gamma_from_sums
 
@@ -228,25 +228,22 @@ class TestTableParity:
         )
         data = simulate.generate_cohort(spec).data
         rng = np.random.default_rng(9)
-        read = [it.features if family == "markov-dyn" else extract_features(it.scanpath) for it in data.items]
-        items = [
-            dataclasses.replace(it, features=corrupt(table, rng) if i % 2 else table)
-            for i, (it, table) in enumerate(zip(data.items, read))
-        ]
+        read = item_tables(data) if family == "markov-dyn" else [extract_features(it.scanpath) for it in data.items]
+        items = list(data.items)
+        tables = [corrupt(table, rng) if i % 2 else table for i, table in enumerate(read)]
         gen = markov.default_params(channels)
         for n in (2, 3, 17, 25, 40, 41):
             feats = markov.sample_scanpath(gen, n, seed_or_rng=rng)[1]
             path = markov.sample_scanpath(gen, n, seed_or_rng=0)[0]
-            items.append(DatasetItem("extra", f"len{n}", path, corrupt(feats, rng)))
-        save_dataset(GazeDataset(items=tuple(items)), tmp_path / "d")
+            items.append(DatasetItem("extra", f"len{n}", path))
+            tables.append(corrupt(feats, rng))
+        save_dataset(GazeDataset(items=tuple(items), features=SaccadeTable.concat(tables)), tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
-        tables = [it.features for it in loaded.items]
-        want = np.array([oracle_statistics(oracle_records(it.features), channels) for it in items])
-        assert np.isnan(SaccadeTable.concat(tables).values[[DYNAMICS_CHANNELS.index(ch) for ch in channels]]).any()
-        np.testing.assert_array_equal(markov.statistics(tables, channels), want)
-        np.testing.assert_array_equal([markov.statistics(t, channels) for t in tables], want)
+        want = np.array([oracle_statistics(oracle_records(t), channels) for t in tables])
+        assert np.isnan(loaded.features.values[[DYNAMICS_CHANNELS.index(ch) for ch in channels]]).any()
+        np.testing.assert_array_equal([markov.statistics(t, channels) for t in item_tables(loaded)], want)
         lengths = [len(t) for t in tables]
-        np.testing.assert_array_equal(markov.statistics(SaccadeTable.concat(tables), channels, lengths), want)
+        np.testing.assert_array_equal(markov.statistics(loaded.features, channels, lengths), want)
 
     def test_lengths_must_cover_the_table(self):
         table = make_table([1, 2, 3], amplitude=[1.0, 2.0, 3.0], duration=[100.0, 200.0, 300.0])
@@ -267,10 +264,10 @@ class TestTableParity:
             n_users=4, n_images=5, fixations_per_path=20, family="markov-dyn", jitter=0.3, seed=3
         )
         data = simulate.generate_cohort(spec).data
-        rows = [
-            markov.statistics([it.features for it in data.items if it.subject_id == s], DYNAMICS_CHANNELS).sum(axis=0)
-            for s in data.subjects
-        ]
+        lengths = [len(it.scanpath) - 1 for it in data.items]
+        item_rows = markov.statistics(data.features, DYNAMICS_CHANNELS, lengths)
+        subjects = np.array([it.subject_id for it in data.items])
+        rows = [item_rows[subjects == s].sum(axis=0) for s in data.subjects]
         rng = np.random.default_rng(5)
         values = rng.gamma(3.0, 2.0, (len(DYNAMICS_CHANNELS), 12))
         types = np.array([1, 1, 2, 2, 2, 3, 3, 3, 1, 2, 1, 4])
@@ -349,14 +346,14 @@ class TestStatisticsParity:
                 assert got.scale == pytest.approx(want.scale, rel=1e-10)
 
     def test_out_of_range_type_rejected(self):
-        # alone and as the second table of a list, where a type 0 would
-        # otherwise count in the first table's type-4 sums
+        # alone and as the second item of a table, where a type 0 would
+        # otherwise count in the first item's type-4 sums
         f = markov.sample_scanpath(markov.default_params(), 3, seed_or_rng=1)[1]
         for bad_type in (5, 0, -1):
             bad = SaccadeTable(types=np.r_[bad_type, f.types], values=np.c_[f.values[:, :1], f.values])
-            for features in (bad, [f, bad]):
+            for features, lengths in ((bad, None), (SaccadeTable.concat([f, bad]), [len(f), len(bad)])):
                 with pytest.raises(ValueError, match="saccade types"):
-                    markov.statistics(features, BASE_CHANNELS)
+                    markov.statistics(features, BASE_CHANNELS, lengths)
 
 
 class TestFit:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from gazeid import markov, simulate
-from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, extract_features
+from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, Scanpath, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.distributions import GammaParams
 from gazeid.simulate import SyntheticCohortSpec, generate_cohort
+from conftest import item_tables
 from test_acceptance import random_markov_params
 from test_markov import assert_arrays_bit_equal
 from test_scenewalk import _UNPICKLED, _Unpicklable
@@ -134,8 +135,8 @@ class TestGenerateCohort:
         assert set(cohort.data.saliency) == {"img000", "img001", "img002"}
         for sal in cohort.data.saliency.values():
             assert abs(sal.grid.sum() - 1.0) < 1e-9
+        assert cohort.data.features is None
         for item in cohort.data.items:
-            assert item.features is None
             assert len(item.scanpath) == 5
 
 
@@ -182,14 +183,16 @@ class TestDatasetRoundTrip:
         data = generate_cohort(spec).data
         save_dataset(data, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
+        assert loaded == data
         assert loaded.items == data.items
         for a, b in zip(loaded.items, data.items):
             assert (a.subject_id, a.image_id) == (b.subject_id, b.image_id)
             np.testing.assert_array_equal(a.scanpath.positions, b.scanpath.positions)
-            if b.features is not None:
-                np.testing.assert_array_equal(a.features.types, b.features.types)
-                vigor_x = DYNAMICS_CHANNELS.index("vigor_x")
-                np.testing.assert_array_equal(a.features.values[vigor_x], b.features.values[vigor_x])
+        assert (loaded.features is None) == (family != "markov-dyn")
+        if family == "markov-dyn":
+            np.testing.assert_array_equal(loaded.features.types, data.features.types)
+            vigor_x = DYNAMICS_CHANNELS.index("vigor_x")
+            np.testing.assert_array_equal(loaded.features.values[vigor_x], data.features.values[vigor_x])
         if family == "scenewalk":
             for image_id, sal in data.saliency.items():
                 np.testing.assert_array_equal(loaded.saliency[image_id].grid, sal.grid)
@@ -314,14 +317,6 @@ class TestDatasetRoundTrip:
         with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
             load_dataset(tmp_path / "d")
 
-    def test_features_on_only_some_items_are_rejected(self, tmp_path):
-        spec = SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, family="markov-dyn", seed=5)
-        data = generate_cohort(spec).data
-        first, second = data.items
-        with pytest.raises(ValueError, match="subject 'user000' image 'img001' has no features while other items do"):
-            save_dataset(GazeDataset(items=(first, dataclasses.replace(second, features=None))), tmp_path / "d")
-        assert not (tmp_path / "d").exists()
-
 
 COLUMNS = ("scanpaths.npy", "lengths.npy", "types.npy", "features.npy")
 
@@ -337,7 +332,8 @@ def saved_cohort(tmp_path, family="markov-dyn"):
 class TestDatasetColumns:
     def test_columns_are_exact_npy_in_item_order(self, tmp_path):
         spec = SyntheticCohortSpec(n_users=2, n_images=3, fixations_per_path=5, family="markov-dyn", seed=5)
-        items = generate_cohort(spec).data.items
+        data = generate_cohort(spec).data
+        items, tables = data.items, item_tables(data)
         d = saved_cohort(tmp_path)
         headers = {}
         for name in COLUMNS:
@@ -353,8 +349,8 @@ class TestDatasetColumns:
         scan = np.concatenate([np.column_stack([it.scanpath.positions, it.scanpath.durations]) for it in items])
         assert np.load(d / "scanpaths.npy").tobytes() == scan.tobytes()
         assert np.load(d / "lengths.npy").tolist() == [5] * 6
-        assert np.load(d / "types.npy").tolist() == [u for it in items for u in it.features.types.tolist()]
-        assert np.load(d / "features.npy").tobytes() == np.concatenate([it.features.values.T for it in items]).tobytes()
+        assert np.load(d / "types.npy").tolist() == [u for t in tables for u in t.types.tolist()]
+        assert np.load(d / "features.npy").tobytes() == np.concatenate([t.values.T for t in tables]).tobytes()
 
     def test_eleven_feature_columns_are_rejected(self, tmp_path):
         # the layout before the columns became the Markov channels: three
@@ -456,12 +452,18 @@ class TestDatasetColumns:
         ):
             load_dataset(d)
 
-    def test_table_of_another_length_is_rejected(self, tmp_path):
+    def test_table_of_another_length_is_rejected(self):
+        # an item of T fixations owns T - 1 saccades: 2 items of 4 own 6
         spec = SyntheticCohortSpec(n_users=1, n_images=2, fixations_per_path=4, family="markov-dyn", seed=5)
-        first, second = generate_cohort(spec).data.items
-        short = SaccadeTable(types=second.features.types[:-1], values=second.features.values[:, :-1])
-        with pytest.raises(
-            ValueError, match="subject 'user000' image 'img001' has 2 saccades for 4 fixations; a table needs one"
-        ):
-            save_dataset(GazeDataset(items=(first, dataclasses.replace(second, features=short))), tmp_path / "d")
-        assert not (tmp_path / "d").exists()
+        data = generate_cohort(spec).data
+        t = data.features
+        longer = SaccadeTable(types=np.r_[t.types, 1], values=np.c_[t.values, t.values[:, :1]])
+        for table, n in ((SaccadeTable(types=t.types[:-1], values=t.values[:, :-1]), 5), (longer, 7)):
+            with pytest.raises(ValueError, match=re.escape(
+                f"the feature table has {n} saccades, but the items have 6: an item of T >= 1 fixations owns T - 1"
+            )):
+                GazeDataset(items=data.items, features=table)
+        # items of 4 and 0 fixations: their counts 3 and -1 sum to the table's 2, but an item needs a fixation
+        empty = dataclasses.replace(data.items[1], scanpath=Scanpath(np.empty((0, 2)), np.empty(0)))
+        with pytest.raises(ValueError, match=re.escape("the feature table has 2 saccades, but the items have 2: an item of T >= 1")):
+            GazeDataset(items=(data.items[0], empty), features=SaccadeTable(t.types[:2], t.values[:, :2]))
