@@ -608,7 +608,6 @@ def run_protocol(
         raise ValueError(f"threads must be at least 1, got {threads}")
     splits = make_splits(data, protocol)
 
-
     min_test = min(len(rows) for split in splits for rows in split.test.values())
     ks = [k for k in range(1, protocol.max_k + 1) if k <= min_test]
 

@@ -58,10 +58,11 @@ class GazeDataset:
 
     def __post_init__(self):
         _check_unique([(it.subject_id, it.image_id) for it in self.items])
-        n = sum(len(it.scanpath) - 1 for it in self.items)
-        if self.features is not None and (len(self.features) != n or any(len(it.scanpath) < 1 for it in self.items)):
-            raise ValueError(f"the feature table has {len(self.features)} saccades, but the items have {n}:"
-                             " an item of T >= 1 fixations owns T - 1")
+        if self.features is not None:
+            n = sum(len(it.scanpath) - 1 for it in self.items)
+            if len(self.features) != n or any(len(it.scanpath) < 1 for it in self.items):
+                raise ValueError(f"the feature table has {len(self.features)} saccades, but the items have {n}:"
+                                 " an item of T >= 1 fixations owns T - 1")
 
     @property
     def subjects(self) -> tuple[str, ...]:
