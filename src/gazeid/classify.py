@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fisher, markov, scenewalk
-from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, extract_features
+from .core import BASE_CHANNELS, DYNAMICS_CHANNELS, check_saccades, extract_features
 from .dataset import GazeDataset
 
 FAMILIES = (
@@ -349,8 +349,8 @@ def make_splits(data: GazeDataset, protocol: EvalProtocol) -> list[Split]:
     generator i of ``protocol.seed`` and trains on the first
     round(train_fraction * n), at least 1 and at most n - 1; the rest test."""
     rows_of: dict[str, list[int]] = {}
-    for row, item in enumerate(data.items):
-        rows_of.setdefault(item.subject_id, []).append(row)
+    for row, subject_id in enumerate(data.items.subject_ids):
+        rows_of.setdefault(subject_id, []).append(row)
     splits = []
     for seq in np.random.SeedSequence(protocol.seed).spawn(protocol.n_splits):
         rng = np.random.default_rng(seq)
@@ -372,15 +372,17 @@ class _FamilyOps:
     and ``gazeid fit``/``scores``; ``labels`` holds each row's subject.
     Markov models reduce every item once to its ``markov.statistics`` row
     in one call over one table, for the base model that of one
-    ``extract_features`` call over all items' scanpaths and for markov-dyn
-    the dataset's ``features``; fits, likelihoods and scores are then sums
-    and matrix products of those rows. SceneWalk sweeps the items' paths in a
+    ``extract_features`` call over the dataset's fixation columns and for
+    markov-dyn the dataset's ``features``; an item of fewer than 2
+    fixations is named first. Fits, likelihoods and scores are then sums
+    and matrix products of those rows; no item's ``Scanpath`` is built.
+    SceneWalk sweeps the items' paths in a
     ``scenewalk.SweepPool`` with ``threads - 1`` forked workers, which
     ``close`` (or leaving a ``with`` block) stops."""
 
     def __init__(self, data: GazeDataset, model: str, protocol: EvalProtocol, threads: int):
         self.data = data
-        self.labels = np.array([it.subject_id for it in data.items])
+        self.labels = np.array(data.items.subject_ids)
         if model == "markov":
             self.kind, self.channels = "markov", BASE_CHANNELS
         elif model == "markov-dyn":
@@ -395,9 +397,10 @@ class _FamilyOps:
             raise ValueError(f"unknown model {model!r}; choose one of markov, markov-dyn, scenewalk")
         self.protocol = protocol
         if self.kind == "markov":
-            paths = [it.scanpath for it in data.items]
-            table = extract_features(paths) if model == "markov" else data.features
-            self.rows = markov.statistics(table, self.channels, [len(p) - 1 for p in paths])
+            items, lengths = data.items, data.items.lengths.tolist()
+            check_saccades(lengths, items.subject_ids, items.image_ids)
+            table = extract_features(items) if model == "markov" else data.features
+            self.rows = markov.statistics(table, self.channels, [n - 1 for n in lengths])
         else:
             pairs = [(it.scanpath, data.saliency[it.image_id]) for it in data.items]
             self.pool = scenewalk.SweepPool(pairs, min(threads, len(pairs)) - 1)

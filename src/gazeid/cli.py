@@ -204,7 +204,7 @@ def cmd_scores(args) -> int:
 
     out = Path(config["out"])
     phi = fisher.feature_map(scores, info, normalize)
-    _atomic_write(out, lambda tmp: fisher.export_features_csv([(it.subject_id, it.image_id) for it in data.items], phi, tmp))
+    _atomic_write(out, lambda tmp: fisher.export_features_csv(list(zip(data.items.subject_ids, data.items.image_ids)), phi, tmp))
 
     info_out = config["info_out"] or str(out.with_suffix(".info.json"))
     _write_json(

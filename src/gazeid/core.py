@@ -279,11 +279,15 @@ def detect_saccades(
     )
 
 
-def extract_features(paths: Scanpath | Sequence[Scanpath]) -> SaccadeTable:
+def extract_features(paths) -> SaccadeTable:
     """Per-saccade feature table of a scanpath of T >= 2 fixations, or of
-    a sequence of scanpaths as one table: each path's T - 1 saccades in
-    path order, so that its rows are the concatenation of the paths' own
-    tables, bit for bit.
+    several scanpaths as one table: each path's T - 1 saccades in path
+    order, so that its rows are the concatenation of the paths' own
+    tables, bit for bit. ``paths`` is one ``Scanpath``, a sequence of
+    them, or their columns (a dataset's ``ItemColumns``): ``positions``
+    (N, 2) and ``durations`` (N,) of every fixation in path order, path
+    j's next ``lengths[j]`` of them, and ``subject_ids`` and
+    ``image_ids``. The forms share one column computation.
 
     Saccade t runs from fixation t to fixation t+1 and is paired with the
     duration of fixation t+1. Its type is classified from the direction
@@ -291,21 +295,27 @@ def extract_features(paths: Scanpath | Sequence[Scanpath]) -> SaccadeTable:
     direction is the positive x axis. A scanpath gives the amplitude and
     duration rows; the dynamics rows stay NaN, because they come only from
     a dataset's stored features (``dataset.load_dataset``). The array work
-    runs once over the paths' concatenated fixations, dropping the step
-    from one path's last fixation to the next path's first. A path of
-    fewer than 2 fixations raises ValueError naming its subject and image.
+    runs once over all fixations, dropping the step from one path's last
+    fixation to the next path's first. A path of fewer than 2 fixations
+    raises ValueError naming its subject and image (``check_saccades``).
     """
-    paths = [paths] if isinstance(paths, Scanpath) else list(paths)
-    lengths = [len(p) for p in paths]
-    if not paths:
-        raise ValueError("no scanpaths to extract features from")
-    if min(lengths) < 2:
-        p = next(p for p in paths if len(p) < 2)
-        raise ValueError(
-            f"scanpath must contain at least 2 fixations; subject {p.subject_id!r} image "
-            f"{p.image_id!r} has {len(p)}"
+    if isinstance(paths, Scanpath):
+        columns = paths.positions, paths.durations, [len(paths)], [paths.subject_id], [paths.image_id]
+    elif hasattr(paths, "lengths"):
+        columns = paths.positions, paths.durations, paths.lengths.tolist(), paths.subject_ids, paths.image_ids
+    else:
+        paths = list(paths)
+        columns = (
+            np.concatenate([np.empty((0, 2)), *(p.positions for p in paths)]),
+            np.concatenate([np.empty(0), *(p.durations for p in paths)]),
+            [len(p) for p in paths],
+            [p.subject_id for p in paths],
+            [p.image_id for p in paths],
         )
-    positions = np.concatenate([p.positions for p in paths])
+    positions, durations, lengths, subject_ids, image_ids = columns
+    if not lengths:
+        raise ValueError("no scanpaths to extract features from")
+    check_saccades(lengths, subject_ids, image_ids)
     # Fixation i ends a saccade unless it starts a path; the first saccade
     # of path j is saccade starts[j] - j.
     starts = list(itertools.accumulate(lengths[:-1], initial=0))
@@ -322,9 +332,20 @@ def extract_features(paths: Scanpath | Sequence[Scanpath]) -> SaccadeTable:
 
     values = np.full((len(DYNAMICS_CHANNELS), len(steps)), math.nan)
     np.copyto(values[0], amplitudes, where=amplitudes > 0)  # a zero-length step's stays NaN
-    values[1] = np.concatenate([p.durations for p in paths])[ends_saccade]
+    values[1] = durations[ends_saccade]
     types = np.fromiter(map(classify_saccade_type, wrap_angle_deg(deltas).tolist()), dtype=int, count=len(steps))
     return SaccadeTable(types=types, values=values)
+
+
+def check_saccades(lengths: Sequence[int], subject_ids: Sequence[str], image_ids: Sequence[str]) -> None:
+    """Raise ValueError naming the first path, of ``lengths[k]`` fixations
+    by subject ``subject_ids[k]`` on image ``image_ids[k]``, that has fewer
+    than 2 fixations and so no saccade."""
+    for k, n in enumerate(lengths):
+        if n < 2:
+            raise ValueError(
+                f"scanpath must contain at least 2 fixations; subject {subject_ids[k]!r} image {image_ids[k]!r} has {n}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -13,25 +13,31 @@ optional per-image saliency grids:
     saliency/<image>.npy + <image>.json      (np.save grid + extent_deg)
 
 An item of T fixations has T - 1 saccades, so ``lengths.npy`` locates both.
-In memory the features are one ``SaccadeTable``, ``GazeDataset.features``,
-as on disk: its rows are ``features.npy``'s columns, one per
-``core.DYNAMICS_CHANNELS`` entry, and each item owns the next T - 1 of its
-saccades in item order. Only markov-dyn's dynamics channels need
-features, so ``simulate`` writes them for markov-dyn cohorts only. The
-other models read scanpaths and ignore the features that ``load_dataset``
-reads all the same.
+In memory a dataset holds the same columns. Its items are an
+``ItemColumns``: the ids as tuples, the fixations of every item as one
+positions and one durations array, and the lengths. Indexing or iterating
+it gives ``DatasetItem``s whose ``Scanpath`` is a view of the columns,
+built on each access; code that needs only ids or fixations reads the
+columns. The features are one ``SaccadeTable``, ``GazeDataset.features``:
+its rows are ``features.npy``'s columns, one per ``core.DYNAMICS_CHANNELS``
+entry, and each item owns the next T - 1 of its saccades in item order.
+Only markov-dyn's dynamics channels need features, so ``simulate`` writes
+them for markov-dyn cohorts only. The other models read scanpaths and
+ignore the features that ``load_dataset`` reads all the same.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import DYNAMICS_CHANNELS, SaccadeTable, Scanpath
+from .core import DYNAMICS_CHANNELS, SaccadeTable, Scanpath, _eq_by_value
 from .scenewalk import SaliencyMap, load_saliency, save_saliency
 
 
@@ -45,34 +51,96 @@ class DatasetItem:
 
 
 @dataclass(frozen=True)
+class ItemColumns:
+    """A dataset's items as columns: item k is (``subject_ids[k]``,
+    ``image_ids[k]``) with the next ``lengths[k]`` (int64) rows of the
+    float64 ``positions`` (fixations, 2) and ``durations`` (fixations,).
+    A position or duration that is not finite, or a duration that is not
+    positive, raises ValueError naming the first such item with
+    ``Scanpath``'s message. ``self[k]``, a slice (a tuple) and iteration
+    give ``DatasetItem``s whose scanpath views the columns, built on each
+    access."""
+
+    subject_ids: tuple[str, ...]
+    image_ids: tuple[str, ...]
+    positions: np.ndarray
+    durations: np.ndarray
+    lengths: np.ndarray
+    _bounds: list[int] = field(init=False, repr=False, compare=False)  # item k: rows [k] to [k + 1]
+
+    __eq__ = _eq_by_value
+
+    def __post_init__(self):
+        bounds = [0, *itertools.accumulate(self.lengths.tolist())]
+        object.__setattr__(self, "_bounds", bounds)
+        pos, dur = self.positions, self.durations
+        bad = ~(np.isfinite(pos).all(axis=1) & np.isfinite(dur) & (dur > 0))
+        if bad.any():
+            k = bisect.bisect_right(bounds, int(bad.argmax())) - 1
+            try:
+                self[k]
+            except ValueError as exc:
+                raise ValueError(f"subject {self.subject_ids[k]!r} image {self.image_ids[k]!r}: {exc}") from None
+
+    @classmethod
+    def of(cls, items: Iterable[DatasetItem]) -> "ItemColumns":
+        """The columns of ``items``, in order."""
+        items = tuple(items)
+        paths = [it.scanpath for it in items]
+        return cls(
+            subject_ids=tuple(it.subject_id for it in items),
+            image_ids=tuple(it.image_id for it in items),
+            positions=np.concatenate([np.empty((0, 2)), *(p.positions for p in paths)]),
+            durations=np.concatenate([np.empty(0), *(p.durations for p in paths)]),
+            lengths=np.array([len(p) for p in paths], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]
+        a, b = self._bounds[k], self._bounds[k + 1]
+        subject_id, image_id = self.subject_ids[k], self.image_ids[k]
+        path = Scanpath(self.positions[a:b], self.durations[a:b], subject_id=subject_id, image_id=image_id)
+        return DatasetItem(subject_id, image_id, path)
+
+    def __iter__(self) -> Iterator[DatasetItem]:
+        return map(self.__getitem__, range(len(self)))
+
+
+@dataclass(frozen=True)
 class GazeDataset:
     """Viewings in a fixed order; the evaluation names each by its row in
-    ``items``, so a (subject, image) pair may appear only once. ``features``
-    is one table of every item's saccades in item order: an item of T
-    fixations owns the next T - 1."""
+    ``items``, so a (subject, image) pair may appear only once. ``items``
+    may be given as DatasetItems, which become one ``ItemColumns``.
+    ``features`` is one table of every item's saccades in item order: an
+    item of T fixations owns the next T - 1."""
 
-    items: tuple[DatasetItem, ...]
+    items: ItemColumns
     saliency: dict[str, SaliencyMap] | None = None
     meta: dict | None = None
     features: SaccadeTable | None = None
 
     def __post_init__(self):
-        _check_unique([(it.subject_id, it.image_id) for it in self.items])
+        if not isinstance(self.items, ItemColumns):
+            object.__setattr__(self, "items", ItemColumns.of(self.items))
+        items = self.items
+        _check_unique(zip(items.subject_ids, items.image_ids))
         if self.features is not None:
-            n = sum(len(it.scanpath) - 1 for it in self.items)
-            if len(self.features) != n or any(len(it.scanpath) < 1 for it in self.items):
+            n = int(items.lengths.sum()) - len(items)
+            if len(self.features) != n or (items.lengths < 1).any():
                 raise ValueError(f"the feature table has {len(self.features)} saccades, but the items have {n}:"
                                  " an item of T >= 1 fixations owns T - 1")
 
     @property
     def subjects(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for item in self.items:
-            seen.setdefault(item.subject_id)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.items.subject_ids))
 
     def images_of(self, subject_id: str) -> tuple[str, ...]:
-        return tuple(i.image_id for i in self.items if i.subject_id == subject_id)
+        return tuple(i for s, i in zip(self.items.subject_ids, self.items.image_ids) if s == subject_id)
 
 
 def _checked_id(kind: str, value: str) -> str:
@@ -89,14 +157,14 @@ def _checked_id(kind: str, value: str) -> str:
     return value
 
 
-def _check_pairs(pairs: list[tuple[str, str]]) -> None:
+def _check_pairs(pairs: Iterable[tuple[str, str]]) -> None:
     """Reject an id that ``_checked_id`` rejects."""
     for subject_id, image_id in pairs:
         _checked_id("subject", subject_id)
         _checked_id("image", image_id)
 
 
-def _check_unique(pairs: list[tuple[str, str]]) -> None:
+def _check_unique(pairs: Iterable[tuple[str, str]]) -> None:
     """Reject a (subject, image) pair that appears twice."""
     seen = set()
     for pair in pairs:
@@ -127,7 +195,8 @@ def _read_column(path: Path, dtype: type, shape: tuple[int | None, ...]) -> np.n
 
 
 def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
-    _check_pairs([(it.subject_id, it.image_id) for it in data.items])
+    items = data.items
+    _check_pairs(zip(items.subject_ids, items.image_ids))
     for image_id in data.saliency or {}:
         _checked_id("image", image_id)
     out = Path(out_dir)
@@ -135,7 +204,8 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
 
     manifest = {
         "items": [
-            {"subject_id": it.subject_id, "image_id": it.image_id} for it in data.items
+            {"subject_id": subject_id, "image_id": image_id}
+            for subject_id, image_id in zip(items.subject_ids, items.image_ids)
         ],
         "has_features": data.features is not None,
         "saliency_images": sorted(data.saliency) if data.saliency else [],
@@ -144,12 +214,8 @@ def save_dataset(data: GazeDataset, out_dir: str | Path) -> None:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
-    paths = [it.scanpath for it in data.items]
-    _write_column(
-        out / "scanpaths.npy",
-        np.concatenate([np.empty((0, 3)), *(np.column_stack([p.positions, p.durations]) for p in paths)]),
-    )
-    _write_column(out / "lengths.npy", np.array([len(p) for p in paths], dtype=np.int64))
+    _write_column(out / "scanpaths.npy", np.column_stack([items.positions, items.durations]))
+    _write_column(out / "lengths.npy", items.lengths)
     if data.features is not None:
         _write_column(out / "types.npy", data.features.types)
         _write_column(out / "features.npy", data.features.values.T)
@@ -180,7 +246,9 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
         raise ValueError(f"{manifest_path}: has_features must be true or false, got {has_features!r}")
     if not (isinstance(saliency_images, list) and all(isinstance(image_id, str) for image_id in saliency_images)):
         raise ValueError(f"{manifest_path}: saliency_images must be a list of image ids, got {saliency_images!r}")
-    pairs = [(entry["subject_id"], entry["image_id"]) for entry in entries]
+    subject_ids = tuple(entry["subject_id"] for entry in entries)
+    image_ids = tuple(entry["image_id"] for entry in entries)
+    pairs = list(zip(subject_ids, image_ids))
     _check_pairs(pairs)
     _check_unique(pairs)  # before the columns, whose lengths would not match a repeated item
     scan_path, lengths_path = root / "scanpaths.npy", root / "lengths.npy"
@@ -190,7 +258,8 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
             " re-run `gazeid simulate` or `gazeid detect`"
         )
     rows = _read_column(scan_path, np.float64, (None, 3))
-    lengths = _read_column(lengths_path, np.int64, (len(pairs),)).tolist()
+    lengths_column = _read_column(lengths_path, np.int64, (len(pairs),))
+    lengths = lengths_column.tolist()
     least = 1 if has_features else 0  # an item of T fixations has T - 1 saccades
     if lengths and min(lengths) < least:
         raise ValueError(f"{lengths_path}: lengths must be at least {least}, got {min(lengths)}")
@@ -204,14 +273,10 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
             values=_read_column(root / "features.npy", np.float64, (n_saccades, len(DYNAMICS_CHANNELS))).T,
         )
 
-    items = []
-    for (subject_id, image_id), end, n in zip(pairs, itertools.accumulate(lengths), lengths):
-        fixations = rows[end - n : end]
-        try:
-            path = Scanpath(fixations[:, :2], fixations[:, 2], subject_id=subject_id, image_id=image_id)
-        except ValueError as exc:
-            raise ValueError(f"{scan_path}: subject {subject_id!r} image {image_id!r}: {exc}") from None
-        items.append(DatasetItem(subject_id=subject_id, image_id=image_id, scanpath=path))
+    try:
+        items = ItemColumns(subject_ids, image_ids, rows[:, :2], rows[:, 2], lengths_column)
+    except ValueError as exc:
+        raise ValueError(f"{scan_path}: {exc}") from None
 
     saliency = None
     if saliency_images:
@@ -219,4 +284,4 @@ def load_dataset(in_dir: str | Path) -> GazeDataset:
             image_id: load_saliency(root / "saliency" / _checked_id("image", image_id))
             for image_id in saliency_images
         }
-    return GazeDataset(items=tuple(items), saliency=saliency, meta=manifest.get("meta") or {}, features=features)
+    return GazeDataset(items=items, saliency=saliency, meta=manifest.get("meta") or {}, features=features)

@@ -369,7 +369,7 @@ class TestSplits:
     def test_subject_with_one_image_rejected(self):
         data = small_cohort()
         extra = GazeDataset(
-            items=data.items + (DatasetItem("lonely", "only", data.items[0].scanpath),),
+            items=(*data.items, DatasetItem("lonely", "only", data.items[0].scanpath)),
         )
         with pytest.raises(ValueError, match="lonely"):
             classify.make_splits(extra, EvalProtocol())

@@ -11,7 +11,7 @@ import pytest
 
 from gazeid import classify, cli, fisher, markov, scenewalk, simulate
 from gazeid.cli import main
-from gazeid.core import GazeRecording, detect_saccades, load_recording_csv, save_recording_csv
+from gazeid.core import GazeRecording, SaccadeTable, detect_saccades, load_recording_csv, save_recording_csv
 from gazeid.dataset import GazeDataset, load_dataset, save_dataset
 from test_classify import overlapping_classes
 
@@ -483,14 +483,17 @@ class TestOneCodePath:
         assert "error: ValueError: grid_shape must be two positive ints, got [8]" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
-    @pytest.mark.parametrize("model", ["markov", "scenewalk"])
+    @pytest.mark.parametrize("model", ["markov", "markov-dyn", "scenewalk"])
     def test_an_item_of_one_fixation_is_named(self, tmp_path, capsys, model):
         data = load_dataset(simulate_tiny(tmp_path, model))
         first = data.items[1]
         short = dataclasses.replace(first.scanpath, positions=first.scanpath.positions[:1],
                                     durations=first.scanpath.durations[:1])
         items = (data.items[0], dataclasses.replace(first, scanpath=short), *data.items[2:])
-        save_dataset(GazeDataset(items, data.saliency, data.meta), tmp_path / "cut")
+        features = data.features
+        if features is not None:  # the item keeps no saccade: drop the 4 it owned after item 0's 4
+            features = SaccadeTable(np.delete(features.types, range(4, 8)), np.delete(features.values, range(4, 8), axis=1))
+        save_dataset(GazeDataset(items, data.saliency, data.meta, features), tmp_path / "cut")
         for family in (f"bayes-{model}", f"fisher-svm-{model}"):
             argv = ["eval", "--data", str(tmp_path / "cut"), "--family", family, "--out", str(tmp_path / "res"),
                     "--threads", "1"]

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from gazeid import markov, simulate
+from gazeid import classify, markov, simulate
 from gazeid.core import BASE_CHANNELS, DYNAMICS_CHANNELS, SaccadeTable, Scanpath, extract_features
 from gazeid.dataset import DatasetItem, GazeDataset, load_dataset, save_dataset
 from gazeid.distributions import GammaParams
@@ -467,3 +467,83 @@ class TestDatasetColumns:
         empty = dataclasses.replace(data.items[1], scanpath=Scanpath(np.empty((0, 2)), np.empty(0)))
         with pytest.raises(ValueError, match=re.escape("the feature table has 2 saccades, but the items have 2: an item of T >= 1")):
             GazeDataset(items=(data.items[0], empty), features=SaccadeTable(t.types[:2], t.values[:, :2]))
+
+
+@pytest.fixture
+def scanpath_count(monkeypatch):
+    """The number of ``Scanpath``s built since the fixture was set up: a
+    list of one count, raised by every ``Scanpath.__post_init__``."""
+    count, post_init = [0], Scanpath.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Scanpath, "__post_init__", counted)
+    return count
+
+
+class TestItemColumns:
+    """A dataset's items are columns; only indexing or iterating them builds
+    an item's ``Scanpath``, as a view."""
+
+    @pytest.mark.parametrize("family", ["markov", "markov-dyn"])
+    def test_the_markov_eval_path_builds_no_scanpath(self, tmp_path, scanpath_count, family):
+        generated = generate_cohort(SyntheticCohortSpec(n_users=3, n_images=4, fixations_per_path=6, family=family, seed=5)).data
+        loaded = []
+
+        def family_ops(data):
+            with classify._FamilyOps(data, family, classify.EvalProtocol(), threads=1) as ops:
+                assert ops.rows.shape[0] == 12
+
+        steps = {
+            "save_dataset of a generated cohort": lambda: save_dataset(generated, tmp_path / "d"),
+            "load_dataset": lambda: loaded.append(load_dataset(tmp_path / "d")),
+            "_FamilyOps": lambda: family_ops(loaded[0]),
+            "make_splits": lambda: classify.make_splits(loaded[0], classify.EvalProtocol(n_splits=2)),
+            "subjects": lambda: loaded[0].subjects,
+            "images_of": lambda: loaded[0].images_of("user001"),
+            "save_dataset of a loaded dataset": lambda: save_dataset(loaded[0], tmp_path / "again"),
+        }
+        built = {}
+        for name, step in steps.items():
+            scanpath_count[0] = 0
+            step()
+            built[name] = scanpath_count[0]
+        assert built == dict.fromkeys(steps, 0)
+        assert loaded[0].subjects == ("user000", "user001", "user002")
+        assert loaded[0].images_of("user001") == ("img000", "img001", "img002", "img003")
+        loaded[0].items[3]
+        assert scanpath_count[0] == 1
+
+    def test_a_view_equals_the_per_item_scanpath_bit_for_bit(self, tmp_path):
+        d = saved_cohort(tmp_path, family="markov")
+        rows, lengths = np.load(d / "scanpaths.npy"), np.load(d / "lengths.npy")
+        ids = [(e["subject_id"], e["image_id"]) for e in json.loads((d / "manifest.json").read_text())["items"]]
+        loaded = load_dataset(d)
+        assert len(loaded.items) == len(ids) == 6
+        for k, ((subject_id, image_id), end, n) in enumerate(zip(ids, np.cumsum(lengths), lengths)):
+            fixations = rows[end - n : end]
+            want = Scanpath(fixations[:, :2], fixations[:, 2], subject_id=subject_id, image_id=image_id)
+            for item in (loaded.items[k], loaded.items[k - 6], loaded.items[k : k + 1][0], list(loaded.items)[k]):
+                assert item == DatasetItem(subject_id, image_id, want)
+                for got, expected in ((item.scanpath.positions, want.positions), (item.scanpath.durations, want.durations)):
+                    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+        with pytest.raises(IndexError):
+            loaded.items[6]
+
+    @pytest.mark.parametrize("family", ["markov", "markov-dyn", "scenewalk"])
+    def test_items_given_as_a_tuple_become_the_same_columns(self, tmp_path, family):
+        spec = SyntheticCohortSpec(
+            n_users=2, n_images=3, fixations_per_path=5, family=family, seed=5, grid_shape=(8, 8), extent=(8.0, 8.0)
+        )
+        save_dataset(generate_cohort(spec).data, tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")
+        again = GazeDataset(tuple(loaded.items), loaded.saliency, loaded.meta, loaded.features)
+        assert again == loaded and again.items == loaded.items
+        assert dataclasses.replace(loaded, items=tuple(loaded.items)) == loaded
+        assert GazeDataset(items=loaded.items[:2]).items == GazeDataset(items=tuple(loaded.items)[:2]).items
+        moved = (*loaded.items[:5], dataclasses.replace(loaded.items[5], scanpath=Scanpath(
+            loaded.items[5].scanpath.positions + 1e-9, loaded.items[5].scanpath.durations
+        )))
+        assert GazeDataset(items=moved).items != loaded.items
