@@ -66,7 +66,7 @@ class ItemColumns:
     positions: np.ndarray
     durations: np.ndarray
     lengths: np.ndarray
-    _bounds: list[int] = field(init=False, repr=False, compare=False)  # item k: rows [k] to [k + 1]
+    _bounds: list[int] = field(init=False, repr=False, compare=False)  # item k owns rows _bounds[k]:_bounds[k + 1]
 
     __eq__ = _eq_by_value
 
@@ -78,7 +78,7 @@ class ItemColumns:
         if bad.any():
             k = bisect.bisect_right(bounds, int(bad.argmax())) - 1
             try:
-                self[k]
+                self[k]  # its Scanpath check raises the message
             except ValueError as exc:
                 raise ValueError(f"subject {self.subject_ids[k]!r} image {self.image_ids[k]!r}: {exc}") from None
 
